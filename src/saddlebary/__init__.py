@@ -3,7 +3,9 @@
 Two saddle-point algorithms (extragradient mirror prox on an
 entropy/Euclidean geometry, and dual extrapolation with an area-convex
 regularizer solved by alternating minimization), an iterative Bregman
-projections baseline, exact 1-D transport oracles, and a CSV benchmark CLI.
+projections baseline, exact 1-D transport oracles, and CSV reports.  The
+command-line front end lives in :mod:`saddlebary.cli` and is not imported
+here.
 """
 
 from .area_convex import (
@@ -22,7 +24,6 @@ from .area_convex import (
     run_dual_extrapolation,
     theta,
 )
-from .cli import GaussianSuiteSpec, gaussian_suite, load_histograms, run_bench
 from .core import (
     BarycenterProblem,
     ConfigError,
@@ -51,6 +52,7 @@ from .core import (
     vectorize_cost,
     zero_dual,
 )
+from .data import GaussianSuiteSpec, gaussian_suite, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
 from .mirror_prox import (
     MPConfig,
@@ -71,6 +73,7 @@ from .report import (
     RunRecord,
     RunReport,
     read_iterates_csv,
+    run_certified,
     write_barycenter_csv,
     write_iterates_csv,
     write_report_csv,

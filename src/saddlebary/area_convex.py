@@ -24,7 +24,6 @@ tighter advertised constant drops).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,8 @@ from .core import (
     _grad_blocks,
     _log_normalize,
     _marginals_stack,
-    certificate_values,
 )
-from .report import RunReport
+from .report import RunReport, run_certified
 
 KAPPA = 3.0
 
@@ -137,20 +135,20 @@ def _box_quadratic_argmin(lin_coef, curvature):
     return np.clip(inner, -1.0, 1.0)
 
 
-def am_prox(amp, num_iters, cost, m, n, y0=None):
+def am_prox(amp, num_iters, cost, m, n):
     """Alternating minimization for one proximal subproblem.
 
-    Starting from uniform simplices and zero duals (or `y0` when warm
-    starting), each sweep recomputes the plan blocks and the barycenter by
-    softmax closed forms, then solves every dual coordinate's clipped 1-D
-    quadratic.  Returns the final primal/dual pair.
+    Starting from uniform simplices and zero duals, each sweep recomputes
+    the plan blocks and the barycenter by softmax closed forms, then solves
+    every dual coordinate's clipped 1-D quadratic.  Returns the final
+    primal/dual pair.
     """
     if num_iters < 1:
         raise ConfigError("need at least one sweep")
     d_inf = cost.d_inf
     if d_inf <= 0:
         raise ConfigError("cost matrix is identically zero")
-    y = np.zeros((m, 2 * n)) if y0 is None else np.array(y0, dtype=float)
+    y = np.zeros((m, 2 * n))
     plans = bary = None
     for t in range(num_iters):
         ysq = y**2
@@ -208,8 +206,8 @@ class DEConfig:
 
 
 def de_config(prob, eps, theta_variant="exact"):
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError("eps must be positive and finite")
     d_inf = prob.cost.d_inf
     if d_inf <= 0:
         raise ConfigError("cost matrix is identically zero")
@@ -267,7 +265,6 @@ def run_dual_extrapolation(
     log_stride=None,
     oracle=None,
     timer=None,
-    warm_start=False,
 ):
     """Dual extrapolation outer loop with alternating-minimization prox calls.
 
@@ -275,22 +272,13 @@ def run_dual_extrapolation(
     at the sum advanced by one extrapolated gradient), then accumulates half
     a step into the running gradient sum.  The averaged second prox outputs
     carry the gap guarantee; the loop stops early once their exact
-    certificate reaches `eps`.  Prox calls restart from the canonical point
-    unless `warm_start` passes the previous dual iterate along.
+    certificate reaches `eps`.  Every prox call starts from the canonical
+    point.
     """
     cfg = de_config(prob, eps, theta_variant)
     total = cfg.outer_iters if max_outer is None else int(max_outer)
-    if total < 1:
-        raise ConfigError("outer iteration budget must be at least 1")
-    stride = int(log_stride) if log_stride else max(1, total // 200)
-    clock = timer if timer is not None else time.perf_counter
-    t0 = clock()
-
     n, m = prob.n, prob.m
     cost = prob.cost
-    grad_min_plan = (10.0 * cost.d_inf / m) * (-4.0 * math.log(n) + 2.0)
-    grad_min_bary = 10.0 * cost.d_inf * (-math.log(n) + 1.0)
-
     report = RunReport(
         algorithm="de",
         config={
@@ -301,12 +289,12 @@ def run_dual_extrapolation(
             "outer_iters": cfg.outer_iters,
             "inner_iters": cfg.inner_iters,
             "max_outer": total,
-            "log_stride": stride,
-            "warm_start": bool(warm_start),
             "initial_error_bound": de_initial_error_bound(eps, cfg.theta, cost.d_inf),
         },
     )
-
+    # The prox linear terms are the gradient sums minus the regularizer's
+    # gradient at its minimizer, so the first prox call returns that point.
+    grad_min = AMProblem.from_flat(*regularizer_grad_at_min(n, m, cost.d_inf), n, m)
     state = DEState(
         s_plans=np.zeros((m, n * n)),
         s_bary=np.zeros(n),
@@ -315,23 +303,21 @@ def run_dual_extrapolation(
         sum_w_bary=np.zeros(n),
         sum_w_duals=np.zeros((m, 2 * n)),
     )
-    previous_duals = None
-    gap = math.inf
-    recorded_at = 0
-    for k in range(total):
+
+    def step(k):
         base = AMProblem(
-            v_plans=state.s_plans - grad_min_plan,
-            v_bary=state.s_bary - grad_min_bary,
-            u=state.s_duals.copy(),
+            v_plans=state.s_plans - grad_min.v_plans,
+            v_bary=state.s_bary - grad_min.v_bary,
+            u=state.s_duals - grad_min.u,
         )
-        zx, zy = am_prox(base, cfg.inner_iters, cost, m, n, y0=previous_duals)
+        zx, zy = am_prox(base, cfg.inner_iters, cost, m, n)
         g_plans, g_bary, g_dual = _grad_blocks((zx.plans, zx.bary, zy.duals), prob)
         advanced = AMProblem(
             v_plans=base.v_plans + g_plans / cfg.kappa,
             v_bary=base.v_bary + g_bary / cfg.kappa,
             u=base.u + g_dual / cfg.kappa,
         )
-        wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n, y0=previous_duals)
+        wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
         g_plans, g_bary, g_dual = _grad_blocks((wx.plans, wx.bary, wy.duals), prob)
         state.s_plans += g_plans / (2.0 * cfg.kappa)
         state.s_bary += g_bary / (2.0 * cfg.kappa)
@@ -339,46 +325,14 @@ def run_dual_extrapolation(
         state.sum_w_plans += wx.plans
         state.sum_w_bary += wx.bary
         state.sum_w_duals += wy.duals
-        state.k = k + 1
+        state.k = k
         _check_gradient_sums(state, cfg.kappa, cost.d_inf, m)
-        if warm_start:
-            previous_duals = wy.duals
 
-        if state.k % stride == 0 or state.k == total:
-            x_avg, y_avg = state.averaged_pair()
-            primal_value, dual_value = certificate_values(x_avg, y_avg, prob)
-            gap = primal_value - dual_value
-            report.add(
-                state.k,
-                clock() - t0,
-                gap,
-                primal_value,
-                None if oracle is None else oracle(x_avg.bary),
-            )
-            recorded_at = state.k
-            if gap <= eps:
-                break
-
-    x_avg, y_avg = state.averaged_pair()
-    if recorded_at != state.k:
-        primal_value, dual_value = certificate_values(x_avg, y_avg, prob)
-        gap = primal_value - dual_value
-        report.add(
-            state.k,
-            clock() - t0,
-            gap,
-            primal_value,
-            None if oracle is None else oracle(x_avg.bary),
-        )
-    report.final_bary = x_avg.bary
-    report.final_x = x_avg
-    report.final_y = y_avg
-    report.final_gap = gap
-    report.iterations_run = state.k
-    report.converged = gap <= eps
-    if not report.converged:
-        report.status = "iteration-cap"
-    return x_avg, y_avg, report
+    run_certified(
+        report, prob, eps, total, step, lambda: (*state.averaged_pair(), None),
+        log_stride=log_stride, oracle=oracle, timer=timer,
+    )
+    return report.final_x, report.final_y, report
 
 
 # ---------------------------------------------------------------------------

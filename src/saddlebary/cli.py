@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,10 @@ from .core import (
     duality_gap,
     vectorize_cost,
 )
+from .data import GaussianSuiteSpec, gaussian_suite, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
 from .mirror_prox import run_mirror_prox
-from .oracles_1d import Grid1D, barycenter_1d_quantile, optimality_gap
+from .oracles_1d import Grid1D, barycenter_1d_quantile, grid_cost, optimality_gap
 from .report import (
     read_iterates_csv,
     write_barycenter_csv,
@@ -47,81 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_UNDERFLOW = 4
-
-
-@dataclass(frozen=True)
-class GaussianSuiteSpec:
-    """Benchmark suite: discretized Gaussians on an equispaced grid."""
-
-    count: int = 10
-    support: int = 100
-    support_range: tuple = (-10.0, 10.0)
-    mean_range: tuple = (-5.0, 5.0)
-    var_range: tuple = (0.8, 1.8)
-    seed: int = 0
-
-
-def gaussian_suite(spec):
-    """Deterministic-per-seed suite of discretized Gaussian histograms.
-
-    Returns (measures, grid points): `count` rows of Gaussian densities
-    evaluated on the grid and normalized to unit mass, with means and
-    variances drawn uniformly from the configured ranges.
-    """
-    rng = np.random.default_rng(spec.seed)
-    means = rng.uniform(*spec.mean_range, size=spec.count)
-    variances = rng.uniform(*spec.var_range, size=spec.count)
-    points = np.linspace(*spec.support_range, spec.support)
-    densities = np.exp(-((points[None, :] - means[:, None]) ** 2) / (2.0 * variances[:, None]))
-    measures = densities / densities.sum(axis=1, keepdims=True)
-    return measures, points
-
-
-def load_histograms(path, normalize=False):
-    """Read one histogram per CSV row; returns (measures, grid or None).
-
-    A leading comment row ``# grid: v1,v2,...`` supplies support points.
-    Rows are rejected when their sum strays from 1 by more than 1e-6, unless
-    `normalize` rescales them; either way the returned rows sit exactly on
-    the simplex.
-    """
-    grid = None
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text[1:].strip()
-                if body.lower().startswith("grid:"):
-                    try:
-                        grid = np.array([float(v) for v in body[5:].split(",")])
-                    except ValueError as exc:
-                        raise ParseError(f"{path}: line {lineno}: bad grid header: {exc}") from exc
-                continue
-            try:
-                values = np.array([float(v) for v in text.split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if rows and values.shape != rows[0].shape:
-                raise ParseError(f"{path}: line {lineno}: inconsistent row length")
-            if np.any(values < 0):
-                raise ParseError(f"{path}: line {lineno}: negative mass")
-            total = values.sum()
-            if abs(total - 1.0) > 1e-6 and not normalize:
-                raise ParseError(
-                    f"{path}: line {lineno}: row mass {total!r} is not 1 (use --normalize)"
-                )
-            if total <= 0:
-                raise ParseError(f"{path}: line {lineno}: row has no mass")
-            rows.append(values / total)
-    if not rows:
-        raise ParseError(f"{path}: no histogram rows found")
-    measures = np.vstack(rows)
-    if grid is not None and grid.shape[0] != measures.shape[1]:
-        raise ParseError(f"{path}: grid header length does not match rows")
-    return measures, grid
 
 
 def _load_cost_csv(path):
@@ -141,31 +66,31 @@ def _load_cost_csv(path):
 
 
 def _build_inputs(args):
-    """Problem, grid (or None), and the cost-normalization factor."""
+    """Problem, grid (a :class:`Grid1D` or None), and the cost-normalization factor."""
     if args.input is not None:
-        measures, grid = load_histograms(args.input, normalize=args.normalize)
+        measures, points = load_histograms(args.input, normalize=args.normalize)
     elif args.gaussian:
         spec = GaussianSuiteSpec(seed=args.seed)
-        measures, grid = gaussian_suite(spec)
+        measures, points = gaussian_suite(spec)
     else:
         raise ConfigError("supply --input <csv> or --gaussian")
+    grid = None if points is None else Grid1D(points=points, power=2.0)
 
     if args.cost == "sqdist":
         if grid is None:
             raise ConfigError("squared-distance cost needs support points; supply a grid header")
-        C = (grid[:, None] - grid[None, :]) ** 2
+        cost = grid_cost(grid)
     elif args.cost.startswith("csv:"):
-        C = _load_cost_csv(args.cost[4:])
+        cost = vectorize_cost(_load_cost_csv(args.cost[4:]))
     else:
         raise ConfigError(f"unknown cost specification {args.cost!r}")
     scale = 1.0
     if args.normalize_cost:
-        top = C.max()
-        if top <= 0:
+        scale = cost.d_inf
+        if scale <= 0:
             raise ConfigError("cannot normalize an all-zero cost matrix")
-        C = C / top
-        scale = top
-    prob = BarycenterProblem.create(measures, vectorize_cost(C))
+        cost = vectorize_cost(cost.C / scale)
+    prob = BarycenterProblem.create(measures, cost)
     return prob, grid, scale
 
 
@@ -177,9 +102,8 @@ def _make_oracle(args, prob, grid, scale):
     """
     if grid is None or args.cost != "sqdist":
         return None
-    g = Grid1D(points=grid, power=2.0)
-    p_star = barycenter_1d_quantile(prob.measures, g)
-    return lambda bary: optimality_gap(bary, p_star, prob, g) / scale
+    p_star = barycenter_1d_quantile(prob.measures, grid)
+    return lambda bary: optimality_gap(bary, p_star, prob, grid) / scale
 
 
 def _timer(args):
@@ -262,8 +186,7 @@ def cmd_gaussian_bench(args):
     timer = _timer(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    g = Grid1D(points=grid, power=2.0)
-    write_barycenter_csv(barycenter_1d_quantile(prob.measures, g), outdir / "true_barycenter.csv")
+    write_barycenter_csv(barycenter_1d_quantile(prob.measures, grid), outdir / "true_barycenter.csv")
     worst = EXIT_OK
     for algo in ("mp", "de", "ibp"):
         code, report = _run_algorithm(algo, args, prob, oracle, timer)

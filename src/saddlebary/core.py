@@ -31,7 +31,7 @@ class ShapeError(SaddlebaryError):
 
 
 class InvalidCostError(SaddlebaryError):
-    """A ground-cost matrix has negative entries."""
+    """A ground-cost matrix has negative or non-finite entries."""
 
 
 class DomainError(SaddlebaryError):
@@ -61,10 +61,12 @@ class NumericalFailure(SaddlebaryError):
 
 
 def validate_histogram(weights, name="histogram"):
-    """Check nonnegativity and unit mass; returns the vector as float array."""
+    """Check finiteness, nonnegativity and unit mass; returns the vector as float array."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise ShapeError(f"{name} must be a vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"{name} has non-finite entries")
     if np.any(w < 0):
         raise DomainError(f"{name} has negative entries")
     total = w.sum()
@@ -98,7 +100,7 @@ class CostData:
 
 
 def vectorize_cost(C):
-    """Build :class:`CostData` from a nonnegative square matrix.
+    """Build :class:`CostData` from a finite, nonnegative square matrix.
 
     The vectorization is row-major: entry (j, k) of C lands at position
     j*n + k.  This convention is fixed package-wide so that the marginal
@@ -107,6 +109,8 @@ def vectorize_cost(C):
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ShapeError(f"cost matrix must be square, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise InvalidCostError("cost matrix has non-finite entries")
     if np.any(C < 0):
         raise InvalidCostError("cost matrix has negative entries")
     d = C.ravel().copy()

@@ -13,8 +13,8 @@ log-sum-exp reductions and always returns a finite simplex vector.
 
 from __future__ import annotations
 
+import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +23,10 @@ from scipy.special import logsumexp, xlogy
 from .core import (
     ConfigError,
     DualPoint,
+    NumericalFailure,
     PrimalPoint,
-    certificate_values,
 )
-from .report import RunReport
+from .report import RunReport, run_certified
 
 
 @dataclass(frozen=True)
@@ -41,20 +41,16 @@ class IBPConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.reg <= 0:
-            raise ConfigError("regularization must be positive")
+        if not (math.isfinite(self.reg) and self.reg > 0):
+            raise ConfigError("regularization must be positive and finite")
         if self.iters < 1:
             raise ConfigError("need at least one sweep")
 
 
-def _certificate(plans, bary, prob):
-    """Exact duality gap of the normalized iterate paired with zero duals."""
-    sums = plans.sum(axis=1, keepdims=True)
-    total = bary.sum()
-    x = PrimalPoint(plans=plans / sums, bary=bary / total)
-    y = DualPoint(duals=np.zeros((prob.m, 2 * prob.n)))
-    primal_value, dual_value = certificate_values(x, y, prob)
-    return primal_value - dual_value, x, y
+def _normalized_pair(plans, bary, prob):
+    """The certified pair of a sweep: normalized plans and barycenter, zero duals."""
+    x = PrimalPoint(plans=plans / plans.sum(axis=1, keepdims=True), bary=bary / bary.sum())
+    return x, DualPoint(duals=np.zeros((prob.m, 2 * prob.n)))
 
 
 def _scaling_merit(mass_total, log_v_paired, reg, m):
@@ -78,9 +74,6 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     current (normalized) plans paired with zero duals, and the scaling merit
     function (see :func:`_scaling_merit`) as the objective column.
     """
-    clock = timer if timer is not None else time.perf_counter
-    t0 = clock()
-    stride = int(log_stride) if log_stride else max(1, cfg.iters // 200)
     report = RunReport(
         algorithm="ibp",
         config={
@@ -88,74 +81,58 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
             "iters": cfg.iters,
             "stabilized": cfg.stabilized,
             "tol": cfg.tol,
-            "log_stride": stride,
         },
     )
-    runner = _ibp_stabilized if cfg.stabilized else _ibp_naive
-    return runner(prob, cfg, report, stride, oracle, clock, t0)
-
-
-def _finish(report, bary, iteration, converged):
-    report.iterations_run = iteration
-    report.converged = converged
-    if not converged:
-        report.status = "iteration-cap"
-    report.final_bary = bary
-    if report.records:
-        report.final_gap = report.records[-1].duality_gap
-    return bary, report
-
-
-def _record(report, prob, plans, bary, iteration, oracle, clock, t0, objective):
-    gap, x, y = _certificate(plans, bary, prob)
-    report.add(
-        iteration,
-        clock() - t0,
-        gap,
-        objective,
-        None if oracle is None else oracle(x.bary),
+    # IBP has no gap target (eps = -inf): it stops on its marginal tolerance.
+    run = functools.partial(
+        run_certified, report, prob, -math.inf, cfg.iters,
+        log_stride=log_stride, oracle=oracle, timer=timer,
     )
-    report.final_x, report.final_y = x, y
+    runner = _ibp_stabilized if cfg.stabilized else _ibp_naive
+    try:
+        report.final_bary = runner(prob, cfg, run)
+    except NumericalFailure:
+        # The naive mode's documented outcome at small reg, not an error.
+        report.status = "underflow-degenerate"
+        return None, report
+    return report.final_bary, report
 
 
-def _ibp_naive(prob, cfg, report, stride, oracle, clock, t0):
+def _ibp_naive(prob, cfg, run):
     n, m = prob.n, prob.m
     C, Q = prob.cost.C, prob.measures
     K = np.exp(-C / cfg.reg)
     if np.any(K.sum(axis=1) == 0.0):
-        report.status = "underflow-degenerate"
-        report.iterations_run = 0
-        return None, report
+        raise NumericalFailure("kernel row underflows to zero")
 
     u = np.full((m, n), 1.0 / n)
-    p = np.full(n, 1.0 / n)
-    for it in range(1, cfg.iters + 1):
+    v = p = None
+
+    def step(k):
+        nonlocal u, v, p
         v = Q / (u @ K)
         UKv = u * (v @ K.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = np.exp(np.log(UKv).mean(axis=0))
             u = u * p[None, :] / UKv
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
-            report.status = "underflow-degenerate"
-            report.iterations_run = it
-            return None, report
-        violation = np.abs(v * (u @ K) - Q).sum(axis=1).max()
-        if it % stride == 0 or violation <= cfg.tol or it == cfg.iters:
-            plans = u[:, :, None] * K[None, :, :] * v[:, None, :]
-            if not np.all(np.isfinite(plans)) or np.any(plans.sum(axis=(1, 2)) == 0.0):
-                report.status = "underflow-degenerate"
-                report.iterations_run = it
-                return None, report
-            merit = _scaling_merit(
-                float((u * (v @ K.T)).sum()), float(xlogy(Q, v).sum()), cfg.reg, m
-            )
-            _record(report, prob, plans.reshape(m, n * n), p, it, oracle, clock, t0, merit)
-        if violation <= cfg.tol:
-            return _finish(report, p / p.sum(), it, True)
-    return _finish(report, p / p.sum(), cfg.iters, False)
+            raise NumericalFailure("non-finite scaling sweep", iteration=k)
+        return np.abs(v * (u @ K) - Q).sum(axis=1).max() <= cfg.tol
+
+    def certified():
+        plans = u[:, :, None] * K[None, :, :] * v[:, None, :]
+        if not np.all(np.isfinite(plans)) or np.any(plans.sum(axis=(1, 2)) == 0.0):
+            raise NumericalFailure("transport plans underflow")
+        merit = _scaling_merit(
+            float((u * (v @ K.T)).sum()), float(xlogy(Q, v).sum()), cfg.reg, m
+        )
+        return (*_normalized_pair(plans.reshape(m, n * n), p, prob), merit)
+
+    run(step, certified)
+    return p / p.sum()
 
 
-def _ibp_stabilized(prob, cfg, report, stride, oracle, clock, t0):
+def _ibp_stabilized(prob, cfg, run):
     n, m = prob.n, prob.m
     C, Q = prob.cost.C, prob.measures
     logK = -C / cfg.reg
@@ -164,23 +141,26 @@ def _ibp_stabilized(prob, cfg, report, stride, oracle, clock, t0):
 
     phi = np.full((m, n), -math.log(n))
     log_p = np.full(n, -math.log(n))
-    for it in range(1, cfg.iters + 1):
+    psi = log_row = None
+
+    def step(k):
+        nonlocal phi, log_p, psi, log_row
         psi = logQ - logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
         log_row = logsumexp(logK[None, :, :] + psi[:, None, :], axis=2)
         log_p = (phi + log_row).mean(axis=0)
         phi = log_p[None, :] - log_row
         col = np.exp(psi + logsumexp(logK[None, :, :] + phi[:, :, None], axis=1))
-        violation = np.abs(col - Q).sum(axis=1).max()
-        if it % stride == 0 or violation <= cfg.tol or it == cfg.iters:
-            plans = np.exp(phi[:, :, None] + logK[None, :, :] + psi[:, None, :])
-            merit = _scaling_merit(
-                float(np.exp(phi + log_row).sum()),
-                float(np.where(Q > 0, Q * psi, 0.0).sum()),
-                cfg.reg,
-                m,
-            )
-            _record(report, prob, plans.reshape(m, n * n), np.exp(log_p), it, oracle, clock, t0, merit)
-        if violation <= cfg.tol:
-            break
-    p = np.exp(log_p - logsumexp(log_p))
-    return _finish(report, p, it, bool(violation <= cfg.tol))
+        return np.abs(col - Q).sum(axis=1).max() <= cfg.tol
+
+    def certified():
+        plans = np.exp(phi[:, :, None] + logK[None, :, :] + psi[:, None, :])
+        merit = _scaling_merit(
+            float(np.exp(phi + log_row).sum()),
+            float(np.where(Q > 0, Q * psi, 0.0).sum()),
+            cfg.reg,
+            m,
+        )
+        return (*_normalized_pair(plans.reshape(m, n * n), np.exp(log_p), prob), merit)
+
+    run(step, certified)
+    return np.exp(log_p - logsumexp(log_p))

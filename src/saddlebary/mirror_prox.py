@@ -11,7 +11,6 @@ the gap of the running averages is evaluated exactly along the way.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,10 @@ from .core import (
     _constraint_blocks,
     _log_normalize,
     _target_blocks,
-    certificate_values,
     uniform_primal,
     zero_dual,
 )
-from .report import RunReport
+from .report import RunReport, run_certified
 
 SCALING_VARIANTS = ("derived", "printed")
 
@@ -61,11 +59,10 @@ def mp_config(prob, eps, variant="derived"):
     variant multiplies both by m.  The duality-gap guarantee at the returned
     iteration count holds for `derived`.
     """
-    variant = {"as-printed": "printed"}.get(variant, variant)
     if variant not in SCALING_VARIANTS:
         raise ConfigError(f"unknown scaling variant {variant!r}")
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError("eps must be positive and finite")
     d_inf = prob.cost.d_inf
     if d_inf <= 0:
         raise ConfigError("cost matrix is identically zero")
@@ -208,12 +205,6 @@ def run_mirror_prox(
     """
     cfg = mp_config(prob, eps, variant)
     total = cfg.iters if max_iters is None else int(max_iters)
-    if total < 1:
-        raise ConfigError("iteration budget must be at least 1")
-    stride = int(log_stride) if log_stride else max(1, total // 200)
-    clock = timer if timer is not None else time.perf_counter
-    t0 = clock()
-
     report = RunReport(
         algorithm="mp",
         config={
@@ -225,47 +216,16 @@ def run_mirror_prox(
             "gamma_mult": cfg.gamma_mult,
             "theory_iters": cfg.iters,
             "max_iters": total,
-            "log_stride": stride,
         },
     )
-
     state = mp_initial_state(prob)
-    gap = math.inf
-    recorded_at = 0
-    for _ in range(total):
-        state = mp_iteration(state, cfg, prob)
-        if state.k % stride == 0 or state.k == total:
-            x_avg, y_avg = state.averaged_pair()
-            primal_value, dual_value = certificate_values(x_avg, y_avg, prob)
-            gap = primal_value - dual_value
-            report.add(
-                state.k,
-                clock() - t0,
-                gap,
-                primal_value,
-                None if oracle is None else oracle(x_avg.bary),
-            )
-            recorded_at = state.k
-            if gap <= eps:
-                break
 
-    x_avg, y_avg = state.averaged_pair()
-    if recorded_at != state.k:
-        primal_value, dual_value = certificate_values(x_avg, y_avg, prob)
-        gap = primal_value - dual_value
-        report.add(
-            state.k,
-            clock() - t0,
-            gap,
-            primal_value,
-            None if oracle is None else oracle(x_avg.bary),
-        )
-    report.final_bary = x_avg.bary
-    report.final_x = x_avg
-    report.final_y = y_avg
-    report.final_gap = gap
-    report.iterations_run = state.k
-    report.converged = gap <= eps
-    if not report.converged:
-        report.status = "iteration-cap"
-    return x_avg, y_avg, report
+    def step(k):
+        nonlocal state
+        state = mp_iteration(state, cfg, prob)
+
+    run_certified(
+        report, prob, eps, total, step, lambda: (*state.averaged_pair(), None),
+        log_stride=log_stride, oracle=oracle, timer=timer,
+    )
+    return report.final_x, report.final_y, report

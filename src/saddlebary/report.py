@@ -1,4 +1,8 @@
-"""Per-run convergence records and CSV emission.
+"""Per-run convergence records, the certified driver loop, and CSV emission.
+
+Every solver runs through :func:`run_certified`, which owns the iteration
+budget, the recording cadence, the clock, the exact certificate and the
+early stop, so the three solvers share one definition of a record.
 
 All files are plain RFC-4180-style CSV with '.' decimals.  Floats are written
 with `repr`, which round-trips exactly in IEEE double precision, so a stored
@@ -8,15 +12,19 @@ certificate can be re-derived from the stored iterates without loss.
 from __future__ import annotations
 
 import csv
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     BarycenterProblem,
+    ConfigError,
     DualPoint,
     ParseError,
     PrimalPoint,
+    certificate_values,
     vectorize_cost,
 )
 
@@ -61,6 +69,53 @@ class RunReport:
     @property
     def failed(self):
         return self.status not in ("ok", "iteration-cap")
+
+
+def run_certified(report, prob, eps, total, step, certified, log_stride=None, oracle=None, timer=None):
+    """Step a solver, recording and stopping on its exact duality gap.
+
+    `step(k)` advances the solver to step k and returns True once the
+    solver's own stop rule holds.  `certified()` returns `(x, y, objective)`:
+    the pair whose exact gap is the certificate, and the objective column
+    (None logs the primal value).  A record is taken every `log_stride`-th
+    step (default: about 200 records over `total`), at the last step and
+    where the solver stops itself; the run ends early once a recorded gap
+    reaches `eps`.  `final_x`/`final_y` follow every record, so a run that
+    raises mid-way still holds its last certified pair.  Returns `report`.
+    """
+    if total < 1:
+        raise ConfigError("iteration budget must be at least 1")
+    stride = max(1, total // 200) if log_stride is None else int(log_stride)
+    if stride < 1:
+        raise ConfigError("log stride must be at least 1")
+    report.config["log_stride"] = stride
+    clock = timer if timer is not None else time.perf_counter
+    t0 = clock()
+
+    gap = math.inf
+    for k in range(1, total + 1):
+        report.iterations_run = k
+        stopped = bool(step(k))
+        if stopped or k % stride == 0 or k == total:
+            x, y, objective = certified()
+            primal_value, dual_value = certificate_values(x, y, prob)
+            gap = primal_value - dual_value
+            report.add(
+                k,
+                clock() - t0,
+                gap,
+                primal_value if objective is None else objective,
+                None if oracle is None else oracle(x.bary),
+            )
+            report.final_x, report.final_y = x, y
+            if stopped or gap <= eps:
+                break
+    report.final_bary = report.final_x.bary
+    report.final_gap = gap
+    report.converged = stopped or gap <= eps
+    if not report.converged:
+        report.status = "iteration-cap"
+    return report
 
 
 def _fmt(value):

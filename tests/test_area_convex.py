@@ -407,10 +407,6 @@ class TestDualExtrapolation:
         slope = np.linalg.lstsq(design, np.log(gaps[window]), rcond=None)[0][0]
         assert -1.25 <= slope <= -0.75
 
-    def test_warm_start_flag_runs(self, t1_problem):
-        _, _, report = sb.run_dual_extrapolation(t1_problem, 0.5, warm_start=True)
-        assert report.final_gap <= 0.5
-
     def test_budget_validation(self, t1_problem):
         with pytest.raises(sb.ConfigError):
             sb.run_dual_extrapolation(t1_problem, 0.5, max_outer=0)

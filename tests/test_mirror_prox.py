@@ -65,10 +65,6 @@ class TestConfig:
         assert cfg.beta == pytest.approx(0.6 * math.log(2) * eta / 0.1)
         assert cfg.gamma_mult == pytest.approx(0.9 * math.log(2) * eta / 0.1)
 
-    def test_as_printed_alias(self):
-        prob = random_problem(2, 2, 3)
-        assert sb.mp_config(prob, 0.1, "as-printed") == sb.mp_config(prob, 0.1, "printed")
-
     def test_config_errors(self, t1_problem):
         with pytest.raises(sb.ConfigError):
             sb.mp_config(t1_problem, 0.0)

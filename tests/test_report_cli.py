@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +218,78 @@ class TestGapCLIErrors:
         bad = tmp_path / "bad.csv"
         bad.write_text("kind,index,values...\ncost_row,0,0.0,1.0\n")
         assert run_cli(["gap", "--iterates", str(bad)]) == 2
+
+
+def _cli_subprocess(*args):
+    """`python -m saddlebary.cli ...` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(sb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestLibraryWithoutCLI:
+    def test_import_leaves_cli_out(self):
+        proc = _cli_subprocess(
+            "-c", "import sys, saddlebary; print('saddlebary.cli' in sys.modules)"
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    def test_module_run_prints_no_runpy_warning(self):
+        proc = _cli_subprocess("-m", "saddlebary.cli", "--help")
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+
+
+class TestNonFiniteInputs:
+    def test_histogram_with_nan(self):
+        with pytest.raises(sb.DomainError):
+            sb.validate_histogram([np.nan, 0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_cost_with_non_finite_entry(self, bad):
+        with pytest.raises(sb.InvalidCostError):
+            sb.vectorize_cost([[0.0, bad], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_config_builders_reject_eps(self, t1_problem, eps):
+        with pytest.raises(sb.ConfigError):
+            sb.mp_config(t1_problem, eps)
+        with pytest.raises(sb.ConfigError):
+            sb.de_config(t1_problem, eps)
+
+    @pytest.mark.parametrize("reg", [np.nan, np.inf])
+    def test_ibp_config_rejects_reg(self, reg):
+        with pytest.raises(sb.ConfigError):
+            sb.IBPConfig(reg=reg)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["eps-nan-mp", "eps-nan-de", "reg-nan", "stride-negative", "stride-zero", "nan-histogram",
+         "inf-cost"],
+    )
+    def test_cli_exits_2_without_traceback(self, tmp_path, case):
+        hists = tmp_path / "h.csv"
+        hists.write_text("# grid: 0.0, 0.5, 1.0\n0.5,0.25,0.25\n0.2,0.3,0.5\n")
+        cost = tmp_path / "c.csv"
+        cost.write_text("0,1,inf\n1,0,1\n1,1,0\n")
+        bad_hists = tmp_path / "bad.csv"
+        bad_hists.write_text("# grid: 0.0, 0.5, 1.0\nnan,0.5,0.5\n")
+        base = ["barycenter", "--input", str(hists), "--out", str(tmp_path / "o")]
+        argv = {
+            "eps-nan-mp": base + ["--algo", "mp", "--eps", "nan"],
+            "eps-nan-de": base + ["--algo", "de", "--eps", "nan"],
+            "reg-nan": base + ["--algo", "ibp", "--reg", "nan"],
+            "stride-negative": base + ["--algo", "mp", "--log-stride", "-3"],
+            "stride-zero": base + ["--algo", "mp", "--log-stride", "0"],
+            "nan-histogram": ["barycenter", "--input", str(bad_hists), "--algo", "mp",
+                              "--out", str(tmp_path / "o")],
+            "inf-cost": base + ["--algo", "mp", "--cost", f"csv:{cost}"],
+        }[case]
+        proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
