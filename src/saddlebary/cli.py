@@ -60,6 +60,8 @@ def _load_cost_csv(path):
                 rows.append([float(v) for v in text.split(",")])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise ParseError(f"{path}: line {lineno}: inconsistent row length")
     if not rows:
         raise ParseError(f"{path}: empty cost matrix")
     return np.array(rows)

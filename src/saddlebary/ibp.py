@@ -156,7 +156,7 @@ def _ibp_stabilized(prob, cfg, run):
         plans = np.exp(phi[:, :, None] + logK[None, :, :] + psi[:, None, :])
         merit = _scaling_merit(
             float(np.exp(phi + log_row).sum()),
-            float(np.where(Q > 0, Q * psi, 0.0).sum()),
+            float((Q * np.where(Q > 0, psi, 0.0)).sum()),
             cfg.reg,
             m,
         )

@@ -80,6 +80,18 @@ class TestMonotoneObjective:
         objectives = np.array([r.objective for r in report.records])
         assert np.all(np.diff(objectives) <= 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_stabilized_merit_quiet_on_zero_mass(self):
+        # log(0) = -inf in psi must be masked before it meets a zero mass
+        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
+        prob = sb.BarycenterProblem.create(
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), sb.grid_cost(grid)
+        )
+        _, report = sb.ibp_barycenter(
+            prob, sb.IBPConfig(reg=0.01, iters=20, stabilized=True), log_stride=1
+        )
+        assert all(np.isfinite(r.objective) for r in report.records)
+
     def test_gap_column_finite(self, gaussian_problem):
         _, report = sb.ibp_barycenter(gaussian_problem, sb.IBPConfig(reg=0.1, iters=100))
         assert all(np.isfinite(r.duality_gap) for r in report.records)

@@ -269,7 +269,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "case",
         ["eps-nan-mp", "eps-nan-de", "reg-nan", "stride-negative", "stride-zero", "nan-histogram",
-         "inf-cost"],
+         "inf-cost", "ragged-cost"],
     )
     def test_cli_exits_2_without_traceback(self, tmp_path, case):
         hists = tmp_path / "h.csv"
@@ -278,6 +278,8 @@ class TestNonFiniteInputs:
         cost.write_text("0,1,inf\n1,0,1\n1,1,0\n")
         bad_hists = tmp_path / "bad.csv"
         bad_hists.write_text("# grid: 0.0, 0.5, 1.0\nnan,0.5,0.5\n")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("0,1\n1,0,1\n")
         base = ["barycenter", "--input", str(hists), "--out", str(tmp_path / "o")]
         argv = {
             "eps-nan-mp": base + ["--algo", "mp", "--eps", "nan"],
@@ -288,6 +290,7 @@ class TestNonFiniteInputs:
             "nan-histogram": ["barycenter", "--input", str(bad_hists), "--algo", "mp",
                               "--out", str(tmp_path / "o")],
             "inf-cost": base + ["--algo", "mp", "--cost", f"csv:{cost}"],
+            "ragged-cost": base + ["--algo", "mp", "--cost", f"csv:{ragged}"],
         }[case]
         proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
         assert proc.returncode == 2, proc.stderr
