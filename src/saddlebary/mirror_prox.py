@@ -1,11 +1,19 @@
 """Extragradient (mirror prox) solver on the entropy/Euclidean product geometry.
 
 Each iteration takes an extrapolation step and a main step.  Plan and
-barycenter blocks move multiplicatively (exponentiated-gradient updates kept
-in the log domain with max subtraction, then renormalized onto their
-simplices); dual blocks move by a Euclidean step clipped onto the box.  The
-averaged extrapolation iterates carry the O(1/N) duality-gap guarantee, and
-the gap of the running averages is evaluated exactly along the way.
+barycenter blocks move multiplicatively (exponentiated-gradient updates,
+renormalized onto their simplices); dual blocks move by a Euclidean step
+clipped onto the box.  The averaged extrapolation iterates carry the O(1/N)
+duality-gap guarantee, and the gap of the running averages is evaluated
+exactly along the way.
+
+The plan update is in Gibbs scaling form: the exponent separates into the
+fixed kernel exp(-gamma C) and per-measure row and column factors, so an
+iteration needs O(m n) exponentials, batched mat-vecs for the marginals and
+normalizers, and one elementwise pass to form each plan.  The state keeps
+the dense plans and their marginals; plan entries below the smallest normal
+double are flushed to exactly 0 so rounding cannot pin them at slow
+subnormal values.  The barycenter block (n entries) stays in the log domain.
 """
 
 from __future__ import annotations
@@ -20,9 +28,8 @@ from .core import (
     DualPoint,
     NumericalFailure,
     PrimalPoint,
-    _adjoint_stack,
-    _constraint_blocks,
     _log_normalize,
+    _marginals_stack,
     _target_blocks,
     uniform_primal,
     zero_dual,
@@ -90,17 +97,21 @@ def mp_config(prob, eps, variant="derived"):
 class MPState:
     """Solver state after k iterations.
 
-    `log_plans`/`log_bary` are the numerically authoritative representation
-    of the main primal iterate; `x` is its materialized simplex point.
-    `u`/`v` hold the most recent extrapolation pair and `sum_*` their running
-    totals (the certified output is the average `sum / k`).
+    `x` is the main primal iterate: its dense plans are the authoritative
+    plan state, and `x_marginals` holds their stacked [row sums, column
+    sums], carried from the step that formed them so the next residual
+    needs no pass over the m n^2 plan entries.  The barycenter stays in the
+    log domain as `log_bary`.  `u`/`v` hold the most recent extrapolation
+    pair and `sum_*` their running totals (the certified output is the
+    average `sum / k`).  No array of a returned state is written by a later
+    step.
     """
 
     x: PrimalPoint
     y: DualPoint
     u: PrimalPoint
     v: DualPoint
-    log_plans: np.ndarray
+    x_marginals: np.ndarray
     log_bary: np.ndarray
     sum_plans: np.ndarray
     sum_bary: np.ndarray
@@ -125,7 +136,7 @@ def mp_initial_state(prob):
         y=y0,
         u=x0,
         v=y0,
-        log_plans=np.log(x0.plans),
+        x_marginals=_marginals_stack(x0.plans, n),
         log_bary=np.log(x0.bary),
         sum_plans=np.zeros((m, n * n)),
         sum_bary=np.zeros(n),
@@ -134,49 +145,77 @@ def mp_initial_state(prob):
     )
 
 
+# Plan entries below the smallest normal double are set to exactly 0.
+# Rounding pins a decaying subnormal entry where it is (5e-324 * 0.94 rounds
+# back to 5e-324), and arithmetic on subnormals runs many times slower.  In
+# a unit-mass plan such entries are below 2^-1022, where exp underflows to 0
+# or to a subnormal anyway.
+_PLAN_FLOOR = np.finfo(float).tiny
+
+
+def _scale_in_place(P, a, b_over_z):
+    """P *= outer(a, b/Z) per measure, then entries below the floor set to 0."""
+    P *= a[:, :, None]
+    P *= b_over_z[:, None, :]
+    P *= P >= _PLAN_FLOOR
+    return P.reshape(P.shape[0], -1)
+
+
 def mp_iteration(state, cfg, prob):
-    """One extragradient step; returns the new state with sums accumulated."""
-    n = prob.n
-    d, d_inf = prob.cost.d, prob.cost.d_inf
+    """One extragradient step; returns the new state with sums accumulated.
+
+    The plan exponent -gamma (d + 2 d_inf (y_j + y_{n+k})) separates, so
+    both plans of a step are W * outer(a, b) / Z with W = x * exp(-gamma C)
+    shared and a = exp(-c y[:n]), b = exp(-c y[n:]), c = 2 d_inf gamma.  The
+    marginals and normalizers of both come from batched mat-vecs against W;
+    each plan is materialized once.
+    """
+    n, m = prob.n, prob.m
+    d_inf = prob.cost.d_inf
     targets = _target_blocks(prob.measures)
     duals = state.y.duals
 
-    # extrapolation: dual step at the main iterate, then primal step
-    residual = _constraint_blocks(state.x.plans, state.x.bary) - targets
+    # extrapolation dual step at the main iterate
+    residual = state.x_marginals - targets
+    residual[:, :n] -= state.x.bary
     v = np.clip(duals + cfg.alpha * residual, -1.0, 1.0)
 
-    log_u = state.log_plans - cfg.gamma_mult * (
-        d[None, :] + 2.0 * d_inf * _adjoint_stack(duals, n)
-    )
-    log_u, u_plans = _log_normalize(log_u)
-    log_s = state.log_bary + cfg.beta * duals[:, :n].sum(axis=0)
-    log_s, s_bary = _log_normalize(log_s)
+    # both plan scalings: index 0 at the duals (u), index 1 at v (next x)
+    W = state.x.plans.reshape(m, n, n) * np.exp(-cfg.gamma_mult * prob.cost.C)
+    scale = np.exp((-2.0 * d_inf * cfg.gamma_mult) * np.stack([duals, v], axis=1))
+    a, b = scale[:, :, :n], scale[:, :, n:]
+    rows = a * (b @ np.swapaxes(W, 1, 2))
+    cols = b * (a @ W)
+    Z = rows.sum(axis=2, keepdims=True)
+    marginals = np.concatenate([rows, cols], axis=2) / Z
 
-    # main step, evaluated at the extrapolation pair
-    residual_u = _constraint_blocks(u_plans, s_bary) - targets
-    y_new = np.clip(duals + cfg.alpha * residual_u, -1.0, 1.0)
-
-    log_x = state.log_plans - cfg.gamma_mult * (
-        d[None, :] + 2.0 * d_inf * _adjoint_stack(v, n)
-    )
-    log_x, x_plans = _log_normalize(log_x)
-    log_p = state.log_bary + cfg.beta * v[:, :n].sum(axis=0)
-    log_p, p_bary = _log_normalize(log_p)
+    _, s_bary = _log_normalize(state.log_bary + cfg.beta * duals[:, :n].sum(axis=0))
+    log_p, p_bary = _log_normalize(state.log_bary + cfg.beta * v[:, :n].sum(axis=0))
 
     if not (
-        np.all(np.isfinite(u_plans))
+        np.all(np.isfinite(marginals))
+        and np.all(np.isfinite(Z))
         and np.all(np.isfinite(s_bary))
-        and np.all(np.isfinite(x_plans))
         and np.all(np.isfinite(p_bary))
     ):
         raise NumericalFailure("non-finite multiplicative update", iteration=state.k + 1)
+
+    # main dual step, evaluated at the extrapolation pair
+    residual_u = marginals[:, 0] - targets
+    residual_u[:, :n] -= s_bary
+    y_new = np.clip(duals + cfg.alpha * residual_u, -1.0, 1.0)
+
+    # W is a temporary of this step, so u takes over its buffer
+    b_over_z = b / Z
+    x_plans = _scale_in_place(W.copy(), a[:, 1], b_over_z[:, 1])
+    u_plans = _scale_in_place(W, a[:, 0], b_over_z[:, 0])
 
     return MPState(
         x=PrimalPoint(plans=x_plans, bary=p_bary),
         y=DualPoint(duals=y_new),
         u=PrimalPoint(plans=u_plans, bary=s_bary),
         v=DualPoint(duals=v),
-        log_plans=log_x,
+        x_marginals=marginals[:, 1],
         log_bary=log_p,
         sum_plans=state.sum_plans + u_plans,
         sum_bary=state.sum_bary + s_bary,

@@ -2,7 +2,7 @@
 
 For measures on the line with a convex ground cost the monotone (north-west
 corner) coupling is optimal, so exact transport costs come from a single
-merge pass over the two cumulative distributions.  For squared distance the
+merge of the two cumulative distributions.  For squared distance the
 barycenter is likewise exact: it is the pushforward of the uniform measure
 under the average of the quantile functions.  These oracles certify the
 saddle-point solvers on grid-supported inputs without any LP machinery.
@@ -54,12 +54,29 @@ def grid_cost(grid, normalize=False):
     return vectorize_cost(C)
 
 
+def _quantile_segments(measures):
+    """Merge the cumulative distributions of the rows of `measures`.
+
+    Splits [0, 1] at the union of all cumulative levels and returns the
+    segment widths plus, per row, the quantile on each segment: the first
+    support index whose cumulative mass reaches the segment (probed at its
+    midpoint, so zero-mass entries never carry a segment).
+    """
+    cums = np.minimum(np.cumsum(measures, axis=1), 1.0)
+    cums[:, -1] = 1.0
+    levels = np.unique(np.concatenate([cums.ravel(), [0.0]]))
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    indices = np.stack([np.searchsorted(c, mids, side="left") for c in cums])
+    return np.diff(levels), indices
+
+
 def ot_1d_monotone(p, q, grid):
     """Exact transport cost between two histograms on the grid.
 
-    Merges the two cumulative distributions in one O(n) pass, moving the
-    smaller remaining mass at each step; optimal for the supported convex
-    powers.
+    The monotone coupling, optimal for the supported convex powers, pairs
+    the two quantile functions: one merge of the two cumulative
+    distributions prices every segment of [0, 1] at the distance between
+    the points the two quantiles pick there.
     """
     if grid.power not in SUPPORTED_POWERS:
         raise UnsupportedError(f"monotone coupling oracle supports powers {SUPPORTED_POWERS}")
@@ -68,28 +85,9 @@ def ot_1d_monotone(p, q, grid):
     n = grid.n
     if p.shape != (n,) or q.shape != (n,):
         raise ShapeError("histograms must match the grid length")
+    widths, (ip, iq) = _quantile_segments(np.stack([p, q]))
     pts = grid.points
-    i = j = 0
-    remaining_p = float(p[0])
-    remaining_q = float(q[0])
-    cost = 0.0
-    while True:
-        move = remaining_p if remaining_p < remaining_q else remaining_q
-        if move > 0.0:
-            cost += move * abs(pts[i] - pts[j]) ** grid.power
-        remaining_p -= move
-        remaining_q -= move
-        if remaining_p == 0.0:
-            i += 1
-            if i == n:
-                break
-            remaining_p = float(p[i])
-        if remaining_q == 0.0:
-            j += 1
-            if j == n:
-                break
-            remaining_q = float(q[j])
-    return cost
+    return float(np.dot(widths, np.abs(pts[ip] - pts[iq]) ** grid.power))
 
 
 def barycenter_1d_quantile(measures, grid):
@@ -106,18 +104,9 @@ def barycenter_1d_quantile(measures, grid):
     n = grid.n
     if measures.shape[1] != n:
         raise ShapeError("measures must match the grid length")
-    cums = np.minimum(np.cumsum(measures, axis=1), 1.0)
-    cums[:, -1] = 1.0
-    levels = np.unique(np.concatenate([cums.ravel(), [0.0]]))
-    widths = np.diff(levels)
-    mids = 0.5 * (levels[:-1] + levels[1:])
-    # quantile of measure i on a segment: first support index whose
-    # cumulative mass reaches the segment (probed at its midpoint)
-    indices = np.stack([np.searchsorted(c, mids, side="left") for c in cums])
+    widths, indices = _quantile_segments(measures)
     positions = grid.points[indices].mean(axis=0)
 
-    keep = widths > 0
-    positions, widths = positions[keep], widths[keep]
     right = np.searchsorted(grid.points, positions).clip(1, n - 1)
     left = right - 1
     pick_left = positions - grid.points[left] <= grid.points[right] - positions

@@ -1,11 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import saddlebary as sb
+from saddlebary.core import (
+    _adjoint_stack,
+    _constraint_blocks,
+    _log_normalize,
+    _marginals_stack,
+    _target_blocks,
+)
 from saddlebary.mirror_prox import mp_initial_state, mp_iteration
 from conftest import dense_incidence, random_problem
+
+TINY = np.finfo(float).tiny
 
 
 def oracle_step(state, cfg, prob):
@@ -33,6 +43,60 @@ def oracle_step(state, cfg, prob):
     p_new = p * np.exp(cfg.beta * v[:, :n].sum(axis=0))
     p_new = p_new / p_new.sum()
     return u, s, v, x_new, p_new, y_new
+
+
+def _log_domain_step(ref, cfg, prob):
+    """The dense log-domain extragradient step: every plan entry is kept as a
+    log weight and renormalized by exp/log over all m n^2 entries.
+
+    `ref` holds x, log_plans, log_bary, y, sum_plans, sum_bary and
+    sum_duals; returns the next such dict plus the extrapolation pair.
+    """
+    n = prob.n
+    d, d_inf = prob.cost.d, prob.cost.d_inf
+    targets = _target_blocks(prob.measures)
+    duals = ref["y"]
+
+    residual = _constraint_blocks(ref["x"].plans, ref["x"].bary) - targets
+    v = np.clip(duals + cfg.alpha * residual, -1.0, 1.0)
+
+    log_u = ref["log_plans"] - cfg.gamma_mult * (
+        d[None, :] + 2.0 * d_inf * _adjoint_stack(duals, n)
+    )
+    _, u_plans = _log_normalize(log_u)
+    _, s_bary = _log_normalize(ref["log_bary"] + cfg.beta * duals[:, :n].sum(axis=0))
+
+    residual_u = _constraint_blocks(u_plans, s_bary) - targets
+    y_new = np.clip(duals + cfg.alpha * residual_u, -1.0, 1.0)
+
+    log_x = ref["log_plans"] - cfg.gamma_mult * (
+        d[None, :] + 2.0 * d_inf * _adjoint_stack(v, n)
+    )
+    log_x, x_plans = _log_normalize(log_x)
+    log_p, p_bary = _log_normalize(ref["log_bary"] + cfg.beta * v[:, :n].sum(axis=0))
+
+    nxt = {
+        "x": sb.PrimalPoint(plans=x_plans, bary=p_bary),
+        "log_plans": log_x,
+        "log_bary": log_p,
+        "y": y_new,
+        "sum_plans": ref["sum_plans"] + u_plans,
+        "sum_bary": ref["sum_bary"] + s_bary,
+        "sum_duals": ref["sum_duals"] + v,
+    }
+    return nxt, sb.PrimalPoint(plans=u_plans, bary=s_bary), v
+
+
+def _has_subnormal(a):
+    return bool(np.any((a != 0) & (np.abs(a) < TINY)))
+
+
+def _state_arrays(state):
+    return (
+        state.x.plans, state.x.bary, state.y.duals, state.u.plans, state.u.bary,
+        state.v.duals, state.x_marginals, state.log_bary, state.sum_plans,
+        state.sum_bary, state.sum_duals,
+    )
 
 
 class TestConfig:
@@ -99,9 +163,11 @@ class TestIteration:
         expected_v = np.clip(cfg.alpha * np.array([0.0, 0.0, -0.5, 0.5]), -1, 1)
         assert np.allclose(state.v.duals[0], expected_v, atol=1e-15)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("variant", ["derived", "printed"])
-    def test_matches_dense_oracle(self, variant):
-        prob = random_problem(3, 3, 2)
+    def test_matches_dense_oracle(self, variant, n, m):
+        prob = random_problem(3, n, m)
         cfg = sb.mp_config(prob, 0.3, variant)
         state = mp_initial_state(prob)
         for _ in range(4):
@@ -127,6 +193,50 @@ class TestIteration:
                 assert point.bary.sum() == pytest.approx(1.0, abs=1e-12)
             for dual in (state.y, state.v):
                 assert np.all(np.abs(dual.duals) <= 1.0)
+            # the carried marginals are those of the plans they came with
+            dense = _marginals_stack(state.x.plans, prob.n)
+            assert np.allclose(state.x_marginals, dense, rtol=0, atol=1e-14)
+
+    def test_matches_log_domain_reference_through_underflow(self):
+        # the printed scaling on m=3 drives plan entries below 1e-308 well
+        # within the run, where the log-domain step leaves subnormals
+        prob = random_problem(7, 16, 3)
+        cfg = sb.mp_config(prob, 0.01, "printed")
+        state = mp_initial_state(prob)
+        ref = {
+            "x": state.x,
+            "log_plans": np.log(state.x.plans),
+            "log_bary": np.log(state.x.bary),
+            "y": state.y.duals,
+            "sum_plans": state.sum_plans,
+            "sum_bary": state.sum_bary,
+            "sum_duals": state.sum_duals,
+        }
+        for k in range(1, 2001):
+            state = mp_iteration(state, cfg, prob)
+            ref, u_ref, v_ref = _log_domain_step(ref, cfg, prob)
+            if k == 10:
+                kept, kept_copies = state, [a.copy() for a in _state_arrays(state)]
+            assert np.allclose(state.x.plans, ref["x"].plans, rtol=0, atol=1e-12)
+            assert np.allclose(state.x.bary, ref["x"].bary, rtol=0, atol=1e-12)
+            assert np.allclose(state.u.plans, u_ref.plans, rtol=0, atol=1e-12)
+            assert np.allclose(state.u.bary, u_ref.bary, rtol=0, atol=1e-12)
+            assert np.allclose(state.y.duals, ref["y"], rtol=0, atol=1e-12)
+            assert np.allclose(state.v.duals, v_ref, rtol=0, atol=1e-12)
+            for plans in (state.x.plans, state.u.plans, state.sum_plans):
+                assert not _has_subnormal(plans), k
+            if k % 250 == 0:
+                ref_pair = (
+                    sb.PrimalPoint(plans=ref["sum_plans"] / k, bary=ref["sum_bary"] / k),
+                    sb.DualPoint(duals=ref["sum_duals"] / k),
+                )
+                gap = sb.duality_gap(*state.averaged_pair(), prob)
+                assert gap == pytest.approx(sb.duality_gap(*ref_pair, prob), abs=1e-10)
+        assert ref["log_plans"].min() < math.log(1e-308)
+        assert np.any(state.x.plans == 0.0)
+        # later steps never write into the arrays of an earlier state
+        for before, after in zip(kept_copies, _state_arrays(kept)):
+            assert np.array_equal(before, after)
 
 
 class TestRun:
@@ -192,12 +302,9 @@ class TestFailurePaths:
     def test_non_finite_state_raises_with_iteration(self, t1_problem):
         cfg = sb.mp_config(t1_problem, 0.5)
         state = mp_initial_state(t1_problem)
-        poisoned = sb.MPState(
-            x=state.x, y=state.y, u=state.u, v=state.v,
-            log_plans=np.full_like(state.log_plans, np.nan),
-            log_bary=state.log_bary,
-            sum_plans=state.sum_plans, sum_bary=state.sum_bary,
-            sum_duals=state.sum_duals, k=4,
+        nan_plans = np.full_like(state.x.plans, np.nan)
+        poisoned = dataclasses.replace(
+            state, x=sb.PrimalPoint(plans=nan_plans, bary=state.x.bary), k=4
         )
         with pytest.raises(sb.NumericalFailure) as info:
             mp_iteration(poisoned, cfg, t1_problem)

@@ -63,6 +63,34 @@ def lp_ot(p, q, grid):
     return result.fun
 
 
+def _merge_loop_ot(p, q, grid):
+    """Monotone transport cost by walking the two histograms entry by entry,
+    moving the smaller remaining mass at each step."""
+    pts = grid.points
+    n = grid.n
+    i = j = 0
+    remaining_p = float(p[0])
+    remaining_q = float(q[0])
+    cost = 0.0
+    while True:
+        move = remaining_p if remaining_p < remaining_q else remaining_q
+        if move > 0.0:
+            cost += move * abs(pts[i] - pts[j]) ** grid.power
+        remaining_p -= move
+        remaining_q -= move
+        if remaining_p == 0.0:
+            i += 1
+            if i == n:
+                break
+            remaining_p = float(p[i])
+        if remaining_q == 0.0:
+            j += 1
+            if j == n:
+                break
+            remaining_q = float(q[j])
+    return cost
+
+
 class TestGrid:
     def test_rejects_unsorted_points(self):
         with pytest.raises(sb.ShapeError):
@@ -119,6 +147,21 @@ class TestMonotoneTransport:
             assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(
                 lp_ot(p, q, grid), abs=1e-9
             )
+
+    @pytest.mark.parametrize("power", [1.0, 2.0])
+    def test_matches_merge_loop_with_zero_mass(self, power):
+        rng = np.random.default_rng(89)
+        for n in (2, 3, 7, 30):
+            grid = sb.Grid1D(points=np.sort(rng.uniform(-2, 2, n)), power=power)
+            for _ in range(25):
+                p, q = rng.dirichlet(np.ones(n), 2)
+                p[rng.random(n) < 0.4] = 0.0
+                q[rng.random(n) < 0.4] = 0.0
+                p[rng.integers(n)] += 1.0 - p.sum()
+                q[rng.integers(n)] += 1.0 - q.sum()
+                assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(
+                    _merge_loop_ot(p, q, grid), abs=1e-12
+                )
 
     def test_symmetry(self):
         rng = np.random.default_rng(83)
