@@ -20,7 +20,6 @@ from .area_convex import (
     de_initial_error_bound,
     hessian_forms,
     regularizer,
-    regularizer_grad_at_min,
     run_dual_extrapolation,
     theta,
 )

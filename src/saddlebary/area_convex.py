@@ -14,7 +14,11 @@ minimization.  Within one call the plan blocks change between sweeps only by
 a diagonal rescaling of a fixed kernel, so a call makes one O(m n^2)
 exponential pass to build that kernel and every sweep then costs two batched
 mat-vecs.  Every sweep contracts the suboptimality by a constant factor, so a
-logarithmic number of sweeps meets the per-call error budget.
+logarithmic number of sweeps meets the per-call error budget; a call stops
+early once its duals repeat with period 1 or 2, returning bitwise what the
+full budget would.  The prox centre is the regularizer's minimizer, but its
+gradient term is left out of the linear terms: it is constant on each simplex
+block and zero on the duals, so it only shifts the objective by a constant.
 
 This module also ships the numerical diagnostics used to sanity-check the
 construction: the area-convexity residual of random triples, the closed-form
@@ -82,18 +86,6 @@ def regularizer(x, y, cost):
     return (2.0 * cost.d_inf / m) * (ent + quad)
 
 
-def regularizer_grad_at_min(n, m, d_inf):
-    """Gradient of the regularizer at its minimizer (uniform point, zero duals).
-
-    Constant on each block: the dual gradient vanishes there, so only the
-    primal entropy gradients survive.
-    """
-    plan_val = (10.0 * d_inf / m) * (-4.0 * math.log(n) + 2.0)
-    bary_val = 10.0 * d_inf * (-math.log(n) + 1.0)
-    gx = np.concatenate([np.full(m * n * n, plan_val), np.full(n, bary_val)])
-    return gx, np.zeros(2 * m * n)
-
-
 @dataclass(frozen=True)
 class AMProblem:
     """Linear terms of one proximal subproblem, stored block-wise.
@@ -105,18 +97,6 @@ class AMProblem:
     v_plans: np.ndarray  # (m, n*n)
     v_bary: np.ndarray  # (n,)
     u: np.ndarray  # (m, 2n)
-
-    @classmethod
-    def from_flat(cls, v, u, n, m):
-        v = np.asarray(v, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if v.shape != (m * n * n + n,) or u.shape != (2 * m * n,):
-            raise ConfigError("linear terms have wrong lengths")
-        return cls(
-            v_plans=v[: m * n * n].reshape(m, n * n),
-            v_bary=v[m * n * n :],
-            u=u.reshape(m, 2 * n),
-        )
 
 
 def am_objective(amp, x, y, cost):
@@ -150,6 +130,13 @@ def am_prox(amp, num_iters, cost, m, n):
     with a kernel K_i built by one exp pass per call.  A sweep needs only the
     plan marginals, which are two batched mat-vecs against K; the dense plans
     are formed once, after the last sweep.
+
+    A sweep is a function of the duals alone, so the loop stops early only
+    where the rest of the budget cannot change the result: when a sweep
+    leaves the duals bit-identical (period 1), or when they equal those of
+    two sweeps back (period 2) and the remaining budget ends on this phase
+    of the cycle.  Either way the output is bitwise what the full budget
+    returns.
     """
     if num_iters < 1:
         raise ConfigError("need at least one sweep")
@@ -158,7 +145,7 @@ def am_prox(amp, num_iters, cost, m, n):
         raise ConfigError("cost matrix is identically zero")
     exponents = (m / (20.0 * d_inf)) * amp.v_plans
     K = np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n)
-    y = np.zeros((m, 2 * n))
+    y = y_prev = np.zeros((m, 2 * n))
     for t in range(num_iters):
         ysq = y**2
         # Both scalings lie in [e^-0.1, 1], so they cannot underflow.
@@ -173,12 +160,13 @@ def am_prox(amp, num_iters, cost, m, n):
         y_next = _box_quadratic_argmin(amp.u, (2.0 * d_inf / m) * curvature)
         if not (np.all(np.isfinite(curvature)) and np.all(np.isfinite(y_next))):
             raise NumericalFailure("non-finite alternating-minimization sweep", iteration=t)
-        stationary = np.array_equal(y_next, y)
-        y = y_next
-        # The simplex blocks are functions of the duals alone, so a
-        # bit-identical dual sweep makes every remaining sweep a no-op;
-        # stopping here returns exactly what the full budget would.
-        if stationary:
+        # y_{t+1} == y_t repeats forever.  y_{t+1} == y_{t-1} alternates from
+        # here on, and a budget of N sweeps ends on this phase iff N - t is odd.
+        stop = np.array_equal(y_next, y) or (
+            (num_iters - t) % 2 == 1 and np.array_equal(y_next, y_prev)
+        )
+        y_prev, y = y, y_next
+        if stop:
             break
     plans = K * (a[:, :, None] * (b / Z)[:, None, :])
     return PrimalPoint(plans=plans.reshape(m, n * n), bary=bary), DualPoint(duals=y)
@@ -206,12 +194,9 @@ def de_initial_error_bound(eps, theta_value, d_inf):
 
 @dataclass(frozen=True)
 class DEConfig:
-    kappa: float
     theta: float
     outer_iters: int
     inner_iters: int
-    eps: float
-    eps_prime: float
 
 
 def de_config(prob, eps, theta_variant="exact"):
@@ -222,12 +207,9 @@ def de_config(prob, eps, theta_variant="exact"):
         raise ConfigError("cost matrix is identically zero")
     theta_value = theta(prob.n, d_inf, theta_variant)
     return DEConfig(
-        kappa=KAPPA,
         theta=theta_value,
         outer_iters=math.ceil(12.0 * theta_value / eps),
         inner_iters=am_inner_iterations(eps, theta_value, d_inf),
-        eps=eps,
-        eps_prime=eps / 2.0,
     )
 
 
@@ -294,16 +276,13 @@ def run_dual_extrapolation(
             "eps": eps,
             "theta_variant": theta_variant,
             "theta": cfg.theta,
-            "kappa": cfg.kappa,
+            "kappa": KAPPA,
             "outer_iters": cfg.outer_iters,
             "inner_iters": cfg.inner_iters,
             "max_outer": total,
             "initial_error_bound": de_initial_error_bound(eps, cfg.theta, cost.d_inf),
         },
     )
-    # The prox linear terms are the gradient sums minus the regularizer's
-    # gradient at its minimizer, so the first prox call returns that point.
-    grad_min = AMProblem.from_flat(*regularizer_grad_at_min(n, m, cost.d_inf), n, m)
     state = DEState(
         s_plans=np.zeros((m, n * n)),
         s_bary=np.zeros(n),
@@ -314,28 +293,25 @@ def run_dual_extrapolation(
     )
 
     def step(k):
-        base = AMProblem(
-            v_plans=state.s_plans - grad_min.v_plans,
-            v_bary=state.s_bary - grad_min.v_bary,
-            u=state.s_duals - grad_min.u,
-        )
+        # No -<grad r(z_min), z> term: it is a constant on the product of simplices.
+        base = AMProblem(state.s_plans, state.s_bary, state.s_duals)
         zx, zy = am_prox(base, cfg.inner_iters, cost, m, n)
         g_plans, g_bary, g_dual = _grad_blocks((zx.plans, zx.bary, zy.duals), prob)
         advanced = AMProblem(
-            v_plans=base.v_plans + g_plans / cfg.kappa,
-            v_bary=base.v_bary + g_bary / cfg.kappa,
-            u=base.u + g_dual / cfg.kappa,
+            v_plans=base.v_plans + g_plans / KAPPA,
+            v_bary=base.v_bary + g_bary / KAPPA,
+            u=base.u + g_dual / KAPPA,
         )
         wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
         g_plans, g_bary, g_dual = _grad_blocks((wx.plans, wx.bary, wy.duals), prob)
-        state.s_plans += g_plans / (2.0 * cfg.kappa)
-        state.s_bary += g_bary / (2.0 * cfg.kappa)
-        state.s_duals += g_dual / (2.0 * cfg.kappa)
+        state.s_plans += g_plans / (2.0 * KAPPA)
+        state.s_bary += g_bary / (2.0 * KAPPA)
+        state.s_duals += g_dual / (2.0 * KAPPA)
         state.sum_w_plans += wx.plans
         state.sum_w_bary += wx.bary
         state.sum_w_duals += wy.duals
         state.k = k
-        _check_gradient_sums(state, cfg.kappa, cost.d_inf, m)
+        _check_gradient_sums(state, KAPPA, cost.d_inf, m)
 
     run_certified(
         report, prob, eps, total, step, lambda: (*state.averaged_pair(), None),

@@ -147,11 +147,9 @@ def _run_algorithm(algo, args, prob, oracle, timer):
         )
         return EXIT_OK, report
     if algo == "ibp":
-        cfg = IBPConfig(
-            reg=args.reg,
-            iters=args.max_iters if args.max_iters else 10000,
-            stabilized=args.stabilized,
-        )
+        # IBPConfig owns the default sweep cap and rejects a cap below 1.
+        iters = {} if args.max_iters is None else {"iters": args.max_iters}
+        cfg = IBPConfig(reg=args.reg, stabilized=args.stabilized, **iters)
         _, report = ibp_barycenter(
             prob, cfg, log_stride=args.log_stride, oracle=oracle, timer=timer
         )

@@ -106,18 +106,21 @@ def _ibp_naive(prob, cfg, run):
         raise NumericalFailure("kernel row underflows to zero")
 
     u = np.full((m, n), 1.0 / n)
+    uK = u @ K
     v = p = None
 
     def step(k):
-        nonlocal u, v, p
-        v = Q / (u @ K)
+        nonlocal u, uK, v, p
+        v = Q / uK
         UKv = u * (v @ K.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = np.exp(np.log(UKv).mean(axis=0))
             u = u * p[None, :] / UKv
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
             raise NumericalFailure("non-finite scaling sweep", iteration=k)
-        return np.abs(v * (u @ K) - Q).sum(axis=1).max() <= cfg.tol
+        # the next sweep's column reduction doubles as this sweep's stop test
+        uK = u @ K
+        return np.abs(v * uK - Q).sum(axis=1).max() <= cfg.tol
 
     def certified():
         plans = u[:, :, None] * K[None, :, :] * v[:, None, :]
@@ -141,16 +144,18 @@ def _ibp_stabilized(prob, cfg, run):
 
     phi = np.full((m, n), -math.log(n))
     log_p = np.full(n, -math.log(n))
+    log_col = logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
     psi = log_row = None
 
     def step(k):
-        nonlocal phi, log_p, psi, log_row
-        psi = logQ - logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
+        nonlocal phi, log_p, log_col, psi, log_row
+        psi = logQ - log_col
         log_row = logsumexp(logK[None, :, :] + psi[:, None, :], axis=2)
         log_p = (phi + log_row).mean(axis=0)
         phi = log_p[None, :] - log_row
-        col = np.exp(psi + logsumexp(logK[None, :, :] + phi[:, :, None], axis=1))
-        return np.abs(col - Q).sum(axis=1).max() <= cfg.tol
+        # the next sweep's column reduction doubles as this sweep's stop test
+        log_col = logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
+        return np.abs(np.exp(psi + log_col) - Q).sum(axis=1).max() <= cfg.tol
 
     def certified():
         plans = np.exp(phi[:, :, None] + logK[None, :, :] + psi[:, None, :])

@@ -1,16 +1,20 @@
-"""The kernel-form AM sweep against an independent dense reference.
+"""The kernel-form AM sweep against independent references.
 
 `_dense_am_prox` recomputes every plan entry's exponent on every sweep, as
 the sweep did before it was factored through a per-call kernel.  It shares
 no code with `am_prox`: softmax, marginals and the clipped 1-D quadratic
-are written out here.
+are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
+no stop rule, the reference for the early stop on a period-1 or period-2
+repeat of the duals.
 """
 
 import numpy as np
 import pytest
 
+import saddlebary as sb
 import saddlebary.area_convex as ac
-from saddlebary.area_convex import AMProblem, am_prox
+from saddlebary.area_convex import AMProblem, _box_quadratic_argmin, am_prox
+from saddlebary.core import _log_normalize
 from conftest import random_problem
 
 TOL = 1e-12
@@ -20,7 +24,7 @@ LONG = 400
 def _dense_am_prox(amp, num_iters, d_inf, m, n):
     """Dense AM sweeps; returns (plans, bary, duals, sweeps run)."""
     v_plans = amp.v_plans.reshape(m, n, n)
-    y = np.zeros((m, 2 * n))
+    y = y_prev = np.zeros((m, 2 * n))
     for sweep in range(1, num_iters + 1):
         ysq = y**2
         logw = -(m / (20.0 * d_inf)) * v_plans - 0.1 * (ysq[:, :n, None] + ysq[:, None, n:])
@@ -35,11 +39,53 @@ def _dense_am_prox(amp, num_iters, d_inf, m, n):
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = np.where(curv > 0, -amp.u / (2.0 * curv), -np.sign(amp.u))
         y_next = np.clip(inner, -1.0, 1.0)
-        stationary = np.array_equal(y_next, y)
-        y = y_next
-        if stationary:
+        # stop on a fixed point, or on a 2-cycle whose phase the budget ends on
+        stop = np.array_equal(y_next, y) or (
+            (num_iters - sweep) % 2 == 0 and np.array_equal(y_next, y_prev)
+        )
+        y_prev, y = y, y_next
+        if stop:
             break
     return plans.reshape(m, n * n), bary, y, sweep
+
+
+def _kernel_sweeps(amp, cost, m, n):
+    """`am_prox`'s sweep with no stop: yields (plans, bary, duals) after each sweep."""
+    d_inf = cost.d_inf
+    exponents = (m / (20.0 * d_inf)) * amp.v_plans
+    K = np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n)
+    y = np.zeros((m, 2 * n))
+    while True:
+        ysq = y**2
+        e = np.exp(-0.1 * ysq)
+        a, b = e[:, :n], e[:, n:]
+        rows = a * (K @ b[:, :, None])[:, :, 0]
+        cols = b * (a[:, None, :] @ K)[:, 0, :]
+        Z = rows.sum(axis=1, keepdims=True)
+        exponent_b = amp.v_bary / (10.0 * d_inf) + ysq[:, :n].sum(axis=0) / (5.0 * m)
+        _, bary = _log_normalize(-exponent_b)
+        curvature = np.concatenate([rows / Z + bary, cols / Z], axis=1)
+        y = _box_quadratic_argmin(amp.u, (2.0 * d_inf / m) * curvature)
+        plans = K * (a[:, :, None] * (b / Z)[:, None, :])
+        yield plans.reshape(m, n * n), bary, y
+
+
+def _no_stop_am_prox(amp, num_iters, cost, m, n):
+    """(plans, bary, duals) after exactly `num_iters` sweeps."""
+    for _, (plans, bary, y) in zip(range(num_iters), _kernel_sweeps(amp, cost, m, n)):
+        pass
+    return plans, bary, y
+
+
+def _first_repeat(amp, cap, cost, m, n):
+    """(t, period): the first 0-based sweep whose duals equal those 1 or 2 sweeps back."""
+    history = [np.zeros((m, 2 * n))]
+    for t, (_, _, y) in zip(range(cap), _kernel_sweeps(amp, cost, m, n)):
+        for period in (1, 2):
+            if len(history) >= period and np.array_equal(y, history[-period]):
+                return t, period
+        history.append(y)
+    return None
 
 
 @pytest.fixture
@@ -93,19 +139,62 @@ def test_kernel_sweep_matches_dense_reference(sweep_counter, n, m):
             np.testing.assert_allclose(y.duals, duals, rtol=0, atol=TOL)
 
 
+def _assert_same(out, ref):
+    x, y = out[:2]
+    assert np.array_equal(x.plans, ref[0])
+    assert np.array_equal(x.bary, ref[1])
+    assert np.array_equal(y.duals, ref[2])
+
+
 @pytest.mark.parametrize("n, m", [(3, 2), (8, 3)])
 def test_stationary_sweep_stops_bitwise(sweep_counter, n, m):
-    # once a sweep leaves the duals bit-identical, every larger budget
-    # returns exactly what the full budget returns
+    # once the duals repeat with period 1 or 2, every budget past the repeat
+    # stops within one sweep of it and returns exactly what a loop without
+    # an early stop returns for that budget
     cost = random_problem(910 + n, n, m).cost
     for amp in list(_problems(20 * n + m, n, m, cost.d_inf))[:3]:
-        x_full, y_full, stop = sweep_counter(amp, LONG, cost, m, n)
-        assert 1 < stop < LONG
-        _, y_before, _ = sweep_counter(amp, stop - 1, cost, m, n)
-        assert np.array_equal(y_before.duals, y_full.duals)
-        for t in (stop, stop + 1, stop + 7, LONG - 1):
-            x, y, sweeps = sweep_counter(amp, t, cost, m, n)
-            assert sweeps == stop
-            assert np.array_equal(x.plans, x_full.plans)
-            assert np.array_equal(x.bary, x_full.bary)
-            assert np.array_equal(y.duals, y_full.duals)
+        t, period = _first_repeat(amp, LONG, cost, m, n)
+        assert 0 < t < LONG - 2
+        stops = set()
+        for budget in (t + 1, t + 2, t + 3, t + 8, LONG - 1, LONG):
+            out = sweep_counter(amp, budget, cost, m, n)
+            assert out[2] in (t + 1, t + 2)
+            stops.add(out[2])
+            _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
+        assert stops == ({t + 1} if period == 1 else {t + 1, t + 2})
+
+
+@pytest.fixture(scope="module")
+def recorded_prox_calls():
+    """The first 400 prox calls of de on criterion-2 instance 1 (n=4, m=5)."""
+    calls = []
+    inner = ac.am_prox
+
+    def recording(amp, num_iters, cost, m, n):
+        # the solver hands over its running sums, which it updates in place
+        calls.append(AMProblem(amp.v_plans.copy(), amp.v_bary.copy(), amp.u.copy()))
+        return inner(amp, num_iters, cost, m, n)
+
+    prob = random_problem(1, 4, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac, "am_prox", recording)
+        sb.run_dual_extrapolation(prob, 0.25, max_outer=200, timer=lambda: 0.0)
+    return prob, sb.de_config(prob, 0.25).inner_iters, calls
+
+
+def test_two_cycle_stops_bitwise_below_cap(sweep_counter, recorded_prox_calls):
+    prob, cap, calls = recorded_prox_calls
+    n, m, cost = prob.n, prob.m, prob.cost
+    assert len(calls) == 400
+    cycling = []
+    for amp in calls:
+        repeat = _first_repeat(amp, cap, cost, m, n)
+        if repeat is not None and repeat[1] == 2:
+            cycling.append((amp, repeat[0]))
+    # without the period-2 stop every one of these calls ran the whole cap
+    assert len(cycling) >= 10
+    for amp, t in cycling:
+        for budget in (t + 2, t + 3, cap, cap + 1):
+            out = sweep_counter(amp, budget, cost, m, n)
+            assert out[2] in (t + 1, t + 2) and out[2] < cap
+            _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))

@@ -64,43 +64,6 @@ class TestRegularizer:
             assert with_duals >= without - 1e-12
 
 
-class TestGradAtMin:
-    def test_plan_entries(self):
-        gx, gy = sb.regularizer_grad_at_min(2, 1, 1.0)
-        assert np.allclose(gx[:4], 10 * (-4 * math.log(2) + 2))
-        assert np.allclose(gx[4:], 10 * (-math.log(2) + 1))
-        assert np.array_equal(gy, np.zeros(4))
-
-    def test_dual_gradient_always_zero(self):
-        for n, m in ((2, 1), (5, 3)):
-            _, gy = sb.regularizer_grad_at_min(n, m, 2.5)
-            assert np.array_equal(gy, np.zeros(2 * m * n))
-
-    def test_matches_central_differences(self):
-        n, m = 3, 2
-        cost = random_problem(41, n, m).cost
-        x = sb.uniform_primal(n, m)
-        y = sb.zero_dual(n, m)
-        gx, gy = sb.regularizer_grad_at_min(n, m, cost.d_inf)
-        grad = np.concatenate([gx, gy])
-        h = 1e-5
-        base = np.concatenate([x.plans.ravel(), x.bary, y.duals.ravel()])
-        for idx in range(0, base.size, 5):
-            e = np.zeros_like(base)
-            e[idx] = 1.0
-
-            def r_at(t):
-                z = base + t * e
-                xp = sb.PrimalPoint(
-                    plans=z[: m * n * n].reshape(m, n * n), bary=z[m * n * n : m * n * n + n]
-                )
-                yp = sb.DualPoint(duals=z[m * n * n + n :].reshape(m, 2 * n))
-                return sb.regularizer(xp, yp, cost)
-
-            fd = (r_at(h) - r_at(-h)) / (2 * h)
-            assert fd == pytest.approx(grad[idx], abs=1e-6)
-
-
 class TestAMObjective:
     def test_zero_linear_terms(self, t1_problem):
         rng = np.random.default_rng(42)
@@ -175,6 +138,32 @@ class TestAMProx:
             assert x.bary.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.abs(y.duals) <= 1.0)
 
+    def test_invariant_to_constant_shift_per_block(self):
+        # a constant on one measure's plan block or on the barycenter block
+        # shifts the objective by a constant on the simplices, so the prox
+        # point does not move
+        rng = np.random.default_rng(47)
+        n, m = 4, 3
+        cost = random_problem(47, n, m).cost
+        for _ in range(5):
+            amp = AMProblem(
+                v_plans=rng.normal(0, 5, (m, n * n)),
+                v_bary=rng.normal(0, 5, n),
+                u=rng.normal(0, 3, (m, 2 * n)),
+            )
+            x, y = am_prox(amp, 300, cost, m, n)
+            plan_shift = np.zeros((m, 1))
+            plan_shift[rng.integers(m)] = rng.uniform(-20, 20)
+            shifted = [
+                AMProblem(v_plans=amp.v_plans + plan_shift, v_bary=amp.v_bary, u=amp.u),
+                AMProblem(v_plans=amp.v_plans, v_bary=amp.v_bary + rng.uniform(-20, 20), u=amp.u),
+            ]
+            for other in shifted:
+                xs, ys = am_prox(other, 300, cost, m, n)
+                np.testing.assert_allclose(xs.plans, x.plans, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(xs.bary, x.bary, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(ys.duals, y.duals, rtol=0, atol=1e-12)
+
     def test_sweep_budget_validation(self, t1_problem):
         amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
         with pytest.raises(sb.ConfigError):
@@ -231,10 +220,8 @@ class TestInnerIterations:
 class TestDEConfig:
     def test_invariants(self, t1_problem):
         cfg = sb.de_config(t1_problem, 0.25)
-        assert cfg.kappa == 3.0
         assert cfg.outer_iters == math.ceil(12 * cfg.theta / 0.25)
         assert cfg.inner_iters == sb.am_inner_iterations(0.25, cfg.theta, 1.0)
-        assert cfg.eps_prime == 0.125
 
     def test_theta_variant_flows_through(self, t1_problem):
         cfg = sb.de_config(t1_problem, 0.25, "paper")
@@ -363,18 +350,22 @@ class TestDualExtrapolation:
     def test_self_certified_on_t1(self, t1_problem):
         wx, wy, report = sb.run_dual_extrapolation(t1_problem, 0.5)
         assert report.final_gap <= 0.5
+        assert report.config["kappa"] == 3.0 and report.config["eps"] == 0.5
         assert sb.duality_gap(wx, wy, t1_problem) == pytest.approx(report.final_gap, abs=1e-12)
 
     def test_single_outer_step_matches_manual_composition(self, t1_problem):
+        # the first step's prox calls see zero linear terms, then one
+        # extrapolated gradient over kappa = 3
         n, m = 2, 1
         cost = t1_problem.cost
         cfg = sb.de_config(t1_problem, 0.5)
-        gx, gy = sb.regularizer_grad_at_min(n, m, cost.d_inf)
-        base = AMProblem.from_flat(-gx, -gy, n, m)
+        base = AMProblem(v_plans=np.zeros((m, n * n)), v_bary=np.zeros(n), u=np.zeros((m, 2 * n)))
         z = am_prox(base, cfg.inner_iters, cost, m, n)
         g_primal, g_dual = sb.gradient_operator(*z, t1_problem)
-        advanced = AMProblem.from_flat(
-            -gx + g_primal / cfg.kappa, -gy + g_dual / cfg.kappa, n, m
+        advanced = AMProblem(
+            v_plans=g_primal[: m * n * n].reshape(m, n * n) / 3.0,
+            v_bary=g_primal[m * n * n :] / 3.0,
+            u=g_dual.reshape(m, 2 * n) / 3.0,
         )
         wx_manual, wy_manual = am_prox(advanced, cfg.inner_iters, cost, m, n)
         wx, wy, _ = sb.run_dual_extrapolation(t1_problem, 0.5, max_outer=1)

@@ -258,6 +258,26 @@ class TestOptimalityGap:
         assert gap == pytest.approx(sb.ot_1d_monotone(p, q, grid), abs=1e-14)
         assert gap >= 0.0
 
+    @pytest.mark.parametrize("power", [1.0, 2.0])
+    def test_matches_per_pair_sum_with_zero_mass(self, power):
+        # one merge of all rows against the 2m separate monotone couplings
+        rng = np.random.default_rng(90)
+        for n, m in ((2, 1), (5, 3), (30, 10)):
+            grid = sb.Grid1D(points=np.sort(rng.uniform(-2, 2, n)), power=power)
+            for _ in range(10):
+                rows = rng.dirichlet(np.ones(n), m + 2)
+                rows[rng.random((m + 2, n)) < 0.4] = 0.0
+                rows[np.arange(m + 2), rng.integers(n, size=m + 2)] += 1.0 - rows.sum(axis=1)
+                p, p_star, measures = rows[0], rows[1], rows[2:]
+                prob = sb.BarycenterProblem.create(measures, sb.grid_cost(grid))
+                per_pair = sum(
+                    sb.ot_1d_monotone(p, q, grid) - sb.ot_1d_monotone(p_star, q, grid)
+                    for q in measures
+                ) / m
+                assert sb.optimality_gap(p, p_star, prob, grid) == pytest.approx(
+                    per_pair, abs=1e-12
+                )
+
     def test_nonnegative_against_quantile_barycenter(self):
         rng = np.random.default_rng(88)
         for _ in range(20):

@@ -269,7 +269,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "case",
         ["eps-nan-mp", "eps-nan-de", "reg-nan", "stride-negative", "stride-zero", "nan-histogram",
-         "inf-cost", "ragged-cost"],
+         "inf-cost", "ragged-cost", "max-iters-zero-mp", "max-iters-zero-de",
+         "max-iters-zero-ibp"],
     )
     def test_cli_exits_2_without_traceback(self, tmp_path, case):
         hists = tmp_path / "h.csv"
@@ -291,6 +292,9 @@ class TestNonFiniteInputs:
                               "--out", str(tmp_path / "o")],
             "inf-cost": base + ["--algo", "mp", "--cost", f"csv:{cost}"],
             "ragged-cost": base + ["--algo", "mp", "--cost", f"csv:{ragged}"],
+            "max-iters-zero-mp": base + ["--algo", "mp", "--max-iters", "0"],
+            "max-iters-zero-de": base + ["--algo", "de", "--max-iters", "0"],
+            "max-iters-zero-ibp": base + ["--algo", "ibp", "--max-iters", "0"],
         }[case]
         proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
         assert proc.returncode == 2, proc.stderr
