@@ -9,12 +9,9 @@ here.
 """
 
 from .area_convex import (
-    AMProblem,
     DEConfig,
-    DEState,
     am_inner_iterations,
     am_objective,
-    am_prox,
     area_convexity_residual,
     de_config,
     de_initial_error_bound,
@@ -33,34 +30,22 @@ from .core import (
     NumericalFailure,
     ParseError,
     PrimalPoint,
-    ProxGeometry,
     SaddlebaryError,
     ShapeError,
     UnsupportedError,
-    apply_marginals,
-    apply_marginals_adjoint,
     big_operator_apply,
-    bregman_divergences,
     certificate_values,
     duality_gap,
     gradient_operator,
     objective_f,
-    prox_geometry,
     uniform_primal,
     validate_histogram,
     vectorize_cost,
     zero_dual,
 )
-from .data import GaussianSuiteSpec, gaussian_suite, load_histograms
+from .data import GaussianSuiteSpec, gaussian_suite, load_cost_csv, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
-from .mirror_prox import (
-    MPConfig,
-    MPState,
-    mp_config,
-    mp_initial_state,
-    mp_iteration,
-    run_mirror_prox,
-)
+from .mirror_prox import MPConfig, mp_config, run_mirror_prox
 from .oracles_1d import (
     Grid1D,
     barycenter_1d_quantile,

@@ -20,19 +20,16 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .area_convex import run_dual_extrapolation
 from .core import (
     BarycenterProblem,
     ConfigError,
     NumericalFailure,
-    ParseError,
     SaddlebaryError,
     duality_gap,
     vectorize_cost,
 )
-from .data import GaussianSuiteSpec, gaussian_suite, load_histograms
+from .data import GaussianSuiteSpec, gaussian_suite, load_cost_csv, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
 from .mirror_prox import run_mirror_prox
 from .oracles_1d import Grid1D, barycenter_1d_quantile, grid_cost, optimality_gap
@@ -47,24 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_UNDERFLOW = 4
-
-
-def _load_cost_csv(path):
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in text.split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if len(rows[-1]) != len(rows[0]):
-                raise ParseError(f"{path}: line {lineno}: inconsistent row length")
-    if not rows:
-        raise ParseError(f"{path}: empty cost matrix")
-    return np.array(rows)
 
 
 def _build_inputs(args):
@@ -83,7 +62,7 @@ def _build_inputs(args):
             raise ConfigError("squared-distance cost needs support points; supply a grid header")
         cost = grid_cost(grid)
     elif args.cost.startswith("csv:"):
-        cost = vectorize_cost(_load_cost_csv(args.cost[4:]))
+        cost = vectorize_cost(load_cost_csv(args.cost[4:]))
     else:
         raise ConfigError(f"unknown cost specification {args.cost!r}")
     scale = 1.0

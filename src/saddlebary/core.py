@@ -12,11 +12,9 @@ measure, which keeps a full gradient or certificate evaluation at O(m n^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 # Simplex membership is enforced to this absolute tolerance on sums.
 SIMPLEX_ATOL = 1e-12
@@ -94,10 +92,6 @@ class CostData:
     def n(self):
         return self.C.shape[0]
 
-    def scaled(self, factor):
-        """Cost rescaled by a positive factor (same support geometry)."""
-        return vectorize_cost(self.C * factor)
-
 
 def vectorize_cost(C):
     """Build :class:`CostData` from a finite, nonnegative square matrix.
@@ -145,9 +139,6 @@ class BarycenterProblem:
             validate_histogram(row, name=f"measure {i}")
         return cls(n=measures.shape[1], m=measures.shape[0], measures=measures.copy(), cost=cost)
 
-    def with_cost(self, cost):
-        return BarycenterProblem(n=self.n, m=self.m, measures=self.measures, cost=cost)
-
 
 @dataclass(frozen=True)
 class PrimalPoint:
@@ -171,17 +162,6 @@ class PrimalPoint:
     def m(self):
         return self.plans.shape[0]
 
-    @classmethod
-    def validated(cls, plans, bary):
-        plans = np.atleast_2d(np.asarray(plans, dtype=float))
-        bary = validate_histogram(bary, name="barycenter")
-        for i, row in enumerate(plans):
-            validate_histogram(row, name=f"plan {i}")
-        return cls(plans=plans, bary=bary)
-
-    def as_vector(self):
-        return np.concatenate([self.plans.ravel(), self.bary])
-
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -201,38 +181,6 @@ class DualPoint:
     def m(self):
         return self.duals.shape[0]
 
-    @classmethod
-    def validated(cls, duals):
-        duals = np.atleast_2d(np.asarray(duals, dtype=float))
-        if np.any(np.abs(duals) > 1.0):
-            raise DomainError("dual entries must lie in [-1, 1]")
-        return cls(duals=duals)
-
-    def as_vector(self):
-        return self.duals.ravel()
-
-
-@dataclass(frozen=True)
-class ProxGeometry:
-    """Entropy/Euclidean prox setup: squared radii and their inverse weights."""
-
-    rx_sq: float
-    ry_sq: float
-    a1: float
-    a2: float
-
-
-def prox_geometry(n, m):
-    """Geometry constants for the product of simplices times the dual box.
-
-    The primal reference function is the sum of plan entropies plus m times
-    the barycenter entropy; its range over the feasible set is 3 m ln n.  The
-    dual reference is the half squared norm, with range m n over the box.
-    """
-    rx_sq = 3.0 * m * math.log(n)
-    ry_sq = float(m * n)
-    return ProxGeometry(rx_sq=rx_sq, ry_sq=ry_sq, a1=1.0 / rx_sq, a2=1.0 / ry_sq)
-
 
 def uniform_primal(n, m):
     """Uniform plans and uniform barycenter: the canonical starting point."""
@@ -248,25 +196,6 @@ def zero_dual(n, m):
 # ---------------------------------------------------------------------------
 # Matrix-free applications of the marginal operator and its adjoint
 # ---------------------------------------------------------------------------
-
-
-def apply_marginals(x_i):
-    """Row sums followed by column sums of a vectorized plan, in O(n^2)."""
-    x_i = np.asarray(x_i, dtype=float)
-    n = math.isqrt(x_i.shape[-1])
-    if x_i.ndim != 1 or n * n != x_i.shape[0]:
-        raise ShapeError(f"plan length {x_i.shape} is not a perfect square vector")
-    X = x_i.reshape(n, n)
-    return np.concatenate([X.sum(axis=1), X.sum(axis=0)])
-
-
-def apply_marginals_adjoint(y_i):
-    """Adjoint of :func:`apply_marginals`: entry (j, k) gets y[j] + y[n+k]."""
-    y_i = np.asarray(y_i, dtype=float)
-    if y_i.ndim != 1 or y_i.shape[0] % 2:
-        raise ShapeError(f"dual vector must have even length, got {y_i.shape}")
-    n = y_i.shape[0] // 2
-    return (y_i[:n, None] + y_i[None, n:]).ravel()
 
 
 def _marginals_stack(plans, n):
@@ -395,29 +324,3 @@ def duality_gap(x, y, prob):
     primal_value, dual_value = certificate_values(x, y, prob)
     return primal_value - dual_value
 
-
-# ---------------------------------------------------------------------------
-# Bregman geometry
-# ---------------------------------------------------------------------------
-
-
-def _generalized_kl(a, b, name):
-    if np.any((b == 0) & (a > 0)):
-        raise DomainError(f"{name}: reference point vanishes where the point has mass")
-    return float(xlogy(a, a).sum() - xlogy(a, b).sum() - a.sum() + b.sum())
-
-
-def bregman_divergences(z, z_prime, geom):
-    """Primal and dual Bregman divergences between two primal/dual pairs.
-
-    The primal part sums generalized KL divergences of the plans plus m
-    times the barycenter divergence; the dual part is the Euclidean half
-    squared distance.  The combined solver divergence weights these by
-    `geom.a1` and `geom.a2` respectively.
-    """
-    x, y = z
-    xp, yp = z_prime
-    bx = _generalized_kl(x.plans, xp.plans, "plans")
-    bx += x.m * _generalized_kl(x.bary, xp.bary, "bary")
-    by = 0.5 * float(np.sum((y.duals - yp.duals) ** 2))
-    return bx, by

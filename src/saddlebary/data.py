@@ -1,4 +1,4 @@
-"""Input measures: the Gaussian benchmark suite and histogram CSV files."""
+"""Inputs: the Gaussian benchmark suite, histogram CSV files and cost CSV files."""
 
 from __future__ import annotations
 
@@ -37,6 +37,42 @@ def gaussian_suite(spec):
     return measures, points
 
 
+def _parse_floats(path, lineno, fields):
+    """One CSV row as finite floats; a ParseError names the file and line."""
+    try:
+        values = np.array([float(v) for v in fields])
+    except ValueError as exc:
+        raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
+    return values
+
+
+def _read_rows(path):
+    """Yield (line number, row) per nonblank line of a numeric CSV file: the
+    text after the '#' of a comment line, else the values, all of one length."""
+    width = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text.startswith("#"):
+                yield lineno, text[1:].strip()
+            elif text:
+                values = _parse_floats(path, lineno, text.split(","))
+                if width not in (None, len(values)):
+                    raise ParseError(f"{path}: line {lineno}: inconsistent row length")
+                width = len(values)
+                yield lineno, values
+
+
+def load_cost_csv(path):
+    """Read a ground-cost matrix, one row per CSV line ('#' lines skipped)."""
+    rows = [row for _, row in _read_rows(path) if not isinstance(row, str)]
+    if not rows:
+        raise ParseError(f"{path}: empty cost matrix")
+    return np.array(rows)
+
+
 def load_histograms(path, normalize=False):
     """Read one histogram per CSV row; returns (measures, grid or None).
 
@@ -47,35 +83,21 @@ def load_histograms(path, normalize=False):
     """
     grid = None
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text[1:].strip()
-                if body.lower().startswith("grid:"):
-                    try:
-                        grid = np.array([float(v) for v in body[5:].split(",")])
-                    except ValueError as exc:
-                        raise ParseError(f"{path}: line {lineno}: bad grid header: {exc}") from exc
-                continue
-            try:
-                values = np.array([float(v) for v in text.split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if rows and values.shape != rows[0].shape:
-                raise ParseError(f"{path}: line {lineno}: inconsistent row length")
-            if np.any(values < 0):
-                raise ParseError(f"{path}: line {lineno}: negative mass")
-            total = values.sum()
-            if abs(total - 1.0) > 1e-6 and not normalize:
-                raise ParseError(
-                    f"{path}: line {lineno}: row mass {total!r} is not 1 (use --normalize)"
-                )
-            if total <= 0:
-                raise ParseError(f"{path}: line {lineno}: row has no mass")
-            rows.append(values / total)
+    for lineno, values in _read_rows(path):
+        if isinstance(values, str):
+            if values.lower().startswith("grid:"):
+                grid = _parse_floats(path, lineno, values[5:].split(","))
+            continue
+        if np.any(values < 0):
+            raise ParseError(f"{path}: line {lineno}: negative mass")
+        total = values.sum()
+        if abs(total - 1.0) > 1e-6 and not normalize:
+            raise ParseError(
+                f"{path}: line {lineno}: row mass {total!r} is not 1 (use --normalize)"
+            )
+        if total <= 0:
+            raise ParseError(f"{path}: line {lineno}: row has no mass")
+        rows.append(values / total)
     if not rows:
         raise ParseError(f"{path}: no histogram rows found")
     measures = np.vstack(rows)

@@ -59,12 +59,15 @@ class MPConfig:
 def mp_config(prob, eps, variant="derived"):
     """Theory step sizes and iteration count for a target accuracy.
 
-    Two scalings of the multiplicative steps are offered.  The `derived`
-    variant follows from the product prox geometry (weights 1/R^2 on each
-    block) combined with the 1/m-averaged gradient, giving plan exponent
-    3*eta*ln(n) and barycenter exponent 6*d_inf*eta*ln(n)/m.  The `printed`
-    variant multiplies both by m.  The duality-gap guarantee at the returned
-    iteration count holds for `derived`.
+    The one home of the prox geometry.  With the radii Rx^2 = 3 m ln n (plan
+    entropies plus m times the barycenter entropy, over the simplices) and
+    Ry^2 = m n (half squared norm, over the dual box), R = sqrt(2 Rx^2 Ry^2):
+    eta = m / (4 d_inf R), alpha = 2 d_inf eta Ry^2 / m, gamma_mult =
+    eta Rx^2 / m, beta = 2 d_inf eta Rx^2 / m^2 and iters =
+    ceil(8 d_inf R / (m eps)), computed below with the radii substituted.
+    The `printed` variant multiplies `gamma_mult` and `beta` by m; the
+    duality-gap guarantee at the returned iteration count holds for
+    `derived`.
     """
     if variant not in SCALING_VARIANTS:
         raise ConfigError(f"unknown scaling variant {variant!r}")

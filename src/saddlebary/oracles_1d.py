@@ -96,7 +96,11 @@ def barycenter_1d_quantile(measures, grid):
     The average quantile function is a step function over the union of all
     cumulative levels; each mass atom sits at the mean of the per-measure
     quantiles on its level segment.  Atoms are rebinned to the nearest grid
-    point (ties to the left) so the result lives on the same support.
+    point (ties to the left) so the result lives on the same support.  This
+    is optimal among grid histograms: the average cost is the integral over
+    [0, 1] of (1/m) sum_i |t - x_i|^2 with t and x_i the quantiles of p and
+    q_i, on each segment sum_i |t - x_i|^2 = m |t - mean(x)|^2 + const, and
+    nearest-point rounding minimizes every segment while staying monotone.
     """
     if grid.power != 2.0:
         raise UnsupportedError("quantile averaging is exact only for squared distance")

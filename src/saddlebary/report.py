@@ -27,6 +27,7 @@ from .core import (
     certificate_values,
     vectorize_cost,
 )
+from .data import _parse_floats
 
 REPORT_COLUMNS = ("iteration", "elapsed_seconds", "duality_gap", "objective", "optimality_gap")
 
@@ -165,36 +166,51 @@ def write_iterates_csv(prob, x, y, path):
 
 
 def read_iterates_csv(path):
-    """Inverse of :func:`write_iterates_csv`."""
-    groups = {"cost_row": [], "measure": [], "plan": [], "dual": []}
-    bary = None
+    """Inverse of :func:`write_iterates_csv`.
+
+    With n the length of the first cost row and m the number of measures,
+    a file must hold n cost rows, m measures and m plans, one barycenter and
+    m duals, of n, n, n^2, n and 2n finite values, each kind indexed exactly
+    0..k-1.  Anything else raises a ParseError naming the line; the measures
+    are then validated like every other input.
+    """
+    groups = {kind: [] for kind in ("cost_row", "measure", "plan", "bary", "dual")}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0] == "kind":
                 continue
             kind = row[0]
-            try:
-                values = np.array([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if kind == "bary":
-                bary = values
-            elif kind in groups:
-                groups[kind].append((int(row[1]), values))
-            else:
+            if kind not in groups:
                 raise ParseError(f"{path}: line {lineno}: unknown row kind {kind!r}")
-    if bary is None or not groups["cost_row"] or not groups["measure"] or not groups["plan"]:
+            try:
+                index = int(row[1])
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}: line {lineno}: index is not an integer") from None
+            groups[kind].append((index, lineno, _parse_floats(path, lineno, row[2:])))
+    if not all(groups.values()):
         raise ParseError(f"{path}: incomplete iterates file")
 
-    def ordered(kind):
-        return np.array([v for _, v in sorted(groups[kind], key=lambda t: t[0])])
+    n = groups["cost_row"][0][2].shape[0]
+    m = len(groups["measure"])
+    shapes = {
+        "cost_row": (n, n), "measure": (m, n), "plan": (m, n * n), "bary": (1, n), "dual": (m, 2 * n),
+    }
+    arrays = {}
+    for kind, (count, width) in shapes.items():
+        rows = sorted(groups[kind])
+        for position, (index, lineno, values) in enumerate(rows):
+            if index != position:
+                raise ParseError(f"{path}: line {lineno}: {kind} index {index}, expected {position}")
+            if position >= count:
+                raise ParseError(f"{path}: line {lineno}: more than {count} {kind} rows")
+            if values.shape[0] != width:
+                raise ParseError(f"{path}: line {lineno}: {kind} row length is not {width}")
+        if len(rows) < count:
+            last = rows[-1][1]
+            raise ParseError(f"{path}: line {last}: {len(rows)} {kind} rows, expected {count}")
+        arrays[kind] = np.array([values for _, _, values in rows])
 
-    cost = vectorize_cost(ordered("cost_row"))
-    measures = ordered("measure")
-    prob = BarycenterProblem(
-        n=measures.shape[1], m=measures.shape[0], measures=measures, cost=cost
-    )
-    x = PrimalPoint(plans=ordered("plan"), bary=bary)
-    y = DualPoint(duals=ordered("dual"))
+    prob = BarycenterProblem.create(arrays["measure"], vectorize_cost(arrays["cost_row"]))
+    x = PrimalPoint(plans=arrays["plan"], bary=arrays["bary"][0])
+    y = DualPoint(duals=arrays["dual"])
     return prob, x, y

@@ -34,6 +34,11 @@ def dense_big_operator(n, m):
     return big
 
 
+def primal_vector(x):
+    """A primal point flattened in the column order of :func:`dense_big_operator`."""
+    return np.concatenate([x.plans.ravel(), x.bary])
+
+
 def random_problem(seed, n, m, zero_diagonal=False, normalized=True):
     rng = np.random.default_rng(seed)
     C = rng.uniform(0.0, 1.0, (n, n))

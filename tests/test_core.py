@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
+from saddlebary.core import _adjoint_stack, _marginals_stack
 from conftest import (
     dense_big_operator,
     dense_incidence,
     enumerated_gap,
+    primal_vector,
     random_dual,
     random_primal,
     random_problem,
@@ -47,69 +49,85 @@ class TestVectorizeCost:
             sb.vectorize_cost(np.zeros((2, 3)))
 
 
+def marginals(x):
+    """Row then column sums of one vectorized plan, via the stacked form."""
+    n = math.isqrt(x.shape[0])
+    return _marginals_stack(x[None, :], n)[0]
+
+
+def adjoint(y):
+    """Adjoint of :func:`marginals` on one dual vector, via the stacked form."""
+    return _adjoint_stack(y[None, :], y.shape[0] // 2)[0]
+
+
 class TestMarginals:
     def test_uniform_plan(self):
-        out = sb.apply_marginals(np.full(4, 0.25))
+        out = marginals(np.full(4, 0.25))
         assert np.allclose(out, [0.5, 0.5, 0.5, 0.5])
 
     def test_diagonal_plan(self):
-        out = sb.apply_marginals(np.array([0.5, 0.0, 0.0, 0.5]))
+        out = marginals(np.array([0.5, 0.0, 0.0, 0.5]))
         assert np.allclose(out, [0.5, 0.5, 0.5, 0.5])
 
     def test_corner_plan_against_dense(self):
         x = np.array([1.0, 0.0, 0.0, 0.0])
         expected = dense_incidence(2) @ x
-        assert np.array_equal(sb.apply_marginals(x), expected)
+        assert np.array_equal(marginals(x), expected)
         assert np.array_equal(expected, [1.0, 0.0, 1.0, 0.0])
 
     def test_random_against_dense(self):
+        # the stacked marginals are the big operator applied with a zero bary
         rng = np.random.default_rng(1)
-        for n in (2, 3, 5):
-            A = dense_incidence(n)
+        for n, m in ((2, 1), (3, 2), (5, 3)):
+            big = dense_big_operator(n, m)
             for _ in range(20):
-                x = rng.dirichlet(np.ones(n * n))
-                assert np.allclose(sb.apply_marginals(x), A @ x, atol=1e-14)
-
-    def test_wrong_length(self):
-        with pytest.raises(sb.ShapeError):
-            sb.apply_marginals(np.ones(5))
+                plans = rng.dirichlet(np.ones(n * n), m)
+                expected = big @ np.concatenate([plans.ravel(), np.zeros(n)])
+                out = _marginals_stack(plans, n)
+                assert np.allclose(out.ravel(), expected, atol=1e-14)
 
     def test_mass_doubling(self):
         rng = np.random.default_rng(2)
         x = rng.dirichlet(np.ones(9))
-        out = sb.apply_marginals(x)
+        out = marginals(x)
         assert out.sum() == pytest.approx(2.0 * x.sum(), abs=1e-14)
 
 
 class TestMarginalsAdjoint:
     def test_single_row_price(self):
-        out = sb.apply_marginals_adjoint(np.array([1.0, 0.0, 0.0, 0.0]))
+        out = adjoint(np.array([1.0, 0.0, 0.0, 0.0]))
         expected = dense_incidence(2).T @ np.array([1.0, 0.0, 0.0, 0.0])
         assert np.array_equal(out, expected)
         assert np.array_equal(out, [1.0, 1.0, 0.0, 0.0])
 
     def test_zero(self):
-        assert np.array_equal(sb.apply_marginals_adjoint(np.zeros(4)), np.zeros(4))
+        assert np.array_equal(adjoint(np.zeros(4)), np.zeros(4))
 
     def test_ones_against_dense(self):
         y = np.ones(4)
-        out = sb.apply_marginals_adjoint(y)
+        out = adjoint(y)
         assert np.array_equal(out, dense_incidence(2).T @ y)
         assert np.array_equal(out, [2.0, 2.0, 2.0, 2.0])
 
-    def test_wrong_length(self):
-        with pytest.raises(sb.ShapeError):
-            sb.apply_marginals_adjoint(np.ones(5))
+    def test_random_against_dense(self):
+        # the plan part of the big operator's transpose, block by block
+        rng = np.random.default_rng(18)
+        for n, m in ((2, 1), (3, 2), (5, 3)):
+            big = dense_big_operator(n, m)
+            for _ in range(20):
+                duals = rng.uniform(-1, 1, (m, 2 * n))
+                expected = (big.T @ duals.ravel())[: m * n * n]
+                assert np.allclose(_adjoint_stack(duals, n).ravel(), expected, atol=1e-14)
 
     def test_adjoint_identity(self):
         # <A x, y> == <x, A^T y> to 1e-10 relative
         rng = np.random.default_rng(3)
-        for n in (2, 4, 7):
+        for n, m in ((2, 1), (4, 2), (7, 3)):
             for _ in range(30):
-                x = rng.dirichlet(np.ones(n * n))
-                y = rng.uniform(-1, 1, 2 * n)
-                lhs = float(np.dot(sb.apply_marginals(x), y))
-                rhs = float(np.dot(x, sb.apply_marginals_adjoint(y)))
+                plans = rng.dirichlet(np.ones(n * n), m)
+                duals = rng.uniform(-1, 1, (m, 2 * n))
+                lhs = float(np.sum(_marginals_stack(plans, n) * duals))
+                rhs = float(np.sum(plans * _adjoint_stack(duals, n)))
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -117,7 +135,7 @@ class TestBigOperator:
     def test_uniform_single_measure(self):
         x = sb.PrimalPoint(plans=np.full((1, 4), 0.25), bary=np.array([0.5, 0.5]))
         out = sb.big_operator_apply(x)
-        expected = dense_big_operator(2, 1) @ x.as_vector()
+        expected = dense_big_operator(2, 1) @ primal_vector(x)
         assert np.allclose(out, expected, atol=1e-15)
         assert np.allclose(out, [0.0, 0.0, 0.5, 0.5])
 
@@ -133,7 +151,7 @@ class TestBigOperator:
     def test_two_measures_skewed_bary(self):
         x = sb.PrimalPoint(plans=np.full((2, 4), 0.25), bary=np.array([1.0, 0.0]))
         out = sb.big_operator_apply(x)
-        expected = dense_big_operator(2, 2) @ x.as_vector()
+        expected = dense_big_operator(2, 2) @ primal_vector(x)
         assert np.allclose(out, expected, atol=1e-15)
         assert np.allclose(out, [-0.5, 0.5, 0.5, 0.5, -0.5, 0.5, 0.5, 0.5])
 
@@ -143,7 +161,7 @@ class TestBigOperator:
             big = dense_big_operator(n, m)
             for _ in range(10):
                 x = random_primal(rng, n, m)
-                assert np.allclose(sb.big_operator_apply(x), big @ x.as_vector(), atol=1e-13)
+                assert np.allclose(sb.big_operator_apply(x), big @ primal_vector(x), atol=1e-13)
 
 
 class TestObjective:
@@ -196,11 +214,11 @@ class TestGradientOperator:
         x, y = random_primal(rng, n, m), random_dual(rng, n, m)
         big = dense_big_operator(n, m)
         d_stack = np.concatenate([np.tile(prob.cost.d, m), np.zeros(n)])
-        gx_expected = (d_stack + 2.0 * prob.cost.d_inf * big.T @ y.as_vector()) / m
+        gx_expected = (d_stack + 2.0 * prob.cost.d_inf * big.T @ y.duals.ravel()) / m
         c = np.zeros(2 * m * n)
         for i in range(m):
             c[2 * n * i + n : 2 * n * (i + 1)] = prob.measures[i]
-        gy_expected = (2.0 * prob.cost.d_inf / m) * (c - big @ x.as_vector())
+        gy_expected = (2.0 * prob.cost.d_inf / m) * (c - big @ primal_vector(x))
         gx, gy = sb.gradient_operator(x, y, prob)
         assert np.allclose(gx, gx_expected, atol=1e-13)
         assert np.allclose(gy, gy_expected, atol=1e-13)
@@ -257,93 +275,16 @@ class TestDualityGap:
             assert sb.duality_gap(x, y, prob) >= -1e-9
 
 
-class TestBregman:
-    def test_identity(self):
-        rng = np.random.default_rng(14)
-        x, y = random_primal(rng, 3, 2), random_dual(rng, 3, 2)
-        geom = sb.prox_geometry(3, 2)
-        bx, by = sb.bregman_divergences((x, y), (x, y), geom)
-        assert bx == pytest.approx(0.0, abs=1e-12)
-        assert by == 0.0
-
-    def test_euclidean_half_square(self):
-        x = sb.uniform_primal(2, 1)
-        y1 = sb.DualPoint(duals=np.array([[1.0, 0.0, 0.0, 0.0]]))
-        y0 = sb.zero_dual(2, 1)
-        geom = sb.prox_geometry(2, 1)
-        _, by = sb.bregman_divergences((x, y1), (x, y0), geom)
-        assert by == pytest.approx(0.5)
-
-    def test_positive_unless_equal(self):
-        rng = np.random.default_rng(15)
-        geom = sb.prox_geometry(3, 1)
-        x = random_primal(rng, 3, 1)
-        xp = random_primal(rng, 3, 1)
-        bx, _ = sb.bregman_divergences(
-            (x, sb.zero_dual(3, 1)), (xp, sb.zero_dual(3, 1)), geom
-        )
-        assert bx > 0
-
-    def test_domain_error_on_vanishing_reference(self):
-        n, m = 2, 1
-        x = sb.uniform_primal(n, m)
-        plans = np.array([[1.0, 0.0, 0.0, 0.0]])
-        xp = sb.PrimalPoint(plans=plans, bary=np.array([1.0, 0.0]))
-        geom = sb.prox_geometry(n, m)
-        with pytest.raises(sb.DomainError):
-            sb.bregman_divergences((x, sb.zero_dual(n, m)), (xp, sb.zero_dual(n, m)), geom)
-
-
-class TestProxGeometry:
-    def test_constants_small_case(self):
-        geom = sb.prox_geometry(2, 1)
-        assert geom.rx_sq == pytest.approx(3 * math.log(2))
-        assert geom.ry_sq == 2.0
-        assert geom.a1 * geom.rx_sq == pytest.approx(1.0)
-        assert geom.a2 * geom.ry_sq == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 3)])
-    def test_primal_radius_matches_vertex_sweep(self, n, m):
-        # the reference function sum_i <x_i, ln x_i> + m <p, ln p> peaks at
-        # simplex vertices (value 0, checked exhaustively via one-hot blocks)
-        # and bottoms at the uniform point
-        def ref_value(x):
-            from scipy.special import xlogy
-
-            return float(xlogy(x.plans, x.plans).sum() + m * xlogy(x.bary, x.bary).sum())
-
-        vertex_values = []
-        for cell in range(n * n):
-            plans = np.zeros((m, n * n))
-            plans[:, cell] = 1.0
-            for b in range(n):
-                bary = np.zeros(n)
-                bary[b] = 1.0
-                vertex_values.append(ref_value(sb.PrimalPoint(plans=plans, bary=bary)))
-        top = max(vertex_values)
-        bottom = ref_value(sb.uniform_primal(n, m))
-        assert top == 0.0
-        assert bottom == pytest.approx(-2 * m * math.log(n) - m * math.log(n))
-        assert sb.prox_geometry(n, m).rx_sq == pytest.approx(top - bottom)
-
-    def test_dual_radius_is_box_sup(self):
-        n, m = 3, 2
-        corner = sb.DualPoint(duals=np.ones((m, 2 * n)))
-        assert sb.prox_geometry(n, m).ry_sq == pytest.approx(
-            0.5 * float(np.sum(corner.duals**2))
-        )
-
-
 class TestMarginalConsistency:
     def test_plan_marginal_mass(self):
         rng = np.random.default_rng(16)
         for n in (2, 5, 9):
             for _ in range(20):
-                x = rng.dirichlet(np.ones(n * n))
-                out = sb.apply_marginals(x)
-                assert np.abs(out).sum() == pytest.approx(2.0, abs=1e-12)
-                assert out[:n].sum() == pytest.approx(1.0, abs=1e-12)
-                assert out[n:].sum() == pytest.approx(1.0, abs=1e-12)
+                plans = rng.dirichlet(np.ones(n * n), 3)
+                out = _marginals_stack(plans, n)
+                assert np.allclose(np.abs(out).sum(axis=1), 2.0, atol=1e-12)
+                assert np.allclose(out[:, :n].sum(axis=1), 1.0, atol=1e-12)
+                assert np.allclose(out[:, n:].sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestOperatorNorm:
@@ -371,14 +312,6 @@ class TestValidation:
     def test_histogram_bad_mass(self):
         with pytest.raises(sb.DomainError):
             sb.validate_histogram([0.5, 0.4])
-
-    def test_primal_point_validated(self):
-        with pytest.raises(sb.DomainError):
-            sb.PrimalPoint.validated(np.full((1, 4), 0.3), np.array([0.5, 0.5]))
-
-    def test_dual_point_box(self):
-        with pytest.raises(sb.DomainError):
-            sb.DualPoint.validated(np.full((1, 4), 1.5))
 
     def test_problem_shape_checks(self):
         cost = sb.vectorize_cost(np.zeros((3, 3)))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import saddlebary as sb
 from saddlebary.core import (
@@ -99,7 +100,67 @@ def _state_arrays(state):
     )
 
 
+def _primal_reference(x, m):
+    """sum_i <x_i, ln x_i> + m <p, ln p>, the primal prox reference function."""
+    return float(xlogy(x.plans, x.plans).sum() + m * xlogy(x.bary, x.bary).sum())
+
+
+def _primal_radius(n, m):
+    """Range of the primal reference: max over simplex vertices (one-hot
+    blocks, enumerated) minus its value at the uniform point, its minimum."""
+    tops = []
+    for cell in range(n * n):
+        plans = np.zeros((m, n * n))
+        plans[:, cell] = 1.0
+        for b in range(n):
+            bary = np.zeros(n)
+            bary[b] = 1.0
+            tops.append(_primal_reference(sb.PrimalPoint(plans=plans, bary=bary), m))
+    return max(tops), _primal_reference(sb.uniform_primal(n, m), m)
+
+
+def _dual_radius(n, m):
+    """Sup of the half squared norm over the dual box, at a corner."""
+    corner = sb.DualPoint(duals=np.ones((m, 2 * n)))
+    return 0.5 * float(np.sum(corner.duals**2))
+
+
 class TestConfig:
+    # mp_config's constants are functions of the two prox radii:
+    # eta = m / (4 d_inf sqrt(2 Rx^2 Ry^2)), alpha = 2 d_inf eta Ry^2 / m,
+    # gamma_mult = eta Rx^2 / m and beta = 2 d_inf eta Rx^2 / m^2 (both
+    # times m under `printed`), iters = ceil(8 d_inf sqrt(2 Rx^2 Ry^2) / (m eps)).
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 3)])
+    def test_primal_radius_matches_vertex_sweep(self, n, m):
+        top, bottom = _primal_radius(n, m)
+        assert top == 0.0
+        assert bottom == pytest.approx(-2 * m * math.log(n) - m * math.log(n))
+        rx_sq = top - bottom
+        prob = random_problem(n + m, n, m, normalized=False)
+        d_inf = prob.cost.d_inf
+        for variant, scale in (("derived", 1), ("printed", m)):
+            cfg = sb.mp_config(prob, 0.1, variant)
+            assert cfg.gamma_mult == pytest.approx(scale * cfg.eta * rx_sq / m, rel=1e-14)
+            assert cfg.beta == pytest.approx(
+                scale * 2 * d_inf * cfg.eta * rx_sq / m**2, rel=1e-14
+            )
+
+    def test_dual_radius_is_box_sup(self):
+        eps = 0.1
+        for n, m in ((3, 2), (5, 1)):
+            ry_sq = _dual_radius(n, m)
+            assert ry_sq == n * m
+            top, bottom = _primal_radius(n, m)
+            root = math.sqrt(2 * (top - bottom) * ry_sq)
+            prob = random_problem(n + m, n, m, normalized=False)
+            d_inf = prob.cost.d_inf
+            for variant in ("derived", "printed"):
+                cfg = sb.mp_config(prob, eps, variant)
+                assert cfg.eta == pytest.approx(m / (4 * d_inf * root), rel=1e-14)
+                assert cfg.alpha == pytest.approx(2 * d_inf * cfg.eta * ry_sq / m, rel=1e-14)
+                assert cfg.iters == math.ceil(8 * d_inf * root / (m * eps))
+
     def test_iteration_count_example(self):
         prob = random_problem(0, 4, 2)  # cost normalized to sup 1
         cfg = sb.mp_config(prob, 0.1)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,20 @@ class TestLoadHistograms:
             load_histograms(path)
 
 
+class TestLoadCost:
+    def test_rows_and_comments(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# a comment\n0,1\n\n1,0\n")
+        assert np.array_equal(sb.load_cost_csv(path), [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("text", ["0,1\n1,0,1\n", "0,1\n1,x\n", "0,1\n1,nan\n"])
+    def test_bad_row_names_its_line(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(sb.ParseError, match="line 2"):
+            sb.load_cost_csv(path)
+
+
 class TestGaussianSuite:
     def test_defaults(self):
         spec = GaussianSuiteSpec()
@@ -104,7 +119,8 @@ class TestIteratesRoundTrip:
         x, y = random_primal(rng, 3, 2), random_dual(rng, 3, 2)
         gap = sb.duality_gap(x, y, prob)
         for lam in (0.25, 3.0):
-            scaled = prob.with_cost(prob.cost.scaled(lam))
+            cost = sb.vectorize_cost(lam * prob.cost.C)
+            scaled = sb.BarycenterProblem.create(prob.measures, cost)
             assert sb.duality_gap(x, y, scaled) == pytest.approx(lam * gap, rel=1e-12)
 
 
@@ -300,3 +316,82 @@ class TestNonFiniteInputs:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+def _edit_rows(path, edit):
+    """Rewrite a CSV file after `edit` mutates its list of rows in place."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _row(rows, kind, index):
+    return next(r for r in rows if r[0] == kind and r[1] == str(index))
+
+
+def _scale_measure(rows, factor):
+    r = _row(rows, "measure", 0)
+    r[2:] = [repr(factor * float(v)) for v in r[2:]]
+
+
+ITERATE_EDITS = {
+    "ragged-cost-row": lambda rows: _row(rows, "cost_row", 1).append("1.0"),
+    "short-plan-row": lambda rows: _row(rows, "plan", 0).pop(),
+    "non-integer-index": lambda rows: _row(rows, "measure", 0).__setitem__(1, "x"),
+    "extra-plan-row": lambda rows: rows.append(["plan", "2"] + _row(rows, "plan", 1)[2:]),
+    "duplicate-measure": lambda rows: rows.append(list(_row(rows, "measure", 0))),
+    "nan-measure-entry": lambda rows: _row(rows, "measure", 1).__setitem__(2, "nan"),
+    "inf-dual-entry": lambda rows: _row(rows, "dual", 0).__setitem__(3, "inf"),
+    "measure-mass-two": lambda rows: _scale_measure(rows, 2.0),
+}
+
+
+class TestGapEditedIterates:
+    @pytest.fixture(scope="class")
+    def iterates(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gap")
+        hists = root / "h.csv"
+        hists.write_text("# grid: 0.0, 0.5, 1.0\n0.5,0.25,0.25\n0.2,0.3,0.5\n")
+        argv = ["barycenter", "--algo", "mp", "--input", str(hists), "--eps", "0.1",
+                "--out", str(root / "run"), "--timing", "off"]
+        assert main(argv) == 0
+        return root / "run" / "iterates.csv"
+
+    def test_unedited_file_replays(self, iterates):
+        proc = _cli_subprocess("-m", "saddlebary.cli", "gap", "--iterates", str(iterates))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("duality gap: ")
+
+    @pytest.mark.parametrize("case", sorted(ITERATE_EDITS))
+    def test_edited_file_exits_2_without_traceback(self, iterates, tmp_path, case):
+        path = tmp_path / "iterates.csv"
+        path.write_bytes(iterates.read_bytes())
+        _edit_rows(path, ITERATE_EDITS[case])
+        proc = _cli_subprocess("-m", "saddlebary.cli", "gap", "--iterates", str(path))
+        assert proc.returncode == 2, (proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+
+class TestPublicSurface:
+    def test_sorted_public_names(self):
+        names = sorted(
+            name for name, value in vars(sb).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        )
+        assert names == [
+            "BarycenterProblem", "ConfigError", "CostData", "DEConfig", "DomainError",
+            "DualPoint", "GaussianSuiteSpec", "Grid1D", "IBPConfig", "InvalidCostError",
+            "MPConfig", "NumericalFailure", "ParseError", "PrimalPoint", "RunRecord",
+            "RunReport", "SaddlebaryError", "ShapeError", "UnsupportedError",
+            "am_inner_iterations", "am_objective", "area_convexity_residual",
+            "barycenter_1d_quantile", "big_operator_apply", "certificate_values", "de_config",
+            "de_initial_error_bound", "duality_gap", "gaussian_suite", "gradient_operator",
+            "grid_cost", "hessian_forms", "ibp_barycenter", "load_cost_csv", "load_histograms",
+            "mp_config", "objective_f", "optimality_gap", "ot_1d_monotone", "read_iterates_csv",
+            "regularizer", "run_certified", "run_dual_extrapolation", "run_mirror_prox",
+            "theta", "uniform_primal", "validate_histogram", "vectorize_cost",
+            "write_barycenter_csv", "write_iterates_csv", "write_report_csv", "zero_dual",
+        ]
