@@ -11,14 +11,24 @@ Each proximal step minimizes a linear term plus the regularizer.  That
 subproblem is solved by alternating minimization: simplex blocks have softmax
 closed forms, and each dual coordinate is a clipped one-dimensional quadratic
 minimization.  Within one call the plan blocks change between sweeps only by
-a diagonal rescaling of a fixed kernel, so a call makes one O(m n^2)
-exponential pass to build that kernel and every sweep then costs two batched
-mat-vecs.  Every sweep contracts the suboptimality by a constant factor, so a
-logarithmic number of sweeps meets the per-call error budget; a call stops
-early once its duals repeat with period 1 or 2, returning bitwise what the
-full budget would.  The prox centre is the regularizer's minimizer, but its
-gradient term is left out of the linear terms: it is constant on each simplex
-block and zero on the duals, so it only shifts the objective by a constant.
+a diagonal rescaling of a fixed kernel, built once per call.  Every sweep
+contracts the suboptimality by a constant factor, so a logarithmic number of
+sweeps meets the per-call error budget; a call stops early once its duals
+repeat with period 1 or 2, returning bitwise what the full budget would.
+The prox centre is the regularizer's minimizer, but its gradient term is
+left out of the linear terms: it is constant on each simplex block and zero
+on the duals, so it only shifts the objective by a constant.
+
+Every plan term dual extrapolation hands to the prox is alpha * C plus a row
+and a column potential per measure, so its state is a scalar and an (m, 2n)
+array, and each prox call builds one n x n kernel exp(-c alpha C) shared by
+all m measures, with the potentials as row and column factors.  A sweep
+then takes the plan marginals as two GEMMs against that kernel.  The first
+prox output of a step is used only through those marginals, and the second
+is formed densely once, into the running average.  Should the kernel and
+factor exponents together span more than FACTOR_SPAN_MAX (just inside the
+exp underflow floor), the call falls back to one kernel block per measure
+with the combined min-shift, the path a general `AMProblem` always takes.
 
 This module also ships the numerical diagnostics used to sanity-check the
 construction: the area-convexity residual of random triples, the closed-form
@@ -43,9 +53,8 @@ from .core import (
     PrimalPoint,
     _adjoint_stack,
     _constraint_blocks,
-    _grad_blocks,
-    _log_normalize,
     _marginals_stack,
+    _target_blocks,
 )
 from .report import RunReport, run_certified
 
@@ -86,6 +95,12 @@ def regularizer(x, y, cost):
     return (2.0 * cost.d_inf / m) * (ent + quad)
 
 
+# A factored problem keeps its shared kernel while the kernel's exponent span
+# plus its row and column factors' spans stays below this.  exp underflows
+# near -708, so no product of a kernel entry and two factors can underflow.
+FACTOR_SPAN_MAX = 700.0
+
+
 @dataclass(frozen=True)
 class AMProblem:
     """Linear terms of one proximal subproblem, stored block-wise.
@@ -97,6 +112,49 @@ class AMProblem:
     v_plans: np.ndarray  # (m, n*n)
     v_bary: np.ndarray  # (n,)
     u: np.ndarray  # (m, 2n)
+
+
+@dataclass(frozen=True)
+class FactoredAMProblem:
+    """Linear terms whose plan blocks are alpha * C plus a row and a column potential.
+
+    Entry (j, k) of plan block i is alpha * C[j, k] + potentials[i, j] +
+    potentials[i, n + k].  Every plan gradient of the saddle objective,
+    C / m plus the adjoint of the scaled duals, has this form, and so has
+    every sum of them that dual extrapolation hands to the prox.
+    """
+
+    alpha: float
+    potentials: np.ndarray  # (m, 2n)
+    v_bary: np.ndarray  # (n,)
+    u: np.ndarray  # (m, 2n)
+
+    def dense(self, cost):
+        n = self.v_bary.shape[0]
+        v_plans = self.alpha * cost.d + _adjoint_stack(self.potentials, n)
+        return AMProblem(v_plans=v_plans, v_bary=self.v_bary, u=self.u)
+
+
+@dataclass(frozen=True)
+class ScaledPlans:
+    """Prox plans diag(row_scale_i) K diag(col_scale_i) with their marginals and barycenter.
+
+    K is one (n, n) kernel shared by every measure or an (m, n, n) stack.
+    `col_scale` has the plan normalizer folded in, and `marginals` holds the
+    [row sums, column sums] of each plan.
+    """
+
+    kernel: np.ndarray
+    row_scale: np.ndarray  # (m, n)
+    col_scale: np.ndarray  # (m, n)
+    marginals: np.ndarray  # (m, 2n)
+    bary: np.ndarray  # (n,)
+
+    def dense(self):
+        m, n = self.row_scale.shape
+        plans = self.row_scale[:, :, None] * self.col_scale[:, None, :]
+        plans *= self.kernel
+        return plans.reshape(m, n * n)
 
 
 def am_objective(amp, x, y, cost):
@@ -112,9 +170,34 @@ def _box_quadratic_argmin(lin_coef, curvature):
     A vanishing curvature degenerates to box-linear minimization: the argmin
     is -sign(lin), and 0 when the linear coefficient also vanishes.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(curvature > 0, -lin_coef / (2.0 * curvature), -np.sign(lin_coef))
-    return np.clip(inner, -1.0, 1.0)
+    t = np.negative(np.sign(lin_coef))
+    np.divide(lin_coef, -2.0 * curvature, out=t, where=curvature > 0)
+    np.minimum(t, 1.0, out=t)
+    return np.maximum(t, -1.0, out=t)
+
+
+def _plan_kernel(amp, cost, m, n):
+    """Kernel and log row/column factors of the plan blocks exp(-c v_plans_i).
+
+    With c = m / (20 d_inf), a factored problem shares one kernel
+    exp(-c alpha C) across the measures, and its potentials enter as
+    per-measure row and column factors, each half min-shifted into (0, 1].
+    A general problem, or a factored one whose kernel and factor exponents
+    together span more than FACTOR_SPAN_MAX, gets one block exp(min - E_i)
+    per measure with E_i = c v_plans_i, and unit factors.
+    """
+    c = m / (20.0 * cost.d_inf)
+    if isinstance(amp, FactoredAMProblem):
+        exponents = (-c * amp.alpha) * cost.C
+        top = exponents.max()
+        potentials = (c * amp.potentials).reshape(m, 2, n)
+        log_factors = potentials.min(axis=2, keepdims=True) - potentials
+        span = top - exponents.min() - log_factors.min(axis=2).sum(axis=1).min()
+        if span <= FACTOR_SPAN_MAX:
+            return np.exp(exponents - top), log_factors.reshape(m, 2 * n)
+        amp = amp.dense(cost)
+    exponents = c * amp.v_plans
+    return np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n), 0.0
 
 
 def am_prox(amp, num_iters, cost, m, n):
@@ -122,14 +205,16 @@ def am_prox(amp, num_iters, cost, m, n):
 
     Starting from uniform simplices and zero duals, each sweep updates the
     plan blocks and the barycenter by their softmax closed forms, then solves
-    every dual coordinate's clipped 1-D quadratic.  Returns the final
-    primal/dual pair.
+    every dual coordinate's clipped 1-D quadratic.  An `AMProblem` returns
+    the final primal/dual pair; a `FactoredAMProblem` returns its plans as
+    `ScaledPlans`, whose dense form is built only on request.
 
     Only the separable term 0.1 * (y_j^2 + y_{n+k}^2) of a plan block's
-    exponent depends on the duals, so plan i is diag(a_i) K_i diag(b_i) / Z_i
-    with a kernel K_i built by one exp pass per call.  A sweep needs only the
-    plan marginals, which are two batched mat-vecs against K; the dense plans
-    are formed once, after the last sweep.
+    exponent depends on the duals, so plan i is diag(a_i) K diag(b_i) / Z_i
+    with a kernel built once per call (see `_plan_kernel`): one (n, n)
+    kernel for a factored problem, whose sweeps then take the plan
+    marginals as two GEMMs against it, or an (m, n, n) stack, taken by
+    batched mat-vecs.
 
     A sweep is a function of the duals alone, so the loop stops early only
     where the rest of the budget cannot change the result: when a sweep
@@ -143,33 +228,61 @@ def am_prox(amp, num_iters, cost, m, n):
     d_inf = cost.d_inf
     if d_inf <= 0:
         raise ConfigError("cost matrix is identically zero")
-    exponents = (m / (20.0 * d_inf)) * amp.v_plans
-    K = np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n)
+    if not np.all(np.isfinite(amp.u)):
+        raise NumericalFailure("non-finite dual linear term", iteration=0)
+    bary_lin = amp.v_bary / (10.0 * d_inf)
+    scale = 2.0 * d_inf / m
+    curvature = np.empty((m, 2 * n))
     y = y_prev = np.zeros((m, 2 * n))
-    for t in range(num_iters):
-        ysq = y**2
-        # Both scalings lie in [e^-0.1, 1], so they cannot underflow.
-        e = np.exp(-0.1 * ysq)
-        a, b = e[:, :n], e[:, n:]
-        rows = a * (K @ b[:, :, None])[:, :, 0]
-        cols = b * (a[:, None, :] @ K)[:, 0, :]
-        Z = rows.sum(axis=1, keepdims=True)
-        exponent_b = amp.v_bary / (10.0 * d_inf) + ysq[:, :n].sum(axis=0) / (5.0 * m)
-        _, bary = _log_normalize(-exponent_b)
-        curvature = np.concatenate([rows / Z + bary, cols / Z], axis=1)
-        y_next = _box_quadratic_argmin(amp.u, (2.0 * d_inf / m) * curvature)
-        if not (np.all(np.isfinite(curvature)) and np.all(np.isfinite(y_next))):
-            raise NumericalFailure("non-finite alternating-minimization sweep", iteration=t)
-        # y_{t+1} == y_t repeats forever.  y_{t+1} == y_{t-1} alternates from
-        # here on, and a budget of N sweeps ends on this phase iff N - t is odd.
-        stop = np.array_equal(y_next, y) or (
-            (num_iters - t) % 2 == 1 and np.array_equal(y_next, y_prev)
-        )
-        y_prev, y = y, y_next
-        if stop:
-            break
-    plans = K * (a[:, :, None] * (b / Z)[:, None, :])
-    return PrimalPoint(plans=plans.reshape(m, n * n), bary=bary), DualPoint(duals=y)
+    # Non-finite values surface in the curvature check; an overflowing
+    # quotient of the dual argmin is clipped to the box.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        K, log_factors = _plan_kernel(amp, cost, m, n)
+        shared = K.ndim == 2
+        KT = K.T
+        for t in range(num_iters):
+            ysq = y * y
+            # Unit factors keep both scalings in [e^-0.1, 1]; the kernel
+            # builder bounds a factored product away from underflow.
+            e = np.exp(log_factors - 0.1 * ysq)
+            a, b = e[:, :n], e[:, n:]
+            if shared:
+                rows = a * (b @ KT)
+                cols = b * (a @ K)
+            else:
+                rows = a * (K @ b[:, :, None])[:, :, 0]
+                cols = b * (a[:, None, :] @ K)[:, 0, :]
+            Z = rows.sum(axis=1, keepdims=True)
+            exponent_b = bary_lin + ysq[:, :n].sum(axis=0) / (5.0 * m)
+            w = np.exp(exponent_b.min() - exponent_b)
+            bary = w / w.sum()
+            np.divide(rows, Z, out=curvature[:, :n])
+            curvature[:, :n] += bary
+            np.divide(cols, Z, out=curvature[:, n:])
+            curvature *= scale
+            if not math.isfinite(curvature.sum()):
+                raise NumericalFailure("non-finite alternating-minimization sweep", iteration=t)
+            y_next = _box_quadratic_argmin(amp.u, curvature)
+            # y_{t+1} == y_t repeats forever.  y_{t+1} == y_{t-1} alternates from
+            # here on, and a budget of N sweeps ends on this phase iff N - t is odd.
+            # The duals are compared bit for bit.
+            key = y_next.tobytes()
+            stop = key == y.tobytes() or (
+                (num_iters - t) % 2 == 1 and key == y_prev.tobytes()
+            )
+            y_prev, y = y, y_next
+            if stop:
+                break
+    plans = ScaledPlans(
+        kernel=K,
+        row_scale=a,
+        col_scale=b / Z,
+        marginals=np.concatenate([rows, cols], axis=1) / Z,
+        bary=bary,
+    )
+    if isinstance(amp, FactoredAMProblem):
+        return plans, DualPoint(duals=y)
+    return PrimalPoint(plans=plans.dense(), bary=bary), DualPoint(duals=y)
 
 
 def am_inner_iterations(eps, theta_value, d_inf):
@@ -215,9 +328,15 @@ def de_config(prob, eps, theta_variant="exact"):
 
 @dataclass
 class DEState:
-    """Accumulated gradient sums and running output totals after k steps."""
+    """Accumulated gradient sums and running output totals after k steps.
 
-    s_plans: np.ndarray
+    The plan part of the gradient sum is alpha * C plus per-measure row and
+    column potentials (see `FactoredAMProblem`), so it is carried as a
+    scalar and an (m, 2n) array instead of m dense plan blocks.
+    """
+
+    alpha: float
+    potentials: np.ndarray
     s_bary: np.ndarray
     s_duals: np.ndarray
     sum_w_plans: np.ndarray
@@ -233,18 +352,40 @@ class DEState:
         )
 
 
+def _factored_gradient(plans, duals, prob):
+    """Gradient operator at a prox output, in the form `DEState` accumulates.
+
+    The plan block C / m + adjoint((2 d_inf / m) duals) is alpha += 1 / m
+    plus the returned potentials; the barycenter and dual blocks are those
+    of `_grad_blocks`, the latter from the marginals the prox already holds.
+    """
+    n = prob.n
+    scale = 2.0 * prob.cost.d_inf / prob.m
+    residual = plans.marginals.copy()
+    residual[:, :n] -= plans.bary
+    g_potentials = scale * duals
+    g_bary = -scale * duals[:, :n].sum(axis=0)
+    g_dual = scale * (_target_blocks(prob.measures) - residual)
+    return g_potentials, g_bary, g_dual
+
+
 def _check_gradient_sums(state, kappa, d_inf, m):
     # The plan-block gradient is bounded by (1 + 2*max(2, m)) * d_inf / m in
     # sup norm (3*d_inf for m >= 2, 5*d_inf for a single measure) and the
     # dual gradient by 8*d_inf in l1; the sums accumulate k/(2*kappa) of
-    # either.  Violations mean the arithmetic went wrong, not the math.
+    # either.  The plan sum alpha * C + row (+) col is bounded by
+    # alpha * d_inf + max|row| + max|col| <= 5 k d_inf / (2 kappa m).
+    # Violations mean the arithmetic went wrong, not the math.
     rate_x = max(3.0, (1.0 + 2.0 * max(2.0, m)) / m) * d_inf / (2.0 * kappa)
     rate_y = 8.0 * d_inf / (2.0 * kappa)
     slack = 1.0 + 1e-9
-    sup = max(np.abs(state.s_plans).max(), np.abs(state.s_bary).max())
-    if sup > state.k * rate_x * slack + 1e-12:
+    n = state.s_bary.shape[0]
+    potentials = np.abs(state.potentials)
+    plans_sup = state.alpha * d_inf + potentials[:, :n].max() + potentials[:, n:].max()
+    sup = max(plans_sup, np.abs(state.s_bary).max())
+    if not sup <= state.k * rate_x * slack + 1e-12:
         raise NumericalFailure("accumulated primal gradient exceeds its bound", iteration=state.k)
-    if np.abs(state.s_duals).sum() > state.k * rate_y * slack + 1e-12:
+    if not np.abs(state.s_duals).sum() <= state.k * rate_y * slack + 1e-12:
         raise NumericalFailure("accumulated dual gradient exceeds its bound", iteration=state.k)
 
 
@@ -265,6 +406,10 @@ def run_dual_extrapolation(
     carry the gap guarantee; the loop stops early once their exact
     certificate reaches `eps`.  Every prox call starts from the canonical
     point.
+
+    The gradient sums stay in factored form (`DEState`), so a step touches
+    m n^2 entries only to add the second prox output's dense plans to the
+    running average; the first output is used through its marginals alone.
     """
     cfg = de_config(prob, eps, theta_variant)
     total = cfg.outer_iters if max_outer is None else int(max_outer)
@@ -284,7 +429,8 @@ def run_dual_extrapolation(
         },
     )
     state = DEState(
-        s_plans=np.zeros((m, n * n)),
+        alpha=0.0,
+        potentials=np.zeros((m, 2 * n)),
         s_bary=np.zeros(n),
         s_duals=np.zeros((m, 2 * n)),
         sum_w_plans=np.zeros((m, n * n)),
@@ -294,20 +440,22 @@ def run_dual_extrapolation(
 
     def step(k):
         # No -<grad r(z_min), z> term: it is a constant on the product of simplices.
-        base = AMProblem(state.s_plans, state.s_bary, state.s_duals)
+        base = FactoredAMProblem(state.alpha, state.potentials, state.s_bary, state.s_duals)
         zx, zy = am_prox(base, cfg.inner_iters, cost, m, n)
-        g_plans, g_bary, g_dual = _grad_blocks((zx.plans, zx.bary, zy.duals), prob)
-        advanced = AMProblem(
-            v_plans=base.v_plans + g_plans / KAPPA,
+        g_potentials, g_bary, g_dual = _factored_gradient(zx, zy.duals, prob)
+        advanced = FactoredAMProblem(
+            alpha=base.alpha + 1.0 / (KAPPA * m),
+            potentials=base.potentials + g_potentials / KAPPA,
             v_bary=base.v_bary + g_bary / KAPPA,
             u=base.u + g_dual / KAPPA,
         )
         wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
-        g_plans, g_bary, g_dual = _grad_blocks((wx.plans, wx.bary, wy.duals), prob)
-        state.s_plans += g_plans / (2.0 * KAPPA)
+        g_potentials, g_bary, g_dual = _factored_gradient(wx, wy.duals, prob)
+        state.alpha += 1.0 / (2.0 * KAPPA * m)
+        state.potentials += g_potentials / (2.0 * KAPPA)
         state.s_bary += g_bary / (2.0 * KAPPA)
         state.s_duals += g_dual / (2.0 * KAPPA)
-        state.sum_w_plans += wx.plans
+        state.sum_w_plans += wx.dense()
         state.sum_w_bary += wx.bary
         state.sum_w_duals += wy.duals
         state.k = k

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    SIMPLEX_ATOL,
     BarycenterProblem,
     ConfigError,
+    DomainError,
     DualPoint,
     ParseError,
     PrimalPoint,
@@ -171,8 +173,11 @@ def read_iterates_csv(path):
     With n the length of the first cost row and m the number of measures,
     a file must hold n cost rows, m measures and m plans, one barycenter and
     m duals, of n, n, n^2, n and 2n finite values, each kind indexed exactly
-    0..k-1.  Anything else raises a ParseError naming the line; the measures
-    are then validated like every other input.
+    0..k-1.  Anything else raises a ParseError naming the line.  The
+    measures are then validated like every other input, and the point must
+    lie in the feasible domain, or a DomainError names the line: plans and
+    barycenter nonnegative with mass within SIMPLEX_ATOL of 1, duals in
+    [-1, 1].  A gap evaluated off that domain certifies nothing.
     """
     groups = {kind: [] for kind in ("cost_row", "measure", "plan", "bary", "dual")}
     with open(path, newline="") as fh:
@@ -195,7 +200,7 @@ def read_iterates_csv(path):
     shapes = {
         "cost_row": (n, n), "measure": (m, n), "plan": (m, n * n), "bary": (1, n), "dual": (m, 2 * n),
     }
-    arrays = {}
+    arrays, lines = {}, {}
     for kind, (count, width) in shapes.items():
         rows = sorted(groups[kind])
         for position, (index, lineno, values) in enumerate(rows):
@@ -209,8 +214,20 @@ def read_iterates_csv(path):
             last = rows[-1][1]
             raise ParseError(f"{path}: line {last}: {len(rows)} {kind} rows, expected {count}")
         arrays[kind] = np.array([values for _, _, values in rows])
+        lines[kind] = [lineno for _, lineno, _ in rows]
 
     prob = BarycenterProblem.create(arrays["measure"], vectorize_cost(arrays["cost_row"]))
+    checks = [
+        ("plan", (arrays["plan"] >= 0).all(axis=1), "has a negative entry"),
+        ("bary", (arrays["bary"] >= 0).all(axis=1), "has a negative entry"),
+        ("plan", abs(arrays["plan"].sum(axis=1) - 1.0) <= SIMPLEX_ATOL, "mass is not 1"),
+        ("bary", abs(arrays["bary"].sum(axis=1) - 1.0) <= SIMPLEX_ATOL, "mass is not 1"),
+        ("dual", (abs(arrays["dual"]) <= 1.0).all(axis=1), "has an entry outside [-1, 1]"),
+    ]
+    for kind, ok, problem in checks:
+        for lineno, good in zip(lines[kind], ok):
+            if not good:
+                raise DomainError(f"{path}: line {lineno}: {kind} {problem}")
     x = PrimalPoint(plans=arrays["plan"], bary=arrays["bary"][0])
     y = DualPoint(duals=arrays["dual"])
     return prob, x, y

@@ -1,11 +1,12 @@
-"""The kernel-form AM sweep against independent references.
+"""The kernel-form AM sweep and factored dual extrapolation against references.
 
 `_dense_am_prox` recomputes every plan entry's exponent on every sweep, as
 the sweep did before it was factored through a per-call kernel.  It shares
 no code with `am_prox`: softmax, marginals and the clipped 1-D quadratic
 are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
 no stop rule, the reference for the early stop on a period-1 or period-2
-repeat of the duals.
+repeat of the duals.  `_dense_de` is dual extrapolation on dense m n^2
+gradient sums, as it ran before its state was factored.
 """
 
 import numpy as np
@@ -13,8 +14,14 @@ import pytest
 
 import saddlebary as sb
 import saddlebary.area_convex as ac
-from saddlebary.area_convex import AMProblem, _box_quadratic_argmin, am_prox
-from saddlebary.core import _log_normalize
+from saddlebary.area_convex import (
+    AMProblem,
+    FactoredAMProblem,
+    ScaledPlans,
+    _box_quadratic_argmin,
+    am_prox,
+)
+from saddlebary.core import _grad_blocks
 from conftest import random_problem
 
 TOL = 1e-12
@@ -39,9 +46,10 @@ def _dense_am_prox(amp, num_iters, d_inf, m, n):
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = np.where(curv > 0, -amp.u / (2.0 * curv), -np.sign(amp.u))
         y_next = np.clip(inner, -1.0, 1.0)
-        # stop on a fixed point, or on a 2-cycle whose phase the budget ends on
-        stop = np.array_equal(y_next, y) or (
-            (num_iters - sweep) % 2 == 0 and np.array_equal(y_next, y_prev)
+        # stop on a bit-identical fixed point, or on a 2-cycle whose phase the
+        # budget ends on
+        stop = y_next.tobytes() == y.tobytes() or (
+            (num_iters - sweep) % 2 == 0 and y_next.tobytes() == y_prev.tobytes()
         )
         y_prev, y = y, y_next
         if stop:
@@ -52,18 +60,22 @@ def _dense_am_prox(amp, num_iters, d_inf, m, n):
 def _kernel_sweeps(amp, cost, m, n):
     """`am_prox`'s sweep with no stop: yields (plans, bary, duals) after each sweep."""
     d_inf = cost.d_inf
-    exponents = (m / (20.0 * d_inf)) * amp.v_plans
-    K = np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n)
+    K, log_factors = ac._plan_kernel(amp, cost, m, n)
     y = np.zeros((m, 2 * n))
     while True:
-        ysq = y**2
-        e = np.exp(-0.1 * ysq)
+        ysq = y * y
+        e = np.exp(log_factors - 0.1 * ysq)
         a, b = e[:, :n], e[:, n:]
-        rows = a * (K @ b[:, :, None])[:, :, 0]
-        cols = b * (a[:, None, :] @ K)[:, 0, :]
+        if K.ndim == 2:
+            rows = a * (b @ K.T)
+            cols = b * (a @ K)
+        else:
+            rows = a * (K @ b[:, :, None])[:, :, 0]
+            cols = b * (a[:, None, :] @ K)[:, 0, :]
         Z = rows.sum(axis=1, keepdims=True)
         exponent_b = amp.v_bary / (10.0 * d_inf) + ysq[:, :n].sum(axis=0) / (5.0 * m)
-        _, bary = _log_normalize(-exponent_b)
+        w = np.exp(exponent_b.min() - exponent_b)
+        bary = w / w.sum()
         curvature = np.concatenate([rows / Z + bary, cols / Z], axis=1)
         y = _box_quadratic_argmin(amp.u, (2.0 * d_inf / m) * curvature)
         plans = K * (a[:, :, None] * (b / Z)[:, None, :])
@@ -82,7 +94,7 @@ def _first_repeat(amp, cap, cost, m, n):
     history = [np.zeros((m, 2 * n))]
     for t, (_, _, y) in zip(range(cap), _kernel_sweeps(amp, cost, m, n)):
         for period in (1, 2):
-            if len(history) >= period and np.array_equal(y, history[-period]):
+            if len(history) >= period and y.tobytes() == history[-period].tobytes():
                 return t, period
         history.append(y)
     return None
@@ -141,7 +153,7 @@ def test_kernel_sweep_matches_dense_reference(sweep_counter, n, m):
 
 def _assert_same(out, ref):
     x, y = out[:2]
-    assert np.array_equal(x.plans, ref[0])
+    assert np.array_equal(x.dense() if isinstance(x, ScaledPlans) else x.plans, ref[0])
     assert np.array_equal(x.bary, ref[1])
     assert np.array_equal(y.duals, ref[2])
 
@@ -172,7 +184,10 @@ def recorded_prox_calls():
 
     def recording(amp, num_iters, cost, m, n):
         # the solver hands over its running sums, which it updates in place
-        calls.append(AMProblem(amp.v_plans.copy(), amp.v_bary.copy(), amp.u.copy()))
+        assert isinstance(amp, FactoredAMProblem)
+        calls.append(
+            FactoredAMProblem(amp.alpha, amp.potentials.copy(), amp.v_bary.copy(), amp.u.copy())
+        )
         return inner(amp, num_iters, cost, m, n)
 
     prob = random_problem(1, 4, 5)
@@ -198,3 +213,99 @@ def test_two_cycle_stops_bitwise_below_cap(sweep_counter, recorded_prox_calls):
             out = sweep_counter(amp, budget, cost, m, n)
             assert out[2] in (t + 1, t + 2) and out[2] < cap
             _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
+
+
+def _factored_problem(rng, cost, m, n, span):
+    """A factored problem whose kernel and factor exponents together span `span`."""
+    c = m / (20.0 * cost.d_inf)
+    kernel_span = cost.d.max() - cost.d.min()
+    alpha = 0.5 * span / (c * kernel_span)
+    potentials = rng.uniform(0.0, 1.0, (m, 2 * n))
+    # each half of the first measure spans a quarter of `span`; the other
+    # measures span less, so the widest measure sets the total
+    halves = potentials.reshape(m, 2, n)
+    halves -= halves.min(axis=2, keepdims=True)
+    halves /= halves.max(axis=2, keepdims=True)
+    halves *= np.linspace(1.0, 0.3, m)[:, None, None]
+    potentials = (0.25 * span / c) * potentials
+    return FactoredAMProblem(
+        alpha=alpha,
+        potentials=potentials,
+        v_bary=rng.normal(0.0, 5.0, n),
+        u=rng.normal(0.0, 0.5, (m, 2 * n)),
+    )
+
+
+@pytest.mark.parametrize("span", [50.0, 650.0, 750.0, 1100.0])
+@pytest.mark.parametrize("n, m", [(5, 3), (16, 2)])
+def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
+    # below the threshold the measures share one (n, n) kernel; above it the
+    # prox falls back to a kernel block per measure, the combined min-shift
+    cost = random_problem(920 + n, n, m).cost
+    rng = np.random.default_rng(int(span) + n)
+    for _ in range(2):
+        amp = _factored_problem(rng, cost, m, n, span)
+        dense = amp.dense(cost)
+        for budget in (3, LONG):
+            x, y, sweeps = sweep_counter(amp, budget, cost, m, n)
+            assert isinstance(x, ScaledPlans)
+            assert x.kernel.shape == ((n, n) if span <= ac.FACTOR_SPAN_MAX else (m, n, n))
+            plans, bary, duals, ref_sweeps = _dense_am_prox(dense, budget, cost.d_inf, m, n)
+            assert sweeps == ref_sweeps or max(sweeps, ref_sweeps) < budget
+            np.testing.assert_allclose(x.dense(), plans, rtol=0, atol=TOL)
+            np.testing.assert_allclose(x.marginals, sb.big_operator_apply(
+                sb.PrimalPoint(plans=plans, bary=np.zeros(n))).reshape(m, 2 * n), rtol=0, atol=TOL)
+            np.testing.assert_allclose(x.bary, bary, rtol=0, atol=TOL)
+            np.testing.assert_allclose(y.duals, duals, rtol=0, atol=TOL)
+
+
+def _dense_de(prob, eps, steps):
+    """Dual extrapolation on dense gradient sums: the averaged pair after `steps`."""
+    cfg = sb.de_config(prob, eps)
+    m, n, cost = prob.m, prob.n, prob.cost
+    s_plans, s_bary, s_duals = np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))
+    sums = [np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))]
+    for _ in range(steps):
+        zx, zy = am_prox(AMProblem(s_plans, s_bary, s_duals), cfg.inner_iters, cost, m, n)
+        g_plans, g_bary, g_dual = _grad_blocks((zx.plans, zx.bary, zy.duals), prob)
+        advanced = AMProblem(s_plans + g_plans / 3.0, s_bary + g_bary / 3.0, s_duals + g_dual / 3.0)
+        wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
+        g_plans, g_bary, g_dual = _grad_blocks((wx.plans, wx.bary, wy.duals), prob)
+        s_plans = s_plans + g_plans / 6.0
+        s_bary = s_bary + g_bary / 6.0
+        s_duals = s_duals + g_dual / 6.0
+        for total, value in zip(sums, (wx.plans, wx.bary, wy.duals)):
+            total += value
+    return [total / steps for total in sums]
+
+
+def _gaussian_suite_problem():
+    measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(seed=0))
+    return sb.BarycenterProblem.create(
+        measures, sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, steps",
+    [
+        (_gaussian_suite_problem, 300),
+        (lambda: random_problem(1, 4, 5), 200),
+        (lambda: random_problem(2, 8, 2), 200),
+    ],
+    ids=["gauss-suite-300", "criterion-2-instance-1-200", "criterion-2-instance-2-200"],
+)
+def test_factored_de_matches_dense_de(make, steps):
+    prob = make()
+    wx, wy, report = sb.run_dual_extrapolation(
+        prob, 0.25, max_outer=steps, log_stride=steps, timer=lambda: 0.0
+    )
+    assert report.iterations_run == steps
+    plans, bary, duals = _dense_de(prob, 0.25, steps)
+    np.testing.assert_allclose(wx.plans, plans, rtol=0, atol=TOL)
+    np.testing.assert_allclose(wx.bary, bary, rtol=0, atol=TOL)
+    np.testing.assert_allclose(wy.duals, duals, rtol=0, atol=TOL)
+    dense_gap = sb.duality_gap(
+        sb.PrimalPoint(plans=plans, bary=bary), sb.DualPoint(duals=duals), prob
+    )
+    assert report.final_gap == pytest.approx(dense_gap, rel=TOL, abs=0)

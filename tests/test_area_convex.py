@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
-from saddlebary.area_convex import AMProblem, _box_quadratic_argmin, am_prox
+from saddlebary.area_convex import AMProblem, FactoredAMProblem, _box_quadratic_argmin, am_prox
 from conftest import random_dual, random_primal, random_problem
 
 
@@ -355,23 +355,38 @@ class TestDualExtrapolation:
 
     def test_single_outer_step_matches_manual_composition(self, t1_problem):
         # the first step's prox calls see zero linear terms, then one
-        # extrapolated gradient over kappa = 3
+        # extrapolated gradient over kappa = 3: C / m on the plans, and the
+        # scaled duals as potentials
         n, m = 2, 1
         cost = t1_problem.cost
         cfg = sb.de_config(t1_problem, 0.5)
-        base = AMProblem(v_plans=np.zeros((m, n * n)), v_bary=np.zeros(n), u=np.zeros((m, 2 * n)))
-        z = am_prox(base, cfg.inner_iters, cost, m, n)
-        g_primal, g_dual = sb.gradient_operator(*z, t1_problem)
-        advanced = AMProblem(
-            v_plans=g_primal[: m * n * n].reshape(m, n * n) / 3.0,
-            v_bary=g_primal[m * n * n :] / 3.0,
-            u=g_dual.reshape(m, 2 * n) / 3.0,
+        scale = 2.0 * cost.d_inf / m
+        base = FactoredAMProblem(
+            alpha=0.0, potentials=np.zeros((m, 2 * n)), v_bary=np.zeros(n), u=np.zeros((m, 2 * n))
         )
-        wx_manual, wy_manual = am_prox(advanced, cfg.inner_iters, cost, m, n)
+        zp, zy = am_prox(base, cfg.inner_iters, cost, m, n)
+        residual = zp.marginals.copy()
+        residual[:, :n] -= zp.bary
+        target = np.concatenate([np.zeros((m, n)), t1_problem.measures], axis=1)
+        advanced = FactoredAMProblem(
+            alpha=0.0 + 1.0 / (3.0 * m),
+            potentials=base.potentials + (scale * zy.duals) / 3.0,
+            v_bary=base.v_bary + (-scale * zy.duals[:, :n].sum(axis=0)) / 3.0,
+            u=base.u + (scale * (target - residual)) / 3.0,
+        )
+        wp, wy_manual = am_prox(advanced, cfg.inner_iters, cost, m, n)
         wx, wy, _ = sb.run_dual_extrapolation(t1_problem, 0.5, max_outer=1)
-        assert np.array_equal(wx.plans, wx_manual.plans)
-        assert np.array_equal(wx.bary, wx_manual.bary)
-        assert np.array_equal(wy.duals, wy_manual.duals)
+        assert np.array_equal(wx.plans, 0.0 + wp.dense())
+        assert np.array_equal(wx.bary, 0.0 + wp.bary)
+        assert np.array_equal(wy.duals, 0.0 + wy_manual.duals)
+        # the factored composition is the dense one: C / m + adj(scaled duals)
+        g_primal, g_dual = sb.gradient_operator(
+            sb.PrimalPoint(plans=zp.dense(), bary=zp.bary), zy, t1_problem
+        )
+        dense = advanced.dense(cost)
+        np.testing.assert_allclose(dense.v_plans, g_primal[: m * n * n].reshape(m, n * n) / 3.0,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense.u, g_dual.reshape(m, 2 * n) / 3.0, rtol=0, atol=1e-15)
 
     def test_deterministic(self):
         prob = random_problem(56, 3, 2)
@@ -410,21 +425,55 @@ class TestFailurePaths:
         from saddlebary.area_convex import DEState, _check_gradient_sums
 
         n, m = 3, 2
-        state = DEState(
-            s_plans=np.full((m, n * n), 1e6),
-            s_bary=np.zeros(n),
-            s_duals=np.zeros((m, 2 * n)),
-            sum_w_plans=np.zeros((m, n * n)),
-            sum_w_bary=np.zeros(n),
-            sum_w_duals=np.zeros((m, 2 * n)),
-            k=1,
-        )
-        with pytest.raises(sb.NumericalFailure):
-            _check_gradient_sums(state, 3.0, 1.0, m)
+
+        def state(alpha, potentials):
+            return DEState(
+                alpha=alpha,
+                potentials=potentials,
+                s_bary=np.zeros(n),
+                s_duals=np.zeros((m, 2 * n)),
+                sum_w_plans=np.zeros((m, n * n)),
+                sum_w_bary=np.zeros(n),
+                sum_w_duals=np.zeros((m, 2 * n)),
+                k=1,
+            )
+
+        # one step at most moves alpha by 1/(2 kappa m) and each potential by
+        # d_inf/(kappa m); a state at exactly those values passes
+        _check_gradient_sums(state(1.0 / 12.0, np.full((m, 2 * n), 1.0 / 6.0)), 3.0, 1.0, m)
+        corrupt = [state(1e6, np.zeros((m, 2 * n)))]
+        for index, value in ((1, -1e6), (n + 2, 1e6), (0, np.nan)):
+            potentials = np.zeros((m, 2 * n))
+            potentials[1, index] = value
+            corrupt.append(state(0.0, potentials))
+        for bad in corrupt:
+            with pytest.raises(sb.NumericalFailure):
+                _check_gradient_sums(bad, 3.0, 1.0, m)
 
     def test_am_prox_non_finite_linear_term(self, t1_problem):
         amp = AMProblem(
             v_plans=np.full((1, 4), np.nan), v_bary=np.zeros(2), u=np.zeros((1, 4))
+        )
+        with pytest.raises(sb.NumericalFailure):
+            am_prox(amp, 3, t1_problem.cost, 1, 2)
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_am_prox_non_finite_dual_term(self, t1_problem, budget):
+        # a NaN dual term gives NaN duals without touching the curvature, so
+        # the prox rejects it on entry, for dense and factored problems alike
+        u = np.zeros((1, 4))
+        u[0, 1] = np.nan
+        for amp in (
+            AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=u),
+            FactoredAMProblem(alpha=0.5, potentials=np.zeros((1, 4)), v_bary=np.zeros(2), u=u),
+        ):
+            with pytest.raises(sb.NumericalFailure):
+                am_prox(amp, budget, t1_problem.cost, 1, 2)
+
+    def test_factored_prox_non_finite_potential(self, t1_problem):
+        amp = FactoredAMProblem(
+            alpha=0.5, potentials=np.array([[0.0, np.nan, 0.0, 0.0]]), v_bary=np.zeros(2),
+            u=np.ones((1, 4)),
         )
         with pytest.raises(sb.NumericalFailure):
             am_prox(amp, 3, t1_problem.cost, 1, 2)

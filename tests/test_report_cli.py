@@ -123,6 +123,30 @@ class TestIteratesRoundTrip:
             scaled = sb.BarycenterProblem.create(prob.measures, cost)
             assert sb.duality_gap(x, y, scaled) == pytest.approx(lam * gap, rel=1e-12)
 
+    @pytest.fixture(scope="class")
+    def suite(self):
+        measures, grid = gaussian_suite(GaussianSuiteSpec(seed=0))
+        cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
+        return sb.BarycenterProblem.create(measures, cost)
+
+    @pytest.mark.parametrize("algo", ["mp", "de", "ibp-stabilized", "ibp-naive"])
+    def test_solver_output_round_trips(self, suite, tmp_path, algo):
+        # every solver's output lies in the domain `read_iterates_csv` enforces
+        if algo == "mp":
+            x, y, _ = sb.run_mirror_prox(suite, 0.05, max_iters=300)
+        elif algo == "de":
+            x, y, _ = sb.run_dual_extrapolation(suite, 0.25, max_outer=50)
+        else:
+            cfg = sb.IBPConfig(reg=1e-3 if algo == "ibp-stabilized" else 1e-2,
+                               stabilized=algo == "ibp-stabilized")
+            _, report = sb.ibp_barycenter(suite, cfg)
+            x, y = report.final_x, report.final_y
+        path = tmp_path / "iterates.csv"
+        sb.write_iterates_csv(suite, x, y, path)
+        prob, x2, y2 = sb.read_iterates_csv(path)
+        assert np.array_equal(x2.plans, x.plans) and np.array_equal(y2.duals, y.duals)
+        assert sb.duality_gap(x2, y2, prob) == sb.duality_gap(x, y, suite)
+
 
 class TestReportValidation:
     def test_iterations_strictly_increasing(self):
@@ -336,6 +360,18 @@ def _scale_measure(rows, factor):
     r[2:] = [repr(factor * float(v)) for v in r[2:]]
 
 
+def _shift_entry(rows, kind, index, column, delta):
+    r = _row(rows, kind, index)
+    r[column] = repr(float(r[column]) + delta)
+
+
+def _off_domain(rows):
+    # a plan shifted off its simplex and a dual outside the box: shapes and
+    # values stay finite, but a gap at such a point certifies nothing
+    _shift_entry(rows, "plan", 0, 2, -5.0)
+    _row(rows, "dual", 0)[2] = "7.0"
+
+
 ITERATE_EDITS = {
     "ragged-cost-row": lambda rows: _row(rows, "cost_row", 1).append("1.0"),
     "short-plan-row": lambda rows: _row(rows, "plan", 0).pop(),
@@ -345,6 +381,10 @@ ITERATE_EDITS = {
     "nan-measure-entry": lambda rows: _row(rows, "measure", 1).__setitem__(2, "nan"),
     "inf-dual-entry": lambda rows: _row(rows, "dual", 0).__setitem__(3, "inf"),
     "measure-mass-two": lambda rows: _scale_measure(rows, 2.0),
+    "plan-off-simplex-dual-seven": _off_domain,
+    "negative-bary-entry": lambda rows: _shift_entry(rows, "bary", 0, 2, -1.0),
+    "bary-mass-off": lambda rows: _shift_entry(rows, "bary", 0, 2, 1e-9),
+    "dual-outside-box": lambda rows: _row(rows, "dual", 1).__setitem__(2, "-1.0000000000000002"),
 }
 
 
