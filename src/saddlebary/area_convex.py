@@ -14,8 +14,8 @@ minimization.  Within one call the plan blocks change between sweeps only by
 a diagonal rescaling of a fixed kernel, built once per call.  Every sweep
 contracts the suboptimality by a constant factor, so a logarithmic number of
 sweeps meets the per-call error budget; a call stops early once its duals
-repeat with period 1 or 2, returning bitwise what the full budget would.
-The prox centre is the regularizer's minimizer, but its gradient term is
+repeat with a period of 1 to 4, returning bitwise what the full budget
+would.  The prox centre is the regularizer's minimizer, but its gradient term is
 left out of the linear terms: it is constant on each simplex block and zero
 on the duals, so it only shifts the objective by a constant.
 
@@ -23,7 +23,8 @@ Every plan term dual extrapolation hands to the prox is alpha * C plus a row
 and a column potential per measure, so its state is a scalar and an (m, 2n)
 array, and each prox call builds one n x n kernel exp(-c alpha C) shared by
 all m measures, with the potentials as row and column factors.  A sweep
-then takes the plan marginals as two GEMMs against that kernel.  The first
+then takes the plan marginals as two GEMMs against that kernel, through the
+Gibbs-form helpers in `core` that mirror prox uses too.  The first
 prox output of a step is used only through those marginals, and the second
 is formed densely once, into the running average.  Should the kernel and
 factor exponents together span more than FACTOR_SPAN_MAX (just inside the
@@ -40,6 +41,7 @@ tighter advertised constant drops).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,12 @@ from .core import (
     NumericalFailure,
     PrimalPoint,
     _adjoint_stack,
-    _constraint_blocks,
+    _averaged_pair,
+    _form_plans,
     _marginals_stack,
-    _target_blocks,
+    _residual,
+    _scaled_marginals,
+    big_operator_apply,
 )
 from .report import RunReport, run_certified
 
@@ -152,9 +157,7 @@ class ScaledPlans:
 
     def dense(self):
         m, n = self.row_scale.shape
-        plans = self.row_scale[:, :, None] * self.col_scale[:, None, :]
-        plans *= self.kernel
-        return plans.reshape(m, n * n)
+        return _form_plans(self.kernel, self.row_scale, self.col_scale, np.empty((m, n * n)))
 
 
 def am_objective(amp, x, y, cost):
@@ -217,11 +220,11 @@ def am_prox(amp, num_iters, cost, m, n):
     batched mat-vecs.
 
     A sweep is a function of the duals alone, so the loop stops early only
-    where the rest of the budget cannot change the result: when a sweep
-    leaves the duals bit-identical (period 1), or when they equal those of
-    two sweeps back (period 2) and the remaining budget ends on this phase
-    of the cycle.  Either way the output is bitwise what the full budget
-    returns.
+    where the rest of the budget cannot change the result: when a sweep's
+    duals equal, bit for bit, those of p sweeps back for a period p of at
+    most 4 (from a window of the last 4), and the remaining budget ends on
+    this phase of the cycle.  The output is then bitwise what the full
+    budget returns.
     """
     if num_iters < 1:
         raise ConfigError("need at least one sweep")
@@ -233,53 +236,41 @@ def am_prox(amp, num_iters, cost, m, n):
     bary_lin = amp.v_bary / (10.0 * d_inf)
     scale = 2.0 * d_inf / m
     curvature = np.empty((m, 2 * n))
-    y = y_prev = np.zeros((m, 2 * n))
+    y = np.zeros((m, 2 * n))
+    window = deque([y.tobytes()], maxlen=4)
     # Non-finite values surface in the curvature check; an overflowing
     # quotient of the dual argmin is clipped to the box.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         K, log_factors = _plan_kernel(amp, cost, m, n)
-        shared = K.ndim == 2
-        KT = K.T
         for t in range(num_iters):
             ysq = y * y
             # Unit factors keep both scalings in [e^-0.1, 1]; the kernel
             # builder bounds a factored product away from underflow.
             e = np.exp(log_factors - 0.1 * ysq)
             a, b = e[:, :n], e[:, n:]
-            if shared:
-                rows = a * (b @ KT)
-                cols = b * (a @ K)
-            else:
-                rows = a * (K @ b[:, :, None])[:, :, 0]
-                cols = b * (a[:, None, :] @ K)[:, 0, :]
-            Z = rows.sum(axis=1, keepdims=True)
+            marginals = _scaled_marginals(K, a, b)
+            Z = marginals[:, :n].sum(axis=1, keepdims=True)
             exponent_b = bary_lin + ysq[:, :n].sum(axis=0) / (5.0 * m)
             w = np.exp(exponent_b.min() - exponent_b)
             bary = w / w.sum()
-            np.divide(rows, Z, out=curvature[:, :n])
+            np.divide(marginals, Z, out=curvature)
             curvature[:, :n] += bary
-            np.divide(cols, Z, out=curvature[:, n:])
             curvature *= scale
             if not math.isfinite(curvature.sum()):
                 raise NumericalFailure("non-finite alternating-minimization sweep", iteration=t)
-            y_next = _box_quadratic_argmin(amp.u, curvature)
-            # y_{t+1} == y_t repeats forever.  y_{t+1} == y_{t-1} alternates from
-            # here on, and a budget of N sweeps ends on this phase iff N - t is odd.
-            # The duals are compared bit for bit.
-            key = y_next.tobytes()
-            stop = key == y.tobytes() or (
-                (num_iters - t) % 2 == 1 and key == y_prev.tobytes()
+            y = _box_quadratic_argmin(amp.u, curvature)
+            # y_{t+1} == y_{t+1-p} repeats with period p from here on, and a
+            # budget of N sweeps ends on this phase iff p divides N - 1 - t.
+            key = y.tobytes()
+            stop = key in window and any(
+                key == seen and (num_iters - 1 - t) % p == 0
+                for p, seen in enumerate(window, 1)
             )
-            y_prev, y = y, y_next
             if stop:
                 break
-    plans = ScaledPlans(
-        kernel=K,
-        row_scale=a,
-        col_scale=b / Z,
-        marginals=np.concatenate([rows, cols], axis=1) / Z,
-        bary=bary,
-    )
+            window.appendleft(key)
+    marginals /= Z
+    plans = ScaledPlans(kernel=K, row_scale=a, col_scale=b / Z, marginals=marginals, bary=bary)
     if isinstance(amp, FactoredAMProblem):
         return plans, DualPoint(duals=y)
     return PrimalPoint(plans=plans.dense(), bary=bary), DualPoint(duals=y)
@@ -339,17 +330,12 @@ class DEState:
     potentials: np.ndarray
     s_bary: np.ndarray
     s_duals: np.ndarray
-    sum_w_plans: np.ndarray
-    sum_w_bary: np.ndarray
-    sum_w_duals: np.ndarray
+    sum_plans: np.ndarray
+    sum_bary: np.ndarray
+    sum_duals: np.ndarray
     k: int = 0
 
-    def averaged_pair(self):
-        k = max(self.k, 1)
-        return (
-            PrimalPoint(plans=self.sum_w_plans / k, bary=self.sum_w_bary / k),
-            DualPoint(duals=self.sum_w_duals / k),
-        )
+    averaged_pair = _averaged_pair
 
 
 def _factored_gradient(plans, duals, prob):
@@ -359,13 +345,10 @@ def _factored_gradient(plans, duals, prob):
     plus the returned potentials; the barycenter and dual blocks are those
     of `_grad_blocks`, the latter from the marginals the prox already holds.
     """
-    n = prob.n
     scale = 2.0 * prob.cost.d_inf / prob.m
-    residual = plans.marginals.copy()
-    residual[:, :n] -= plans.bary
     g_potentials = scale * duals
-    g_bary = -scale * duals[:, :n].sum(axis=0)
-    g_dual = scale * (_target_blocks(prob.measures) - residual)
+    g_bary = -scale * duals[:, : prob.n].sum(axis=0)
+    g_dual = -scale * _residual(plans.marginals, plans.bary, prob.measures)
     return g_potentials, g_bary, g_dual
 
 
@@ -433,9 +416,9 @@ def run_dual_extrapolation(
         potentials=np.zeros((m, 2 * n)),
         s_bary=np.zeros(n),
         s_duals=np.zeros((m, 2 * n)),
-        sum_w_plans=np.zeros((m, n * n)),
-        sum_w_bary=np.zeros(n),
-        sum_w_duals=np.zeros((m, 2 * n)),
+        sum_plans=np.zeros((m, n * n)),
+        sum_bary=np.zeros(n),
+        sum_duals=np.zeros((m, 2 * n)),
     )
 
     def step(k):
@@ -455,9 +438,9 @@ def run_dual_extrapolation(
         state.potentials += g_potentials / (2.0 * KAPPA)
         state.s_bary += g_bary / (2.0 * KAPPA)
         state.s_duals += g_dual / (2.0 * KAPPA)
-        state.sum_w_plans += wx.dense()
-        state.sum_w_bary += wx.bary
-        state.sum_w_duals += wy.duals
+        state.sum_plans += wx.dense()
+        state.sum_bary += wx.bary
+        state.sum_duals += wy.duals
         state.k = k
         _check_gradient_sums(state, KAPPA, cost.d_inf, m)
 
@@ -499,9 +482,7 @@ def area_convexity_residual(a, b, c, cost, kappa=KAPPA):
     dy = ay.duals - by.duals
     diff_plans = scale * _adjoint_stack(dy, n)
     diff_bary = -scale * dy[:, :n].sum(axis=0)
-    diff_dual = -scale * (
-        _constraint_blocks(ax.plans, ax.bary) - _constraint_blocks(bx.plans, bx.bary)
-    )
+    diff_dual = -scale * (big_operator_apply(ax) - big_operator_apply(bx)).reshape(m, 2 * n)
     pairing = float((diff_plans * (bx.plans - cx.plans)).sum())
     pairing += float(np.dot(diff_bary, bx.bary - cx.bary))
     pairing += float((diff_dual * (by.duals - cy.duals)).sum())

@@ -8,11 +8,14 @@ price the marginal constraints.  The stacked constraint operator maps a plan
 to its row sums minus p and its column sums, block by block.  It is never
 materialized: every application is index arithmetic costing O(n^2) per
 measure, which keeps a full gradient or certificate evaluation at O(m n^2).
+Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
+/ Z_i; their shared arithmetic on that form, the constraint residual and
+the averaged output live here once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,18 +78,29 @@ def validate_histogram(weights, name="histogram"):
 
 @dataclass(frozen=True)
 class CostData:
-    """Ground cost matrix C, its row-major vectorization d, and max entry."""
+    """A finite, nonnegative square cost C (copied), with d and d_inf derived from it.
+
+    d is the row-major vectorization: entry (j, k) of C lands at j*n + k,
+    fixed package-wide so that the marginal operator and its adjoint never
+    disagree on plan layout.  d_inf is the largest entry.
+    """
 
     C: np.ndarray
-    d: np.ndarray
-    d_inf: float
+    d: np.ndarray = field(init=False)
+    d_inf: float = field(init=False)
 
     def __post_init__(self):
-        n = self.C.shape[0]
-        if self.C.shape != (n, n):
-            raise ShapeError(f"cost matrix must be square, got {self.C.shape}")
-        if self.d.shape != (n * n,):
-            raise ShapeError("vectorized cost has wrong length")
+        C = np.array(self.C, dtype=float)
+        if C.ndim != 2 or C.shape[0] != C.shape[1]:
+            raise ShapeError(f"cost matrix must be square, got shape {C.shape}")
+        if not np.all(np.isfinite(C)):
+            raise InvalidCostError("cost matrix has non-finite entries")
+        if np.any(C < 0):
+            raise InvalidCostError("cost matrix has negative entries")
+        d = C.ravel()
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_inf", float(d.max()) if d.size else 0.0)
 
     @property
     def n(self):
@@ -94,21 +108,8 @@ class CostData:
 
 
 def vectorize_cost(C):
-    """Build :class:`CostData` from a finite, nonnegative square matrix.
-
-    The vectorization is row-major: entry (j, k) of C lands at position
-    j*n + k.  This convention is fixed package-wide so that the marginal
-    operator and its adjoint never disagree on plan layout.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ShapeError(f"cost matrix must be square, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise InvalidCostError("cost matrix has non-finite entries")
-    if np.any(C < 0):
-        raise InvalidCostError("cost matrix has negative entries")
-    d = C.ravel().copy()
-    return CostData(C=C.copy(), d=d, d_inf=float(d.max()) if d.size else 0.0)
+    """Build :class:`CostData` from a finite, nonnegative square matrix (copied)."""
+    return CostData(C=C)
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,15 @@ def zero_dual(n, m):
     return DualPoint(duals=np.zeros((m, 2 * n)))
 
 
+def _averaged_pair(state):
+    """`averaged_pair` of both solver states: their running sums over k steps, averaged."""
+    k = max(state.k, 1)
+    return (
+        PrimalPoint(plans=state.sum_plans / k, bary=state.sum_bary / k),
+        DualPoint(duals=state.sum_duals / k),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Matrix-free applications of the marginal operator and its adjoint
 # ---------------------------------------------------------------------------
@@ -210,20 +220,10 @@ def _adjoint_stack(duals, n):
     return (duals[:, :n, None] + duals[:, None, n:]).reshape(m, n * n)
 
 
-def _constraint_blocks(plans, bary):
-    """Per-measure constraint residual blocks: [row sums - p, column sums]."""
+def _residual(marginals, bary, measures):
+    """[row sums - p, column sums - q_i] from stacked marginals; measures = 0 applies A."""
     n = bary.shape[0]
-    blocks = _marginals_stack(plans, n)
-    blocks[:, :n] -= bary
-    return blocks
-
-
-def _target_blocks(measures):
-    """The constant offset blocks [0, q_i] the duals are priced against."""
-    m, n = measures.shape
-    c = np.zeros((m, 2 * n))
-    c[:, n:] = measures
-    return c
+    return np.concatenate([marginals[:, :n] - bary, marginals[:, n:] - measures], axis=1)
 
 
 def big_operator_apply(x):
@@ -233,7 +233,46 @@ def big_operator_apply(x):
     A plan whose row sums match the barycenter therefore zeroes the first
     half of its block.
     """
-    return _constraint_blocks(x.plans, x.bary).ravel()
+    return _residual(_marginals_stack(x.plans, x.n), x.bary, 0.0).ravel()
+
+
+# Plan entries below the smallest normal double are set to exactly 0.
+# Rounding pins a decaying subnormal entry where it is (5e-324 * 0.94 rounds
+# back to 5e-324), and arithmetic on subnormals runs many times slower.  In
+# a unit-mass plan such entries are below 2^-1022, where exp underflows to 0
+# or to a subnormal anyway.
+_PLAN_FLOOR = np.finfo(float).tiny
+
+
+def _scaled_marginals(K, a, b):
+    """Stacked [row sums, column sums] of the unnormalized plans diag(a_i) K diag(b_i).
+
+    K is one (n, n) kernel for every measure (two GEMMs) or an (m, n, n)
+    stack (batched mat-vecs); a and b are (m, n), or (m, s, n) for s plans
+    per kernel block.
+    """
+    single = K.ndim > a.ndim  # a stack with one plan per block: products by row vectors
+    if single:
+        a, b = a[:, None, :], b[:, None, :]
+    n = a.shape[-1]
+    marginals = np.empty(a.shape[:-1] + (2 * n,))
+    np.multiply(a, b @ np.swapaxes(K, -1, -2), out=marginals[..., :n])
+    np.multiply(b, a @ K, out=marginals[..., n:])
+    return marginals[:, 0] if single else marginals
+
+
+def _form_plans(K, a, b_over_z, out):
+    """Plans diag(a_i) K diag(b_over_z_i) into the (m, n^2) buffer `out`; returns `out`.
+
+    K may be `out` itself, viewed as (m, n, n).  Entries below `_PLAN_FLOOR`
+    are set to exactly 0.
+    """
+    m, n = a.shape
+    P = out.reshape(m, n, n)
+    np.multiply(K, a[:, :, None], out=P)
+    P *= b_over_z[:, None, :]
+    P *= P >= _PLAN_FLOOR
+    return out
 
 
 def _log_normalize(logw):
@@ -262,7 +301,7 @@ def objective_f(x, y, prob):
     """
     cost = prob.cost
     lin = float(np.dot(x.plans.sum(axis=0), cost.d))
-    residual = _constraint_blocks(x.plans, x.bary) - _target_blocks(prob.measures)
+    residual = _residual(_marginals_stack(x.plans, prob.n), x.bary, prob.measures)
     bil = float(np.sum(y.duals * residual))
     return (lin + 2.0 * cost.d_inf * bil) / prob.m
 
@@ -280,9 +319,7 @@ def _grad_blocks(point_blocks, prob):
     cost, m, n = prob.cost, prob.m, prob.n
     g_plans = (cost.d[None, :] + 2.0 * cost.d_inf * _adjoint_stack(duals, n)) / m
     g_bary = -(2.0 * cost.d_inf / m) * duals[:, :n].sum(axis=0)
-    g_dual = (2.0 * cost.d_inf / m) * (
-        _target_blocks(prob.measures) - _constraint_blocks(plans, bary)
-    )
+    g_dual = (-2.0 * cost.d_inf / m) * _residual(_marginals_stack(plans, n), bary, prob.measures)
     return g_plans, g_bary, g_dual
 
 
@@ -308,7 +345,7 @@ def certificate_values(x, y, prob):
     of the two is the exact duality gap.
     """
     cost, m = prob.cost, prob.m
-    residual = _constraint_blocks(x.plans, x.bary) - _target_blocks(prob.measures)
+    residual = _residual(_marginals_stack(x.plans, prob.n), x.bary, prob.measures)
     primal_value = (
         float(np.dot(x.plans.sum(axis=0), cost.d))
         + 2.0 * cost.d_inf * float(np.abs(residual).sum())

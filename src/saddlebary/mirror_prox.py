@@ -10,10 +10,10 @@ exactly along the way.
 The plan update is in Gibbs scaling form: the exponent separates into the
 fixed kernel exp(-gamma C) and per-measure row and column factors, so an
 iteration needs O(m n) exponentials, batched mat-vecs for the marginals and
-normalizers, and one elementwise pass to form each plan.  The state keeps
-the dense plans and their marginals; plan entries below the smallest normal
-double are flushed to exactly 0 so rounding cannot pin them at slow
-subnormal values.  The barycenter block (n entries) stays in the log domain.
+normalizers, and one elementwise pass to form each plan, through the
+Gibbs-form helpers in `core`.  The state keeps the dense plans and their
+marginals, and a step updates it in place, so it allocates no m n^2 float
+array.  The barycenter block (n entries) stays in the log domain.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ from .core import (
     DualPoint,
     NumericalFailure,
     PrimalPoint,
+    _averaged_pair,
+    _form_plans,
     _log_normalize,
     _marginals_stack,
-    _target_blocks,
+    _residual,
+    _scaled_marginals,
     uniform_primal,
     zero_dual,
 )
@@ -96,9 +99,9 @@ def mp_config(prob, eps, variant="derived"):
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class MPState:
-    """Solver state after k iterations.
+    """Solver state after k iterations, updated in place by `mp_iteration`.
 
     `x` is the main primal iterate: its dense plans are the authoritative
     plan state, and `x_marginals` holds their stacked [row sums, column
@@ -106,8 +109,8 @@ class MPState:
     needs no pass over the m n^2 plan entries.  The barycenter stays in the
     log domain as `log_bary`.  `u`/`v` hold the most recent extrapolation
     pair and `sum_*` their running totals (the certified output is the
-    average `sum / k`).  No array of a returned state is written by a later
-    step.
+    average `sum / k`).  Every array is owned by the state alone: a step
+    overwrites the arrays of the state it is given.
     """
 
     x: PrimalPoint
@@ -121,24 +124,18 @@ class MPState:
     sum_duals: np.ndarray
     k: int
 
-    def averaged_pair(self):
-        k = max(self.k, 1)
-        return (
-            PrimalPoint(plans=self.sum_plans / k, bary=self.sum_bary / k),
-            DualPoint(duals=self.sum_duals / k),
-        )
+    averaged_pair = _averaged_pair
 
 
 def mp_initial_state(prob):
     """Uniform plans, uniform barycenter, zero duals."""
     n, m = prob.n, prob.m
     x0 = uniform_primal(n, m)
-    y0 = zero_dual(n, m)
     return MPState(
         x=x0,
-        y=y0,
-        u=x0,
-        v=y0,
+        y=zero_dual(n, m),
+        u=uniform_primal(n, m),
+        v=zero_dual(n, m),
         x_marginals=_marginals_stack(x0.plans, n),
         log_bary=np.log(x0.bary),
         sum_plans=np.zeros((m, n * n)),
@@ -148,52 +145,34 @@ def mp_initial_state(prob):
     )
 
 
-# Plan entries below the smallest normal double are set to exactly 0.
-# Rounding pins a decaying subnormal entry where it is (5e-324 * 0.94 rounds
-# back to 5e-324), and arithmetic on subnormals runs many times slower.  In
-# a unit-mass plan such entries are below 2^-1022, where exp underflows to 0
-# or to a subnormal anyway.
-_PLAN_FLOOR = np.finfo(float).tiny
-
-
-def _scale_in_place(P, a, b_over_z):
-    """P *= outer(a, b/Z) per measure, then entries below the floor set to 0."""
-    P *= a[:, :, None]
-    P *= b_over_z[:, None, :]
-    P *= P >= _PLAN_FLOOR
-    return P.reshape(P.shape[0], -1)
-
-
 def mp_iteration(state, cfg, prob):
-    """One extragradient step; returns the new state with sums accumulated.
+    """One extragradient step, accumulated into `state` in place.
 
     The plan exponent -gamma (d + 2 d_inf (y_j + y_{n+k})) separates, so
     both plans of a step are W * outer(a, b) / Z with W = x * exp(-gamma C)
     shared and a = exp(-c y[:n]), b = exp(-c y[n:]), c = 2 d_inf gamma.  The
     marginals and normalizers of both come from batched mat-vecs against W;
-    each plan is materialized once.
+    each plan is materialized once.  W is formed in the buffer of x's plans,
+    u is written into its own buffer and the next x over W.
     """
     n, m = prob.n, prob.m
-    d_inf = prob.cost.d_inf
-    targets = _target_blocks(prob.measures)
-    duals = state.y.duals
+    x, y, u, v = state.x, state.y, state.u, state.v
 
     # extrapolation dual step at the main iterate
-    residual = state.x_marginals - targets
-    residual[:, :n] -= state.x.bary
-    v = np.clip(duals + cfg.alpha * residual, -1.0, 1.0)
+    residual = _residual(state.x_marginals, x.bary, prob.measures)
+    np.clip(y.duals + cfg.alpha * residual, -1.0, 1.0, out=v.duals)
 
     # both plan scalings: index 0 at the duals (u), index 1 at v (next x)
-    W = state.x.plans.reshape(m, n, n) * np.exp(-cfg.gamma_mult * prob.cost.C)
-    scale = np.exp((-2.0 * d_inf * cfg.gamma_mult) * np.stack([duals, v], axis=1))
+    W = x.plans.reshape(m, n, n)
+    W *= np.exp(-cfg.gamma_mult * prob.cost.C)
+    scale = np.exp((-2.0 * prob.cost.d_inf * cfg.gamma_mult) * np.stack([y.duals, v.duals], axis=1))
     a, b = scale[:, :, :n], scale[:, :, n:]
-    rows = a * (b @ np.swapaxes(W, 1, 2))
-    cols = b * (a @ W)
-    Z = rows.sum(axis=2, keepdims=True)
-    marginals = np.concatenate([rows, cols], axis=2) / Z
+    marginals = _scaled_marginals(W, a, b)
+    Z = marginals[:, :, :n].sum(axis=2, keepdims=True)
+    marginals /= Z
 
-    _, s_bary = _log_normalize(state.log_bary + cfg.beta * duals[:, :n].sum(axis=0))
-    log_p, p_bary = _log_normalize(state.log_bary + cfg.beta * v[:, :n].sum(axis=0))
+    _, s_bary = _log_normalize(state.log_bary + cfg.beta * y.duals[:, :n].sum(axis=0))
+    log_p, p_bary = _log_normalize(state.log_bary + cfg.beta * v.duals[:, :n].sum(axis=0))
 
     if not (
         np.all(np.isfinite(marginals))
@@ -204,27 +183,20 @@ def mp_iteration(state, cfg, prob):
         raise NumericalFailure("non-finite multiplicative update", iteration=state.k + 1)
 
     # main dual step, evaluated at the extrapolation pair
-    residual_u = marginals[:, 0] - targets
-    residual_u[:, :n] -= s_bary
-    y_new = np.clip(duals + cfg.alpha * residual_u, -1.0, 1.0)
+    residual_u = _residual(marginals[:, 0], s_bary, prob.measures)
+    np.clip(y.duals + cfg.alpha * residual_u, -1.0, 1.0, out=y.duals)
 
-    # W is a temporary of this step, so u takes over its buffer
     b_over_z = b / Z
-    x_plans = _scale_in_place(W.copy(), a[:, 1], b_over_z[:, 1])
-    u_plans = _scale_in_place(W, a[:, 0], b_over_z[:, 0])
-
-    return MPState(
-        x=PrimalPoint(plans=x_plans, bary=p_bary),
-        y=DualPoint(duals=y_new),
-        u=PrimalPoint(plans=u_plans, bary=s_bary),
-        v=DualPoint(duals=v),
-        x_marginals=marginals[:, 1],
-        log_bary=log_p,
-        sum_plans=state.sum_plans + u_plans,
-        sum_bary=state.sum_bary + s_bary,
-        sum_duals=state.sum_duals + v,
-        k=state.k + 1,
-    )
+    _form_plans(W, a[:, 0], b_over_z[:, 0], u.plans)
+    _form_plans(W, a[:, 1], b_over_z[:, 1], x.plans)
+    u.bary[:] = s_bary
+    x.bary[:] = p_bary
+    state.x_marginals = marginals[:, 1]
+    state.log_bary = log_p
+    state.sum_plans += u.plans
+    state.sum_bary += s_bary
+    state.sum_duals += v.duals
+    state.k += 1
 
 
 def run_mirror_prox(
@@ -261,13 +233,9 @@ def run_mirror_prox(
         },
     )
     state = mp_initial_state(prob)
-
-    def step(k):
-        nonlocal state
-        state = mp_iteration(state, cfg, prob)
-
     run_certified(
-        report, prob, eps, total, step, lambda: (*state.averaged_pair(), None),
+        report, prob, eps, total, lambda k: mp_iteration(state, cfg, prob),
+        lambda: (*state.averaged_pair(), None),
         log_stride=log_stride, oracle=oracle, timer=timer,
     )
     return report.final_x, report.final_y, report

@@ -4,8 +4,8 @@
 the sweep did before it was factored through a per-call kernel.  It shares
 no code with `am_prox`: softmax, marginals and the clipped 1-D quadratic
 are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
-no stop rule, the reference for the early stop on a period-1 or period-2
-repeat of the duals.  `_dense_de` is dual extrapolation on dense m n^2
+no stop rule, the reference for the early stop on a repeat of the duals
+with period 1 to 4.  `_dense_de` is dual extrapolation on dense m n^2
 gradient sums, as it ran before its state was factored.
 """
 
@@ -21,7 +21,7 @@ from saddlebary.area_convex import (
     _box_quadratic_argmin,
     am_prox,
 )
-from saddlebary.core import _grad_blocks
+from saddlebary.core import _form_plans, _grad_blocks, _scaled_marginals
 from conftest import random_problem
 
 TOL = 1e-12
@@ -31,7 +31,8 @@ LONG = 400
 def _dense_am_prox(amp, num_iters, d_inf, m, n):
     """Dense AM sweeps; returns (plans, bary, duals, sweeps run)."""
     v_plans = amp.v_plans.reshape(m, n, n)
-    y = y_prev = np.zeros((m, 2 * n))
+    y = np.zeros((m, 2 * n))
+    history = [y.tobytes()]
     for sweep in range(1, num_iters + 1):
         ysq = y**2
         logw = -(m / (20.0 * d_inf)) * v_plans - 0.1 * (ysq[:, :n, None] + ysq[:, None, n:])
@@ -45,14 +46,14 @@ def _dense_am_prox(amp, num_iters, d_inf, m, n):
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = np.where(curv > 0, -amp.u / (2.0 * curv), -np.sign(amp.u))
-        y_next = np.clip(inner, -1.0, 1.0)
-        # stop on a bit-identical fixed point, or on a 2-cycle whose phase the
+        y = np.clip(inner, -1.0, 1.0)
+        # stop on a bit-identical cycle of period p <= 4 whose phase the
         # budget ends on
-        stop = y_next.tobytes() == y.tobytes() or (
-            (num_iters - sweep) % 2 == 0 and y_next.tobytes() == y_prev.tobytes()
-        )
-        y_prev, y = y, y_next
-        if stop:
+        history.append(y.tobytes())
+        if any(
+            len(history) > p and history[-1] == history[-1 - p] and (num_iters - sweep) % p == 0
+            for p in range(1, 5)
+        ):
             break
     return plans.reshape(m, n * n), bary, y, sweep
 
@@ -66,20 +67,15 @@ def _kernel_sweeps(amp, cost, m, n):
         ysq = y * y
         e = np.exp(log_factors - 0.1 * ysq)
         a, b = e[:, :n], e[:, n:]
-        if K.ndim == 2:
-            rows = a * (b @ K.T)
-            cols = b * (a @ K)
-        else:
-            rows = a * (K @ b[:, :, None])[:, :, 0]
-            cols = b * (a[:, None, :] @ K)[:, 0, :]
-        Z = rows.sum(axis=1, keepdims=True)
+        marginals = _scaled_marginals(K, a, b)
+        Z = marginals[:, :n].sum(axis=1, keepdims=True)
         exponent_b = amp.v_bary / (10.0 * d_inf) + ysq[:, :n].sum(axis=0) / (5.0 * m)
         w = np.exp(exponent_b.min() - exponent_b)
         bary = w / w.sum()
-        curvature = np.concatenate([rows / Z + bary, cols / Z], axis=1)
+        curvature = marginals / Z
+        curvature[:, :n] += bary
         y = _box_quadratic_argmin(amp.u, (2.0 * d_inf / m) * curvature)
-        plans = K * (a[:, :, None] * (b / Z)[:, None, :])
-        yield plans.reshape(m, n * n), bary, y
+        yield _form_plans(K, a, b / Z, np.empty((m, n * n))), bary, y
 
 
 def _no_stop_am_prox(amp, num_iters, cost, m, n):
@@ -90,13 +86,13 @@ def _no_stop_am_prox(amp, num_iters, cost, m, n):
 
 
 def _first_repeat(amp, cap, cost, m, n):
-    """(t, period): the first 0-based sweep whose duals equal those 1 or 2 sweeps back."""
-    history = [np.zeros((m, 2 * n))]
+    """(t, period): the first 0-based sweep whose duals equal those 1 to 4 sweeps back."""
+    history = [np.zeros((m, 2 * n)).tobytes()]
     for t, (_, _, y) in zip(range(cap), _kernel_sweeps(amp, cost, m, n)):
-        for period in (1, 2):
-            if len(history) >= period and y.tobytes() == history[-period].tobytes():
+        for period in (1, 2, 3, 4):
+            if len(history) >= period and y.tobytes() == history[-period]:
                 return t, period
-        history.append(y)
+        history.append(y.tobytes())
     return None
 
 
@@ -158,27 +154,28 @@ def _assert_same(out, ref):
     assert np.array_equal(y.duals, ref[2])
 
 
+def _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, cost, m, n):
+    # a budget past the repeat stops at the first sweep of the cycle's phase
+    # it ends on, and returns exactly what a loop without an early stop
+    # returns for that budget
+    for budget in budgets:
+        out = sweep_counter(amp, budget, cost, m, n)
+        assert out[2] == t + 1 + (budget - 1 - t) % period
+        _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
+
+
 @pytest.mark.parametrize("n, m", [(3, 2), (8, 3)])
 def test_stationary_sweep_stops_bitwise(sweep_counter, n, m):
-    # once the duals repeat with period 1 or 2, every budget past the repeat
-    # stops within one sweep of it and returns exactly what a loop without
-    # an early stop returns for that budget
     cost = random_problem(910 + n, n, m).cost
     for amp in list(_problems(20 * n + m, n, m, cost.d_inf))[:3]:
         t, period = _first_repeat(amp, LONG, cost, m, n)
         assert 0 < t < LONG - 2
-        stops = set()
-        for budget in (t + 1, t + 2, t + 3, t + 8, LONG - 1, LONG):
-            out = sweep_counter(amp, budget, cost, m, n)
-            assert out[2] in (t + 1, t + 2)
-            stops.add(out[2])
-            _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
-        assert stops == ({t + 1} if period == 1 else {t + 1, t + 2})
+        budgets = (t + 1, t + 2, t + 3, t + 8, LONG - 1, LONG)
+        _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, cost, m, n)
 
 
-@pytest.fixture(scope="module")
-def recorded_prox_calls():
-    """The first 400 prox calls of de on criterion-2 instance 1 (n=4, m=5)."""
+def _record_prox_calls(seed, n, m, max_outer):
+    """The prox calls of de's first `max_outer` steps on criterion-2 instance `seed`."""
     calls = []
     inner = ac.am_prox
 
@@ -190,29 +187,33 @@ def recorded_prox_calls():
         )
         return inner(amp, num_iters, cost, m, n)
 
-    prob = random_problem(1, 4, 5)
+    prob = random_problem(seed, n, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ac, "am_prox", recording)
-        sb.run_dual_extrapolation(prob, 0.25, max_outer=200, timer=lambda: 0.0)
+        sb.run_dual_extrapolation(prob, 0.25, max_outer=max_outer, timer=lambda: 0.0)
+    assert len(calls) == 2 * max_outer
     return prob, sb.de_config(prob, 0.25).inner_iters, calls
 
 
-def test_two_cycle_stops_bitwise_below_cap(sweep_counter, recorded_prox_calls):
-    prob, cap, calls = recorded_prox_calls
-    n, m, cost = prob.n, prob.m, prob.cost
-    assert len(calls) == 400
+@pytest.mark.parametrize(
+    "seed, n, m, max_outer, period, least",
+    [(1, 4, 5, 200, 2, 10), (3, 8, 5, 380, 3, 1), (13, 4, 5, 670, 4, 1)],
+    ids=["instance-1-period-2", "instance-3-period-3", "instance-13-period-4"],
+)
+def test_short_cycle_stops_bitwise_below_cap(sweep_counter, seed, n, m, max_outer, period, least):
+    # criterion-2 calls whose duals cycle with period 2, 3 or 4; without a
+    # stop for their period every one of them ran the whole cap
+    prob, cap, calls = _record_prox_calls(seed, n, m, max_outer)
     cycling = []
     for amp in calls:
-        repeat = _first_repeat(amp, cap, cost, m, n)
-        if repeat is not None and repeat[1] == 2:
+        repeat = _first_repeat(amp, cap, prob.cost, m, n)
+        if repeat is not None and repeat[1] == period:
             cycling.append((amp, repeat[0]))
-    # without the period-2 stop every one of these calls ran the whole cap
-    assert len(cycling) >= 10
+    assert len(cycling) >= least
     for amp, t in cycling:
-        for budget in (t + 2, t + 3, cap, cap + 1):
-            out = sweep_counter(amp, budget, cost, m, n)
-            assert out[2] in (t + 1, t + 2) and out[2] < cap
-            _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
+        budgets = (t + 2, t + 3, t + 4, cap, cap + 1)
+        _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, prob.cost, m, n)
+        assert sweep_counter(amp, cap, prob.cost, m, n)[2] < cap
 
 
 def _factored_problem(rng, cost, m, n, span):

@@ -432,9 +432,9 @@ class TestFailurePaths:
                 potentials=potentials,
                 s_bary=np.zeros(n),
                 s_duals=np.zeros((m, 2 * n)),
-                sum_w_plans=np.zeros((m, n * n)),
-                sum_w_bary=np.zeros(n),
-                sum_w_duals=np.zeros((m, 2 * n)),
+                sum_plans=np.zeros((m, n * n)),
+                sum_bary=np.zeros(n),
+                sum_duals=np.zeros((m, 2 * n)),
                 k=1,
             )
 

@@ -48,6 +48,25 @@ class TestVectorizeCost:
         with pytest.raises(sb.ShapeError):
             sb.vectorize_cost(np.zeros((2, 3)))
 
+    def test_cost_data_is_built_from_c_alone(self):
+        # a d and d_inf disagreeing with C used to be accepted, and a solver
+        # then reported a gap its own point did not have under C
+        C = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(TypeError):
+            sb.CostData(C=C, d=np.zeros(4), d_inf=9.0)
+        cost = sb.CostData(C=C)
+        assert np.array_equal(cost.d, sb.vectorize_cost(C).d)
+        assert cost.d_inf == 1.0
+        prob = sb.BarycenterProblem.create([[1.0, 0.0]], cost)
+        x, y, report = sb.run_mirror_prox(prob, 0.5, max_iters=5)
+        reference = sb.BarycenterProblem.create([[1.0, 0.0]], sb.vectorize_cost(C))
+        assert report.final_gap == sb.duality_gap(x, y, reference)
+        for bad, error in (([[0.0, np.inf], [1.0, 0.0]], sb.InvalidCostError),
+                           ([[0.0, -1.0], [1.0, 0.0]], sb.InvalidCostError),
+                           (np.zeros((2, 3)), sb.ShapeError)):
+            with pytest.raises(error):
+                sb.CostData(C=bad)
+
 
 def marginals(x):
     """Row then column sums of one vectorized plan, via the stacked form."""

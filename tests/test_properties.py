@@ -1,0 +1,92 @@
+"""Property tests of the plan arithmetic and the duality-gap certificate.
+
+Examples are drawn by hypothesis with a fixed derandomized seed and kept
+small (n <= 6, m <= 3), so the whole file runs in a few seconds.  Each
+example draws sizes and a seed for NumPy's generator, which makes the
+arrays.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import saddlebary as sb
+from saddlebary.core import _form_plans, _marginals_stack, _residual, _scaled_marginals
+from conftest import dense_big_operator, primal_vector, random_dual, random_primal, random_problem
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+sizes = st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+
+
+def _scalings(rng, *shape):
+    return np.exp(-rng.uniform(0.0, 2.0, shape))
+
+
+@PROPERTY
+@given(sizes, st.sampled_from(["shared", "stacked", "two-per-measure"]))
+def test_scaled_marginals_are_the_formed_plans_sums(size, layout):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    K = np.exp(-rng.uniform(0.0, 5.0, (n, n) if layout == "shared" else (m, n, n)))
+    # mp scales one kernel block per measure by two (a, b) pairs at once
+    pairs = 2 if layout == "two-per-measure" else 1
+    a, b = _scalings(rng, m, pairs, n), _scalings(rng, m, pairs, n)
+    if pairs == 1:
+        a, b = a[:, 0], b[:, 0]
+    marginals = _scaled_marginals(K, a, b).reshape(m, pairs, 2 * n)
+    for s in range(pairs):
+        a_s, b_s = a.reshape(m, pairs, n)[:, s], b.reshape(m, pairs, n)[:, s]
+        plans = _form_plans(K, a_s, b_s, np.empty((m, n * n)))
+        np.testing.assert_allclose(marginals[:, s], _marginals_stack(plans, n), rtol=1e-13)
+
+
+@PROPERTY
+@given(sizes)
+def test_residual_is_dense_operator_minus_targets(size):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    x = random_primal(rng, n, m)
+    measures = rng.dirichlet(np.ones(n), m)
+    targets = np.concatenate([np.zeros((m, n)), measures], axis=1)
+    dense = (dense_big_operator(n, m) @ primal_vector(x)).reshape(m, 2 * n) - targets
+    residual = _residual(_marginals_stack(x.plans, n), x.bary, measures)
+    np.testing.assert_allclose(residual, dense, rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(sizes, st.floats(0.0, 1.0))
+def test_gap_is_nonnegative(size, concentration):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    prob = random_problem(seed, n, m)
+    # small Dirichlet concentrations put the primal point near the vertices
+    x = random_primal(rng, n, m, alpha=0.05 + concentration)
+    y = random_dual(rng, n, m)
+    assert sb.duality_gap(x, y, prob) >= -1e-12
+
+
+@PROPERTY
+@given(sizes, st.floats(1e-3, 1e3))
+def test_gap_scales_with_cost(size, lam):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    prob = random_problem(seed, n, m)
+    x, y = random_primal(rng, n, m), random_dual(rng, n, m)
+    scaled = sb.BarycenterProblem.create(prob.measures, sb.CostData(C=lam * prob.cost.C))
+    gap = sb.duality_gap(x, y, prob)
+    assert sb.duality_gap(x, y, scaled) == pytest.approx(lam * gap, rel=1e-12, abs=1e-13 * lam)
+
+
+@PROPERTY
+@given(sizes)
+def test_gap_is_invariant_to_measure_order(size):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    prob = random_problem(seed, n, m)
+    x, y = random_primal(rng, n, m), random_dual(rng, n, m)
+    order = rng.permutation(m)
+    permuted = sb.BarycenterProblem.create(prob.measures[order], prob.cost)
+    x_permuted = sb.PrimalPoint(plans=x.plans[order], bary=x.bary)
+    gap = sb.duality_gap(x_permuted, sb.DualPoint(duals=y.duals[order]), permuted)
+    assert gap == pytest.approx(sb.duality_gap(x, y, prob), rel=1e-12, abs=1e-14)
