@@ -19,17 +19,18 @@ would.  The prox centre is the regularizer's minimizer, but its gradient term is
 left out of the linear terms: it is constant on each simplex block and zero
 on the duals, so it only shifts the objective by a constant.
 
-Every plan term dual extrapolation hands to the prox is alpha * C plus a row
-and a column potential per measure, so its state is a scalar and an (m, 2n)
-array, and each prox call builds one n x n kernel exp(-c alpha C) shared by
-all m measures, with the potentials as row and column factors.  A sweep
-then takes the plan marginals as two GEMMs against that kernel, through the
-Gibbs-form helpers in `core` that mirror prox uses too.  The first
-prox output of a step is used only through those marginals, and the second
-is formed densely once, into the running average.  Should the kernel and
-factor exponents together span more than FACTOR_SPAN_MAX (just inside the
-exp underflow floor), the call falls back to one kernel block per measure
-with the combined min-shift, the path a general `AMProblem` always takes.
+Dual extrapolation's gradient sum is its next prox linear term, kept as a
+`FactoredAMProblem`: alpha * C plus a row and a column potential per
+measure, a scalar and an (m, 2n) array.  Each prox call builds one n x n
+kernel exp(-c alpha C) shared by all m measures, with the potentials as row
+and column factors, and a sweep takes the plan marginals as two GEMMs
+against it, through the Gibbs-form helpers in `core` that mirror prox uses
+too.  The first prox output of a step is used only through those
+marginals; the second is formed once, into a buffer the state owns, and
+added to the running average.  Should the kernel and factor exponents
+together span more than FACTOR_SPAN_MAX (just inside the exp underflow
+floor), the call falls back to one kernel block per measure with the
+combined min-shift, the path a general `AMProblem` always takes.
 
 This module also ships the numerical diagnostics used to sanity-check the
 construction: the area-convexity residual of random triples, the closed-form
@@ -56,6 +57,7 @@ from .core import (
     _adjoint_stack,
     _averaged_pair,
     _form_plans,
+    _gradient,
     _marginals_stack,
     _residual,
     _scaled_marginals,
@@ -319,17 +321,13 @@ def de_config(prob, eps, theta_variant="exact"):
 
 @dataclass
 class DEState:
-    """Accumulated gradient sums and running output totals after k steps.
+    """The gradient sum after k steps, which is the next prox linear term, and the output totals.
 
-    The plan part of the gradient sum is alpha * C plus per-measure row and
-    column potentials (see `FactoredAMProblem`), so it is carried as a
-    scalar and an (m, 2n) array instead of m dense plan blocks.
+    `plans` is the buffer each step's second prox output is formed into.
     """
 
-    alpha: float
-    potentials: np.ndarray
-    s_bary: np.ndarray
-    s_duals: np.ndarray
+    sums: FactoredAMProblem
+    plans: np.ndarray
     sum_plans: np.ndarray
     sum_bary: np.ndarray
     sum_duals: np.ndarray
@@ -338,21 +336,24 @@ class DEState:
     averaged_pair = _averaged_pair
 
 
-def _factored_gradient(plans, duals, prob):
-    """Gradient operator at a prox output, in the form `DEState` accumulates.
+def _advance(amp, plans, duals, prob, divisor):
+    """`amp` plus the saddle gradient at a prox output over `divisor`.
 
-    The plan block C / m + adjoint((2 d_inf / m) duals) is alpha += 1 / m
-    plus the returned potentials; the barycenter and dual blocks are those
-    of `_grad_blocks`, the latter from the marginals the prox already holds.
+    The plan block C / m + adjoint(potentials) moves alpha by 1 / (divisor m);
+    the dual block comes from the marginals the prox output already holds.
     """
-    scale = 2.0 * prob.cost.d_inf / prob.m
-    g_potentials = scale * duals
-    g_bary = -scale * duals[:, : prob.n].sum(axis=0)
-    g_dual = -scale * _residual(plans.marginals, plans.bary, prob.measures)
-    return g_potentials, g_bary, g_dual
+    potentials, g_bary, g_dual = _gradient(
+        duals, _residual(plans.marginals, plans.bary, prob.measures), prob.cost.d_inf
+    )
+    return FactoredAMProblem(
+        alpha=amp.alpha + 1.0 / (divisor * prob.m),
+        potentials=amp.potentials + potentials / divisor,
+        v_bary=amp.v_bary + g_bary / divisor,
+        u=amp.u + g_dual / divisor,
+    )
 
 
-def _check_gradient_sums(state, kappa, d_inf, m):
+def _check_gradient_sums(sums, k, kappa, d_inf, m):
     # The plan-block gradient is bounded by (1 + 2*max(2, m)) * d_inf / m in
     # sup norm (3*d_inf for m >= 2, 5*d_inf for a single measure) and the
     # dual gradient by 8*d_inf in l1; the sums accumulate k/(2*kappa) of
@@ -362,14 +363,14 @@ def _check_gradient_sums(state, kappa, d_inf, m):
     rate_x = max(3.0, (1.0 + 2.0 * max(2.0, m)) / m) * d_inf / (2.0 * kappa)
     rate_y = 8.0 * d_inf / (2.0 * kappa)
     slack = 1.0 + 1e-9
-    n = state.s_bary.shape[0]
-    potentials = np.abs(state.potentials)
-    plans_sup = state.alpha * d_inf + potentials[:, :n].max() + potentials[:, n:].max()
-    sup = max(plans_sup, np.abs(state.s_bary).max())
-    if not sup <= state.k * rate_x * slack + 1e-12:
-        raise NumericalFailure("accumulated primal gradient exceeds its bound", iteration=state.k)
-    if not np.abs(state.s_duals).sum() <= state.k * rate_y * slack + 1e-12:
-        raise NumericalFailure("accumulated dual gradient exceeds its bound", iteration=state.k)
+    n = sums.v_bary.shape[0]
+    potentials = np.abs(sums.potentials)
+    plans_sup = sums.alpha * d_inf + potentials[:, :n].max() + potentials[:, n:].max()
+    sup = max(plans_sup, np.abs(sums.v_bary).max())
+    if not sup <= k * rate_x * slack + 1e-12:
+        raise NumericalFailure("accumulated primal gradient exceeds its bound", iteration=k)
+    if not np.abs(sums.u).sum() <= k * rate_y * slack + 1e-12:
+        raise NumericalFailure("accumulated dual gradient exceeds its bound", iteration=k)
 
 
 def run_dual_extrapolation(
@@ -390,9 +391,10 @@ def run_dual_extrapolation(
     certificate reaches `eps`.  Every prox call starts from the canonical
     point.
 
-    The gradient sums stay in factored form (`DEState`), so a step touches
-    m n^2 entries only to add the second prox output's dense plans to the
-    running average; the first output is used through its marginals alone.
+    The gradient sum is kept as the prox linear term itself (`DEState`), so
+    a step touches m n^2 entries only to form the second prox output's
+    plans into the state's buffer and add them to the running average; the
+    first output is used through its marginals alone.
     """
     cfg = de_config(prob, eps, theta_variant)
     total = cfg.outer_iters if max_outer is None else int(max_outer)
@@ -412,10 +414,8 @@ def run_dual_extrapolation(
         },
     )
     state = DEState(
-        alpha=0.0,
-        potentials=np.zeros((m, 2 * n)),
-        s_bary=np.zeros(n),
-        s_duals=np.zeros((m, 2 * n)),
+        sums=FactoredAMProblem(0.0, np.zeros((m, 2 * n)), np.zeros(n), np.zeros((m, 2 * n))),
+        plans=np.empty((m, n * n)),
         sum_plans=np.zeros((m, n * n)),
         sum_bary=np.zeros(n),
         sum_duals=np.zeros((m, 2 * n)),
@@ -423,26 +423,15 @@ def run_dual_extrapolation(
 
     def step(k):
         # No -<grad r(z_min), z> term: it is a constant on the product of simplices.
-        base = FactoredAMProblem(state.alpha, state.potentials, state.s_bary, state.s_duals)
-        zx, zy = am_prox(base, cfg.inner_iters, cost, m, n)
-        g_potentials, g_bary, g_dual = _factored_gradient(zx, zy.duals, prob)
-        advanced = FactoredAMProblem(
-            alpha=base.alpha + 1.0 / (KAPPA * m),
-            potentials=base.potentials + g_potentials / KAPPA,
-            v_bary=base.v_bary + g_bary / KAPPA,
-            u=base.u + g_dual / KAPPA,
-        )
+        zx, zy = am_prox(state.sums, cfg.inner_iters, cost, m, n)
+        advanced = _advance(state.sums, zx, zy.duals, prob, KAPPA)
         wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
-        g_potentials, g_bary, g_dual = _factored_gradient(wx, wy.duals, prob)
-        state.alpha += 1.0 / (2.0 * KAPPA * m)
-        state.potentials += g_potentials / (2.0 * KAPPA)
-        state.s_bary += g_bary / (2.0 * KAPPA)
-        state.s_duals += g_dual / (2.0 * KAPPA)
-        state.sum_plans += wx.dense()
+        state.sums = _advance(state.sums, wx, wy.duals, prob, 2.0 * KAPPA)
+        state.sum_plans += _form_plans(wx.kernel, wx.row_scale, wx.col_scale, state.plans)
         state.sum_bary += wx.bary
         state.sum_duals += wy.duals
         state.k = k
-        _check_gradient_sums(state, KAPPA, cost.d_inf, m)
+        _check_gradient_sums(state.sums, k, KAPPA, cost.d_inf, m)
 
     run_certified(
         report, prob, eps, total, step, lambda: (*state.averaged_pair(), None),
@@ -478,14 +467,13 @@ def area_convexity_residual(a, b, c, cost, kappa=KAPPA):
         + regularizer(cx, cy, cost)
         - 3.0 * regularizer(*mid, cost)
     )
-    scale = 2.0 * cost.d_inf / m
-    dy = ay.duals - by.duals
-    diff_plans = scale * _adjoint_stack(dy, n)
-    diff_bary = -scale * dy[:, :n].sum(axis=0)
-    diff_dual = -scale * (big_operator_apply(ax) - big_operator_apply(bx)).reshape(m, 2 * n)
-    pairing = float((diff_plans * (bx.plans - cx.plans)).sum())
-    pairing += float(np.dot(diff_bary, bx.bary - cx.bary))
-    pairing += float((diff_dual * (by.duals - cy.duals)).sum())
+    # the gradient at a minus the gradient at b, residuals taken with
+    # measures 0: the linear parts, C / m included, cancel
+    pa, ga_bary, ga_dual = _gradient(ay.duals, big_operator_apply(ax).reshape(m, 2 * n), cost.d_inf)
+    pb, gb_bary, gb_dual = _gradient(by.duals, big_operator_apply(bx).reshape(m, 2 * n), cost.d_inf)
+    pairing = float((_adjoint_stack(pa - pb, n) * (bx.plans - cx.plans)).sum())
+    pairing += float(np.dot(ga_bary - gb_bary, bx.bary - cx.bary))
+    pairing += float(((ga_dual - gb_dual) * (by.duals - cy.duals)).sum())
     return kappa * jensen - pairing
 
 

@@ -9,8 +9,9 @@ to its row sums minus p and its column sums, block by block.  It is never
 materialized: every application is index arithmetic costing O(n^2) per
 measure, which keeps a full gradient or certificate evaluation at O(m n^2).
 Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
-/ Z_i; their shared arithmetic on that form, the constraint residual and
-the averaged output live here once.
+/ Z_i; their shared arithmetic on that form, the constraint residual, the
+saddle gradient (`_gradient`, also behind the certificate) and the averaged
+output live here once.
 """
 
 from __future__ import annotations
@@ -114,31 +115,31 @@ def vectorize_cost(C):
 
 @dataclass(frozen=True)
 class BarycenterProblem:
-    """m measures on n shared support points plus the ground cost."""
+    """m measures (copied, each checked onto the simplex) on the cost's n points; n, m derived."""
 
-    n: int
-    m: int
-    measures: np.ndarray  # (m, n), each row on the simplex
+    measures: np.ndarray
     cost: CostData
+    n: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
+        measures = np.atleast_2d(np.array(self.measures, dtype=float))
+        for i, row in enumerate(measures):
+            validate_histogram(row, name=f"measure {i}")
+        m, n = measures.shape[:2]
+        if n < 2:
             raise ConfigError("support size must be at least 2")
-        if self.m < 1:
+        if m < 1:
             raise ConfigError("need at least one measure")
-        if self.measures.shape != (self.m, self.n):
-            raise ShapeError(
-                f"measures must have shape {(self.m, self.n)}, got {self.measures.shape}"
-            )
-        if self.cost.n != self.n:
+        if self.cost.n != n:
             raise ShapeError("cost matrix size does not match support size")
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def create(cls, measures, cost):
-        measures = np.atleast_2d(np.asarray(measures, dtype=float))
-        for i, row in enumerate(measures):
-            validate_histogram(row, name=f"measure {i}")
-        return cls(n=measures.shape[1], m=measures.shape[0], measures=measures.copy(), cost=cost)
+        return cls(measures=measures, cost=cost)
 
 
 @dataclass(frozen=True)
@@ -306,21 +307,18 @@ def objective_f(x, y, prob):
     return (lin + 2.0 * cost.d_inf * bil) / prob.m
 
 
-def _grad_blocks(point_blocks, prob):
-    """Gradient operator in block form.
+def _gradient(duals, residual, d_inf):
+    """The saddle gradient at duals and a constraint residual, in three blocks.
 
-    `point_blocks` is the (plans, bary, duals) triple.  Returns (g_plans,
-    g_bary, g_dual): the primal gradient on the plan blocks and the
-    barycenter block, and the negated dual gradient (so that both primal and
-    dual sides are *descended*).  Only the dual part depends on the primal
-    point and vice versa, the objective being bilinear.
+    Returns (potentials, g_bary, g_dual): the plan block is C / m plus the
+    adjoint of the (m, 2n) potentials (2 d_inf / m) y, g_bary is the
+    barycenter block and g_dual the negated dual gradient, so both sides
+    are *descended*.  The objective being bilinear, the primal blocks
+    depend on the duals alone and the dual block on the residual alone.
     """
-    plans, bary, duals = point_blocks
-    cost, m, n = prob.cost, prob.m, prob.n
-    g_plans = (cost.d[None, :] + 2.0 * cost.d_inf * _adjoint_stack(duals, n)) / m
-    g_bary = -(2.0 * cost.d_inf / m) * duals[:, :n].sum(axis=0)
-    g_dual = (-2.0 * cost.d_inf / m) * _residual(_marginals_stack(plans, n), bary, prob.measures)
-    return g_plans, g_bary, g_dual
+    m, n = duals.shape[0], duals.shape[1] // 2
+    scale = 2.0 * d_inf / m
+    return scale * duals, -scale * duals[:, :n].sum(axis=0), -scale * residual
 
 
 def gradient_operator(x, y, prob):
@@ -330,7 +328,9 @@ def gradient_operator(x, y, prob):
     is minus the gradient in the duals; descending both drives the pair
     toward the saddle.
     """
-    g_plans, g_bary, g_dual = _grad_blocks((x.plans, x.bary, y.duals), prob)
+    residual = _residual(_marginals_stack(x.plans, prob.n), x.bary, prob.measures)
+    potentials, g_bary, g_dual = _gradient(y.duals, residual, prob.cost.d_inf)
+    g_plans = prob.cost.d / prob.m + _adjoint_stack(potentials, prob.n)
     return np.concatenate([g_plans.ravel(), g_bary]), g_dual.ravel()
 
 
@@ -350,7 +350,8 @@ def certificate_values(x, y, prob):
         float(np.dot(x.plans.sum(axis=0), cost.d))
         + 2.0 * cost.d_inf * float(np.abs(residual).sum())
     ) / m
-    g_plans, g_bary, _ = _grad_blocks((x.plans, x.bary, y.duals), prob)
+    _, g_bary, _ = _gradient(y.duals, residual, cost.d_inf)
+    g_plans = (cost.d + 2.0 * cost.d_inf * _adjoint_stack(y.duals, prob.n)) / m
     offset = (2.0 * cost.d_inf / m) * float(np.sum(prob.measures * y.duals[:, prob.n :]))
     dual_value = float(g_plans.min(axis=1).sum()) + float(g_bary.min()) - offset
     return primal_value, dual_value

@@ -67,7 +67,8 @@ def _scaling_merit(mass_total, log_v_paired, reg, m):
 def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     """Entropic barycenter via iterative Bregman projections.
 
-    Returns ``(bary, report)``.  On an underflow-degenerate naive run the
+    Returns ``(bary, report)``, where ``bary`` is the certified
+    ``report.final_x.bary``.  On an underflow-degenerate naive run the
     barycenter is None and ``report.status`` says so; hitting the sweep cap
     returns the last iterate with ``report.status == "iteration-cap"``.
     The report logs, per recorded sweep, the exact saddle certificate of the
@@ -90,7 +91,7 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     )
     runner = _ibp_stabilized if cfg.stabilized else _ibp_naive
     try:
-        report.final_bary = runner(prob, cfg, run)
+        runner(prob, cfg, run)
     except NumericalFailure:
         # The naive mode's documented outcome at small reg, not an error.
         report.status = "underflow-degenerate"
@@ -132,7 +133,6 @@ def _ibp_naive(prob, cfg, run):
         return (*_normalized_pair(plans.reshape(m, n * n), p, prob), merit)
 
     run(step, certified)
-    return p / p.sum()
 
 
 def _ibp_stabilized(prob, cfg, run):
@@ -168,4 +168,3 @@ def _ibp_stabilized(prob, cfg, run):
         return (*_normalized_pair(plans.reshape(m, n * n), np.exp(log_p), prob), merit)
 
     run(step, certified)
-    return np.exp(log_p - logsumexp(log_p))

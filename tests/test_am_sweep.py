@@ -6,7 +6,8 @@ no code with `am_prox`: softmax, marginals and the clipped 1-D quadratic
 are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
 no stop rule, the reference for the early stop on a repeat of the duals
 with period 1 to 4.  `_dense_de` is dual extrapolation on dense m n^2
-gradient sums, as it ran before its state was factored.
+gradient sums taken from `gradient_operator`, as it ran before its state
+was factored.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from saddlebary.area_convex import (
     _box_quadratic_argmin,
     am_prox,
 )
-from saddlebary.core import _form_plans, _grad_blocks, _scaled_marginals
+from saddlebary.core import _form_plans, _scaled_marginals
 from conftest import random_problem
 
 TOL = 1e-12
@@ -180,7 +181,8 @@ def _record_prox_calls(seed, n, m, max_outer):
     inner = ac.am_prox
 
     def recording(amp, num_iters, cost, m, n):
-        # the solver hands over its running sums, which it updates in place
+        # the solver hands over its linear terms in factored form; copies
+        # keep the record whatever the solver does with its arrays later
         assert isinstance(amp, FactoredAMProblem)
         calls.append(
             FactoredAMProblem(amp.alpha, amp.potentials.copy(), amp.v_bary.copy(), amp.u.copy())
@@ -264,14 +266,19 @@ def _dense_de(prob, eps, steps):
     """Dual extrapolation on dense gradient sums: the averaged pair after `steps`."""
     cfg = sb.de_config(prob, eps)
     m, n, cost = prob.m, prob.n, prob.cost
+
+    def gradient(x, y):
+        g_primal, g_dual = sb.gradient_operator(x, y, prob)
+        return g_primal[: m * n * n].reshape(m, n * n), g_primal[m * n * n :], g_dual.reshape(m, 2 * n)
+
     s_plans, s_bary, s_duals = np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))
     sums = [np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))]
     for _ in range(steps):
         zx, zy = am_prox(AMProblem(s_plans, s_bary, s_duals), cfg.inner_iters, cost, m, n)
-        g_plans, g_bary, g_dual = _grad_blocks((zx.plans, zx.bary, zy.duals), prob)
+        g_plans, g_bary, g_dual = gradient(zx, zy)
         advanced = AMProblem(s_plans + g_plans / 3.0, s_bary + g_bary / 3.0, s_duals + g_dual / 3.0)
         wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
-        g_plans, g_bary, g_dual = _grad_blocks((wx.plans, wx.bary, wy.duals), prob)
+        g_plans, g_bary, g_dual = gradient(wx, wy)
         s_plans = s_plans + g_plans / 6.0
         s_bary = s_bary + g_bary / 6.0
         s_duals = s_duals + g_dual / 6.0

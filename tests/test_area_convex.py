@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
-from saddlebary.area_convex import AMProblem, FactoredAMProblem, _box_quadratic_argmin, am_prox
+from saddlebary.area_convex import (
+    AMProblem,
+    FactoredAMProblem,
+    ScaledPlans,
+    _box_quadratic_argmin,
+    am_prox,
+)
 from conftest import random_dual, random_primal, random_problem
 
 
@@ -346,6 +352,12 @@ class TestRegularizerRange:
             assert value <= top + 1e-9
 
 
+def _gaussian_suite_problem(support=100):
+    measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(support=support, seed=0))
+    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
+    return sb.BarycenterProblem.create(measures, cost)
+
+
 class TestDualExtrapolation:
     def test_self_certified_on_t1(self, t1_problem):
         wx, wy, report = sb.run_dual_extrapolation(t1_problem, 0.5)
@@ -413,6 +425,34 @@ class TestDualExtrapolation:
         slope = np.linalg.lstsq(design, np.log(gaps[window]), rcond=None)[0][0]
         assert -1.25 <= slope <= -0.75
 
+    def test_steps_form_plans_into_the_state_buffer(self, monkeypatch):
+        # each step's second prox output used to be formed by ScaledPlans.dense
+        # into a fresh m n^2 array: 20 calls in 20 steps
+        calls = []
+        dense = ScaledPlans.dense
+        monkeypatch.setattr(ScaledPlans, "dense", lambda plans: calls.append(1) or dense(plans))
+        _, _, report = sb.run_dual_extrapolation(
+            _gaussian_suite_problem(), 0.25, max_outer=20, timer=lambda: 0.0
+        )
+        assert report.iterations_run == 20
+        assert calls == []
+
+    def test_steps_to_eps_flat_in_n(self):
+        # The paper's point: de drops mp's sqrt(n) factor.  On the seed-0
+        # Gaussian suite de certifies eps 0.25 in 1,360 and 1,390 outer steps
+        # at n = 25 and 50, a log-log slope of 0.03; mp's is pinned to
+        # [0.35, 0.65] in test_mirror_prox.
+        sizes = (25, 50)
+        steps = []
+        for n in sizes:
+            _, _, report = sb.run_dual_extrapolation(
+                _gaussian_suite_problem(n), 0.25, log_stride=10, timer=lambda: 0.0
+            )
+            assert report.converged, n
+            steps.append(report.iterations_run)
+        slope = np.polyfit(np.log(sizes), np.log(steps), 1)[0]
+        assert slope <= 0.2, steps
+
     def test_budget_validation(self, t1_problem):
         with pytest.raises(sb.ConfigError):
             sb.run_dual_extrapolation(t1_problem, 0.5, max_outer=0)
@@ -422,33 +462,24 @@ class TestDualExtrapolation:
 
 class TestFailurePaths:
     def test_gradient_sum_guard_trips_on_corrupt_state(self):
-        from saddlebary.area_convex import DEState, _check_gradient_sums
+        from saddlebary.area_convex import _check_gradient_sums
 
         n, m = 3, 2
 
-        def state(alpha, potentials):
-            return DEState(
-                alpha=alpha,
-                potentials=potentials,
-                s_bary=np.zeros(n),
-                s_duals=np.zeros((m, 2 * n)),
-                sum_plans=np.zeros((m, n * n)),
-                sum_bary=np.zeros(n),
-                sum_duals=np.zeros((m, 2 * n)),
-                k=1,
-            )
+        def sums(alpha, potentials):
+            return FactoredAMProblem(alpha, potentials, np.zeros(n), np.zeros((m, 2 * n)))
 
         # one step at most moves alpha by 1/(2 kappa m) and each potential by
-        # d_inf/(kappa m); a state at exactly those values passes
-        _check_gradient_sums(state(1.0 / 12.0, np.full((m, 2 * n), 1.0 / 6.0)), 3.0, 1.0, m)
-        corrupt = [state(1e6, np.zeros((m, 2 * n)))]
+        # d_inf/(kappa m); sums at exactly those values pass after one step
+        _check_gradient_sums(sums(1.0 / 12.0, np.full((m, 2 * n), 1.0 / 6.0)), 1, 3.0, 1.0, m)
+        corrupt = [sums(1e6, np.zeros((m, 2 * n)))]
         for index, value in ((1, -1e6), (n + 2, 1e6), (0, np.nan)):
             potentials = np.zeros((m, 2 * n))
             potentials[1, index] = value
-            corrupt.append(state(0.0, potentials))
+            corrupt.append(sums(0.0, potentials))
         for bad in corrupt:
             with pytest.raises(sb.NumericalFailure):
-                _check_gradient_sums(bad, 3.0, 1.0, m)
+                _check_gradient_sums(bad, 1, 3.0, 1.0, m)
 
     def test_am_prox_non_finite_linear_term(self, t1_problem):
         amp = AMProblem(

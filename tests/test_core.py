@@ -336,3 +336,24 @@ class TestValidation:
         cost = sb.vectorize_cost(np.zeros((3, 3)))
         with pytest.raises(sb.ShapeError):
             sb.BarycenterProblem.create([[0.5, 0.5]], cost)
+
+    def test_problem_is_built_from_measures_and_cost(self, t1_problem):
+        # the constructor used to take n and m beside the measures and check
+        # no row: [2, -1] was accepted, and 50 mp steps on it reported gap 0.300
+        cost = t1_problem.cost
+        with pytest.raises(sb.DomainError):
+            sb.BarycenterProblem(measures=np.array([[2.0, -1.0]]), cost=cost)
+        with pytest.raises(TypeError):
+            sb.BarycenterProblem(n=2, m=1, measures=np.array([[1.0, 0.0]]), cost=cost)
+        prob = sb.BarycenterProblem(measures=[[1.0, 0.0], [0.5, 0.5]], cost=cost)
+        assert (prob.n, prob.m) == (2, 2)
+        assert np.array_equal(prob.measures, [[1.0, 0.0], [0.5, 0.5]])
+
+    def test_problem_copies_its_measures(self, t1_problem):
+        measures = np.array([[0.25, 0.75]])
+        prob = sb.BarycenterProblem(measures=measures, cost=t1_problem.cost)
+        x, y = sb.uniform_primal(2, 1), sb.zero_dual(2, 1)
+        gap = sb.duality_gap(x, y, prob)
+        measures[0] = [2.0, -1.0]
+        assert np.array_equal(prob.measures, [[0.25, 0.75]])
+        assert sb.duality_gap(x, y, prob) == gap

@@ -128,6 +128,18 @@ class TestIterationCap:
         assert not report.failed
 
 
+class TestCertifiedBarycenter:
+    @pytest.mark.parametrize("stabilized", [False, True])
+    def test_returned_barycenter_is_the_certified_one(self, gaussian_problem, stabilized):
+        # the stabilized runner used to return its own normalisation of the
+        # log barycenter, which differed from the certified one in last bits
+        cfg = sb.IBPConfig(reg=1e-3 if stabilized else 0.05, stabilized=stabilized)
+        bary, report = sb.ibp_barycenter(gaussian_problem, cfg)
+        assert report.status == "ok"
+        assert np.array_equal(bary, report.final_x.bary)
+        assert np.array_equal(report.final_bary, report.final_x.bary)
+
+
 def _reference_naive(prob, cfg, run):
     """Naive sweep that forms `u @ K` afresh at the start of every sweep."""
     n, m = prob.n, prob.m
@@ -153,7 +165,6 @@ def _reference_naive(prob, cfg, run):
         return (*ibp._normalized_pair(plans.reshape(m, n * n), p, prob), merit)
 
     run(step, certified)
-    return p / p.sum()
 
 
 def _reference_stabilized(prob, cfg, run):
@@ -187,7 +198,6 @@ def _reference_stabilized(prob, cfg, run):
         return (*ibp._normalized_pair(plans.reshape(m, n * n), np.exp(log_p), prob), merit)
 
     run(step, certified)
-    return np.exp(log_p - logsumexp(log_p))
 
 
 class TestCarriedColumnReduction:

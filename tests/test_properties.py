@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saddlebary as sb
-from saddlebary.core import _form_plans, _marginals_stack, _residual, _scaled_marginals
+from saddlebary.core import (
+    _adjoint_stack,
+    _form_plans,
+    _gradient,
+    _marginals_stack,
+    _residual,
+    _scaled_marginals,
+)
 from conftest import dense_big_operator, primal_vector, random_dual, random_primal, random_problem
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -52,6 +59,58 @@ def test_residual_is_dense_operator_minus_targets(size):
     dense = (dense_big_operator(n, m) @ primal_vector(x)).reshape(m, 2 * n) - targets
     residual = _residual(_marginals_stack(x.plans, n), x.bary, measures)
     np.testing.assert_allclose(residual, dense, rtol=0, atol=1e-14)
+
+
+def _dense_pair(rng, n, m):
+    """A random primal/dual pair, its problem, the dense operator B and the targets."""
+    prob = random_problem(int(rng.integers(2**32)), n, m)
+    x, y = random_primal(rng, n, m), random_dual(rng, n, m)
+    targets = np.concatenate([np.zeros((m, n)), prob.measures], axis=1).ravel()
+    return prob, x, y, dense_big_operator(n, m), targets
+
+
+@PROPERTY
+@given(sizes)
+def test_gradient_blocks_against_dense_operator(size):
+    # with B the dense constraint matrix, the primal gradient is C / m plus
+    # (2 d_inf / m) B^T y and the dual block is -(2 d_inf / m) (B x - targets)
+    n, m, seed = size
+    prob, x, y, B, targets = _dense_pair(np.random.default_rng(seed), n, m)
+    scale = 2.0 * prob.cost.d_inf / m
+    residual = _residual(_marginals_stack(x.plans, n), x.bary, prob.measures)
+    potentials, g_bary, g_dual = _gradient(y.duals, residual, prob.cost.d_inf)
+    adjoint = scale * (B.T @ y.duals.ravel())
+    np.testing.assert_allclose(_adjoint_stack(potentials, n).ravel(), adjoint[: m * n * n],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(g_bary, adjoint[m * n * n :], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(g_dual.ravel(), -scale * (B @ primal_vector(x) - targets),
+                               rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(sizes)
+def test_gradient_operator_against_dense_operator(size):
+    n, m, seed = size
+    prob, x, y, B, targets = _dense_pair(np.random.default_rng(seed), n, m)
+    scale = 2.0 * prob.cost.d_inf / m
+    g_primal, g_dual = sb.gradient_operator(x, y, prob)
+    linear = np.concatenate([np.tile(prob.cost.d, m), np.zeros(n)]) / m
+    np.testing.assert_allclose(g_primal, linear + scale * (B.T @ y.duals.ravel()),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(g_dual, -scale * (B @ primal_vector(x) - targets),
+                               rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(sizes)
+def test_marginals_and_adjoint_are_adjoint(size):
+    # <M(plans), y> = <plans, M^T y> for any real plans and duals
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    plans, duals = rng.normal(0.0, 1.0, (m, n * n)), rng.normal(0.0, 1.0, (m, 2 * n))
+    lhs = float((_marginals_stack(plans, n) * duals).sum())
+    rhs = float((plans * _adjoint_stack(duals, n)).sum())
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 @PROPERTY
