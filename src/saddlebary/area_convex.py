@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -61,6 +61,7 @@ from .core import (
     _marginals_stack,
     _residual,
     _scaled_marginals,
+    _step_count,
     big_operator_apply,
 )
 from .report import RunReport, run_certified
@@ -278,24 +279,22 @@ def am_prox(amp, num_iters, cost, m, n):
     return PrimalPoint(plans=plans.dense(), bary=bary), DualPoint(duals=y)
 
 
-def am_inner_iterations(eps, theta_value, d_inf):
-    """Sweep count meeting the per-run additive error budget.
+def de_initial_error_bound(eps, theta_value, d_inf):
+    """A priori bound E0 on the suboptimality of the cold prox start."""
+    return (44.0 * d_inf / eps + 2.0) * theta_value + 18.0 * d_inf
 
-    Grows logarithmically in the regularizer range and in 1/eps, matching
-    the constant per-sweep error contraction of the alternating scheme.
+
+def am_inner_iterations(eps, theta_value, d_inf):
+    """Sweep count ceil(24 ln(2 E0 / eps)) meeting the per-run additive error budget.
+
+    E0 is `de_initial_error_bound`: each sweep contracts the suboptimality
+    by a constant factor, so a logarithmic number of sweeps takes E0 below
+    eps / 2.
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    argument = (88.0 * d_inf / eps**2 + 4.0 / eps) * theta_value + 36.0 * d_inf / eps
-    return math.ceil(24.0 * math.log(argument))
-
-
-def de_initial_error_bound(eps, theta_value, d_inf):
-    """A priori bound on the suboptimality of the cold prox start.
-
-    Diagnostic only: the sweep count above is calibrated against it.
-    """
-    return (44.0 * d_inf / eps + 2.0) * theta_value + 18.0 * d_inf
+    bound = de_initial_error_bound(eps, theta_value, d_inf)
+    return _step_count(24.0 * math.log(2.0 * bound / eps))
 
 
 @dataclass(frozen=True)
@@ -314,7 +313,7 @@ def de_config(prob, eps, theta_variant="exact"):
     theta_value = theta(prob.n, d_inf, theta_variant)
     return DEConfig(
         theta=theta_value,
-        outer_iters=math.ceil(12.0 * theta_value / eps),
+        outer_iters=_step_count(12.0 * theta_value / eps),
         inner_iters=am_inner_iterations(eps, theta_value, d_inf),
     )
 
@@ -400,19 +399,11 @@ def run_dual_extrapolation(
     total = cfg.outer_iters if max_outer is None else int(max_outer)
     n, m = prob.n, prob.m
     cost = prob.cost
-    report = RunReport(
-        algorithm="de",
-        config={
-            "eps": eps,
-            "theta_variant": theta_variant,
-            "theta": cfg.theta,
-            "kappa": KAPPA,
-            "outer_iters": cfg.outer_iters,
-            "inner_iters": cfg.inner_iters,
-            "max_outer": total,
-            "initial_error_bound": de_initial_error_bound(eps, cfg.theta, cost.d_inf),
-        },
-    )
+    report = RunReport(algorithm="de", config={
+        "eps": eps, "theta_variant": theta_variant, **asdict(cfg), "kappa": KAPPA,
+        "max_outer": total,
+        "initial_error_bound": de_initial_error_bound(eps, cfg.theta, cost.d_inf),
+    })
     state = DEState(
         sums=FactoredAMProblem(0.0, np.zeros((m, 2 * n)), np.zeros(n), np.zeros((m, 2 * n))),
         plans=np.empty((m, n * n)),

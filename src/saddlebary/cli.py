@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .area_convex import run_dual_extrapolation
+from .area_convex import THETA_VARIANTS, run_dual_extrapolation
 from .core import (
     BarycenterProblem,
     ConfigError,
@@ -31,7 +31,7 @@ from .core import (
 )
 from .data import GaussianSuiteSpec, gaussian_suite, load_cost_csv, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
-from .mirror_prox import run_mirror_prox
+from .mirror_prox import SCALING_VARIANTS, run_mirror_prox
 from .oracles_1d import Grid1D, barycenter_1d_quantile, grid_cost, optimality_gap
 from .report import (
     read_iterates_csv,
@@ -103,35 +103,22 @@ def _write_outputs(outdir, prefix, report, prob):
 
 def _run_algorithm(algo, args, prob, oracle, timer):
     """Dispatch one solver run; returns (exit_code, report)."""
+    driver = {"log_stride": args.log_stride, "oracle": oracle, "timer": timer}
     if algo == "mp":
         _, _, report = run_mirror_prox(
-            prob,
-            args.eps,
-            variant=args.scaling,
-            max_iters=args.max_iters,
-            log_stride=args.log_stride,
-            oracle=oracle,
-            timer=timer,
+            prob, args.eps, variant=args.scaling, max_iters=args.max_iters, **driver
         )
         return EXIT_OK, report
     if algo == "de":
         _, _, report = run_dual_extrapolation(
-            prob,
-            args.eps,
-            theta_variant=args.theta,
-            max_outer=args.max_iters,
-            log_stride=args.log_stride,
-            oracle=oracle,
-            timer=timer,
+            prob, args.eps, theta_variant=args.theta, max_outer=args.max_iters, **driver
         )
         return EXIT_OK, report
     if algo == "ibp":
         # IBPConfig owns the default sweep cap and rejects a cap below 1.
         iters = {} if args.max_iters is None else {"iters": args.max_iters}
         cfg = IBPConfig(reg=args.reg, stabilized=args.stabilized, **iters)
-        _, report = ibp_barycenter(
-            prob, cfg, log_stride=args.log_stride, oracle=oracle, timer=timer
-        )
+        _, report = ibp_barycenter(prob, cfg, **driver)
         code = EXIT_UNDERFLOW if report.status == "underflow-degenerate" else EXIT_OK
         return code, report
     raise ConfigError(f"unknown algorithm {algo!r}")
@@ -196,11 +183,11 @@ def build_parser():
         p.add_argument("--reg", type=float, default=0.01, help="entropic regularization (ibp)")
         p.add_argument("--stabilized", action="store_true", help="log-domain ibp")
         p.add_argument(
-            "--scaling", choices=("printed", "derived"), default="derived",
+            "--scaling", choices=SCALING_VARIANTS, default="derived",
             help="mirror-prox step scaling variant",
         )
         p.add_argument(
-            "--theta", choices=("paper", "exact"), default="exact",
+            "--theta", choices=THETA_VARIANTS, default="exact",
             help="regularizer range constant (dual extrapolation)",
         )
         p.add_argument("--out", type=str, default=".", help="output directory")

@@ -16,6 +16,7 @@ output live here once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,13 @@ class NumericalFailure(SaddlebaryError):
             message = f"{message} (iteration {iteration})"
         super().__init__(message)
         self.iteration = iteration
+
+
+def _step_count(budget):
+    """A theory budget rounded up to a step count; one that is not finite is a ConfigError."""
+    if not math.isfinite(budget):
+        raise ConfigError(f"step budget {budget!r} is not finite: eps is too small")
+    return math.ceil(budget)
 
 
 def validate_histogram(weights, name="histogram"):
@@ -351,7 +359,11 @@ def certificate_values(x, y, prob):
         + 2.0 * cost.d_inf * float(np.abs(residual).sum())
     ) / m
     _, g_bary, _ = _gradient(y.duals, residual, cost.d_inf)
-    g_plans = (cost.d + 2.0 * cost.d_inf * _adjoint_stack(y.duals, prob.n)) / m
+    # (d + 2 d_inf adj(y)) / m, formed in one buffer
+    g_plans = _adjoint_stack(y.duals, prob.n)
+    g_plans *= 2.0 * cost.d_inf
+    g_plans += cost.d
+    g_plans /= m
     offset = (2.0 * cost.d_inf / m) * float(np.sum(prob.measures * y.duals[:, prob.n :]))
     dual_value = float(g_plans.min(axis=1).sum()) + float(g_bary.min()) - offset
     return primal_value, dual_value

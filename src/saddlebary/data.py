@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParseError
+from .core import ConfigError, ParseError
 
 
 @dataclass(frozen=True)
@@ -19,6 +20,10 @@ class GaussianSuiteSpec:
     mean_range: tuple = (-5.0, 5.0)
     var_range: tuple = (0.8, 1.8)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("suite seed must be nonnegative")
 
 
 def gaussian_suite(spec):
@@ -48,11 +53,21 @@ def _parse_floats(path, lineno, fields):
     return values
 
 
+@contextmanager
+def _open_text(path):
+    """`path` opened as UTF-8 text; bytes that do not decode raise a ParseError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def _read_rows(path):
     """Yield (line number, row) per nonblank line of a numeric CSV file: the
     text after the '#' of a comment line, else the values, all of one length."""
     width = None
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if text.startswith("#"):

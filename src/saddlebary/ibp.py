@@ -6,7 +6,9 @@ update of the row marginals.  The naive mode works on the kernel entries in
 plain double precision, which is exactly what breaks for small `reg`: K
 underflows to zero away from the diagonal, scaling vectors blow up to
 compensate, and the iteration degenerates into 0/0.  The run then stops with
-status ``underflow-degenerate`` instead of silently emitting garbage.  The
+status ``underflow-degenerate`` instead of silently emitting garbage.  Its
+certified plans diag(u_i) K diag(v_i) are formed by the Gibbs-form helper
+the saddle solvers share, which sets subnormal entries to 0.  The
 stabilized mode performs the same iteration on log-domain potentials with
 log-sum-exp reductions and always returns a finite simplex vector.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import logsumexp, xlogy
@@ -25,6 +27,7 @@ from .core import (
     DualPoint,
     NumericalFailure,
     PrimalPoint,
+    _form_plans,
 )
 from .report import RunReport, run_certified
 
@@ -75,15 +78,7 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     current (normalized) plans paired with zero duals, and the scaling merit
     function (see :func:`_scaling_merit`) as the objective column.
     """
-    report = RunReport(
-        algorithm="ibp",
-        config={
-            "reg": cfg.reg,
-            "iters": cfg.iters,
-            "stabilized": cfg.stabilized,
-            "tol": cfg.tol,
-        },
-    )
+    report = RunReport(algorithm="ibp", config=asdict(cfg))
     # IBP has no gap target (eps = -inf): it stops on its marginal tolerance.
     run = functools.partial(
         run_certified, report, prob, -math.inf, cfg.iters,
@@ -124,13 +119,13 @@ def _ibp_naive(prob, cfg, run):
         return np.abs(v * uK - Q).sum(axis=1).max() <= cfg.tol
 
     def certified():
-        plans = u[:, :, None] * K[None, :, :] * v[:, None, :]
-        if not np.all(np.isfinite(plans)) or np.any(plans.sum(axis=(1, 2)) == 0.0):
+        plans = _form_plans(K, u, v, np.empty((m, n * n)))
+        if not np.all(np.isfinite(plans)) or np.any(plans.sum(axis=1) == 0.0):
             raise NumericalFailure("transport plans underflow")
         merit = _scaling_merit(
             float((u * (v @ K.T)).sum()), float(xlogy(Q, v).sum()), cfg.reg, m
         )
-        return (*_normalized_pair(plans.reshape(m, n * n), p, prob), merit)
+        return (*_normalized_pair(plans, p, prob), merit)
 
     run(step, certified)
 

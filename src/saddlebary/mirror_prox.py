@@ -19,7 +19,7 @@ array.  The barycenter block (n entries) stays in the log domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .core import (
     _marginals_stack,
     _residual,
     _scaled_marginals,
+    _step_count,
     uniform_primal,
     zero_dual,
 )
@@ -47,15 +48,15 @@ class MPConfig:
     """Step sizes and iteration budget.
 
     `alpha` is the dual step, `beta` the barycenter exponent scale,
-    `gamma_mult` the plan exponent scale, `iters` the budget that guarantees
-    an eps-accurate averaged pair.
+    `gamma_mult` the plan exponent scale, `theory_iters` the budget that
+    guarantees an eps-accurate averaged pair.
     """
 
     eta: float
     alpha: float
     beta: float
     gamma_mult: float
-    iters: int
+    theory_iters: int
     scaling_variant: str
 
 
@@ -66,7 +67,7 @@ def mp_config(prob, eps, variant="derived"):
     entropies plus m times the barycenter entropy, over the simplices) and
     Ry^2 = m n (half squared norm, over the dual box), R = sqrt(2 Rx^2 Ry^2):
     eta = m / (4 d_inf R), alpha = 2 d_inf eta Ry^2 / m, gamma_mult =
-    eta Rx^2 / m, beta = 2 d_inf eta Rx^2 / m^2 and iters =
+    eta Rx^2 / m, beta = 2 d_inf eta Rx^2 / m^2 and theory_iters =
     ceil(8 d_inf R / (m eps)), computed below with the radii substituted.
     The `printed` variant multiplies `gamma_mult` and `beta` by m; the
     duality-gap guarantee at the returned iteration count holds for
@@ -82,7 +83,6 @@ def mp_config(prob, eps, variant="derived"):
     n, m = prob.n, prob.m
     root = math.sqrt(6.0 * n * math.log(n))
     eta = 1.0 / (4.0 * d_inf * root)
-    iters = math.ceil(8.0 * d_inf * root / eps)
     alpha = 2.0 * d_inf * eta * n
     beta = 6.0 * d_inf * eta * math.log(n)
     gamma_mult = 3.0 * m * eta * math.log(n)
@@ -90,12 +90,8 @@ def mp_config(prob, eps, variant="derived"):
         beta /= m
         gamma_mult /= m
     return MPConfig(
-        eta=eta,
-        alpha=alpha,
-        beta=beta,
-        gamma_mult=gamma_mult,
-        iters=iters,
-        scaling_variant=variant,
+        eta=eta, alpha=alpha, beta=beta, gamma_mult=gamma_mult,
+        theory_iters=_step_count(8.0 * d_inf * root / eps), scaling_variant=variant,
     )
 
 
@@ -218,20 +214,8 @@ def run_mirror_prox(
     dual points plus the run report.
     """
     cfg = mp_config(prob, eps, variant)
-    total = cfg.iters if max_iters is None else int(max_iters)
-    report = RunReport(
-        algorithm="mp",
-        config={
-            "eps": eps,
-            "scaling_variant": cfg.scaling_variant,
-            "eta": cfg.eta,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "gamma_mult": cfg.gamma_mult,
-            "theory_iters": cfg.iters,
-            "max_iters": total,
-        },
-    )
+    total = cfg.theory_iters if max_iters is None else int(max_iters)
+    report = RunReport(algorithm="mp", config={"eps": eps, **asdict(cfg), "max_iters": total})
     state = mp_initial_state(prob)
     run_certified(
         report, prob, eps, total, lambda k: mp_iteration(state, cfg, prob),

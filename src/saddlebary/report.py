@@ -29,7 +29,7 @@ from .core import (
     certificate_values,
     vectorize_cost,
 )
-from .data import _parse_floats
+from .data import _open_text, _parse_floats
 
 REPORT_COLUMNS = ("iteration", "elapsed_seconds", "duality_gap", "objective", "optimality_gap")
 
@@ -180,7 +180,7 @@ def read_iterates_csv(path):
     [-1, 1].  A gap evaluated off that domain certifies nothing.
     """
     groups = {kind: [] for kind in ("cost_row", "measure", "plan", "bary", "dual")}
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0] == "kind":
                 continue

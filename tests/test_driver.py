@@ -1,6 +1,7 @@
 """The certified driver shared by mp, de and ibp: record, stop and finalise."""
 
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ def test_driver_contract(algo):
     assert report.status == "iteration-cap" and not report.converged
     assert report.final_gap == report.records[-1].duality_gap
     assert report.final_gap == sb.duality_gap(report.final_x, report.final_y, prob)
+
+
+@pytest.mark.parametrize("algo", ["mp", "de", "ibp-naive", "ibp-stabilized"])
+def test_report_config_holds_the_config_as_built(algo):
+    prob = random_problem(37, 3, 2, zero_diagonal=True)
+    if algo == "mp":
+        cfg = sb.mp_config(prob, 1e-12)
+    elif algo == "de":
+        cfg = sb.de_config(prob, 1e-12)
+    else:
+        cfg = sb.IBPConfig(reg=0.1, iters=TOTAL, stabilized=algo == "ibp-stabilized", tol=0.0)
+    assert asdict(cfg).items() <= _run(algo, prob).config.items()
 
 
 class _Constant:

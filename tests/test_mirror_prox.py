@@ -146,13 +146,13 @@ class TestConfig:
                 cfg = sb.mp_config(prob, eps, variant)
                 assert cfg.eta == pytest.approx(m / (4 * d_inf * root), rel=1e-14)
                 assert cfg.alpha == pytest.approx(2 * d_inf * cfg.eta * ry_sq / m, rel=1e-14)
-                assert cfg.iters == math.ceil(8 * d_inf * root / (m * eps))
+                assert cfg.theory_iters == math.ceil(8 * d_inf * root / (m * eps))
 
     def test_iteration_count_example(self):
         prob = random_problem(0, 4, 2)  # cost normalized to sup 1
         cfg = sb.mp_config(prob, 0.1)
-        assert cfg.iters == math.ceil(80 * math.sqrt(24 * math.log(4)))
-        assert cfg.iters == 462
+        assert cfg.theory_iters == math.ceil(80 * math.sqrt(24 * math.log(4)))
+        assert cfg.theory_iters == 462
 
     def test_learning_rate_example(self, t1_problem):
         cfg = sb.mp_config(t1_problem, 0.1)
@@ -196,7 +196,7 @@ class TestIteration:
             np.full((2, 2), 0.5), sb.vectorize_cost(np.zeros((2, 2)))
         )
         cfg = sb.MPConfig(
-            eta=0.1, alpha=0.4, beta=0.2, gamma_mult=0.3, iters=5, scaling_variant="derived"
+            eta=0.1, alpha=0.4, beta=0.2, gamma_mult=0.3, theory_iters=5, scaling_variant="derived"
         )
         state = mp_initial_state(prob)
         start = sb.uniform_primal(2, 2)

@@ -1,10 +1,13 @@
-"""Property tests of the plan arithmetic and the duality-gap certificate.
+"""Property tests of the plan arithmetic, the duality-gap certificate and its CSV replay.
 
 Examples are drawn by hypothesis with a fixed derandomized seed and kept
 small (n <= 6, m <= 3), so the whole file runs in a few seconds.  Each
 example draws sizes and a seed for NumPy's generator, which makes the
 arrays.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,3 +152,23 @@ def test_gap_is_invariant_to_measure_order(size):
     x_permuted = sb.PrimalPoint(plans=x.plans[order], bary=x.bary)
     gap = sb.duality_gap(x_permuted, sb.DualPoint(duals=y.duals[order]), permuted)
     assert gap == pytest.approx(sb.duality_gap(x, y, prob), rel=1e-12, abs=1e-14)
+
+
+@PROPERTY
+@given(sizes, st.floats(0.0, 1.0))
+def test_iterates_csv_replays_exactly(size, concentration):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    prob = random_problem(seed, n, m)
+    x = random_primal(rng, n, m, alpha=0.05 + concentration)
+    y = random_dual(rng, n, m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "iterates.csv"
+        sb.write_iterates_csv(prob, x, y, path)
+        prob2, x2, y2 = sb.read_iterates_csv(path)
+    for before, after in [
+        (prob.cost.C, prob2.cost.C), (prob.measures, prob2.measures), (x.plans, x2.plans),
+        (x.bary, x2.bary), (y.duals, y2.duals),
+    ]:
+        assert np.array_equal(before, after)
+    assert sb.duality_gap(x2, y2, prob2) == sb.duality_gap(x, y, prob)

@@ -294,10 +294,13 @@ class TestNonFiniteInputs:
         with pytest.raises(sb.InvalidCostError):
             sb.vectorize_cost([[0.0, bad], [1.0, 0.0]])
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 5e-324, 1e-300, 1e-160])
     def test_config_builders_reject_eps(self, t1_problem, eps):
-        with pytest.raises(sb.ConfigError):
-            sb.mp_config(t1_problem, eps)
+        # mp's budget 8 sqrt(6 n ln n) / eps is still finite at 1e-300 and 1e-160;
+        # de's sweep budget 24 ln(2 E0 / eps) is not
+        if not 1e-300 <= eps <= 1e-160:
+            with pytest.raises(sb.ConfigError):
+                sb.mp_config(t1_problem, eps)
         with pytest.raises(sb.ConfigError):
             sb.de_config(t1_problem, eps)
 
@@ -310,7 +313,8 @@ class TestNonFiniteInputs:
         "case",
         ["eps-nan-mp", "eps-nan-de", "reg-nan", "stride-negative", "stride-zero", "nan-histogram",
          "inf-cost", "ragged-cost", "max-iters-zero-mp", "max-iters-zero-de",
-         "max-iters-zero-ibp"],
+         "max-iters-zero-ibp", "eps-min-mp", "eps-min-de", "eps-1e-300-de", "eps-1e-160-de",
+         "non-utf8-input", "non-utf8-cost", "non-utf8-iterates", "negative-seed"],
     )
     def test_cli_exits_2_without_traceback(self, tmp_path, case):
         hists = tmp_path / "h.csv"
@@ -321,6 +325,8 @@ class TestNonFiniteInputs:
         bad_hists.write_text("# grid: 0.0, 0.5, 1.0\nnan,0.5,0.5\n")
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("0,1\n1,0,1\n")
+        utf16 = tmp_path / "utf16.csv"
+        utf16.write_bytes(b"\xff\xfe" + "0.5,0.5\n".encode("utf-16-le"))
         base = ["barycenter", "--input", str(hists), "--out", str(tmp_path / "o")]
         argv = {
             "eps-nan-mp": base + ["--algo", "mp", "--eps", "nan"],
@@ -335,6 +341,16 @@ class TestNonFiniteInputs:
             "max-iters-zero-mp": base + ["--algo", "mp", "--max-iters", "0"],
             "max-iters-zero-de": base + ["--algo", "de", "--max-iters", "0"],
             "max-iters-zero-ibp": base + ["--algo", "ibp", "--max-iters", "0"],
+            "eps-min-mp": base + ["--algo", "mp", "--eps", "5e-324"],
+            "eps-min-de": base + ["--algo", "de", "--eps", "5e-324"],
+            "eps-1e-300-de": base + ["--algo", "de", "--eps", "1e-300"],
+            "eps-1e-160-de": base + ["--algo", "de", "--eps", "1e-160"],
+            "non-utf8-input": ["barycenter", "--input", str(utf16), "--algo", "mp",
+                               "--out", str(tmp_path / "o")],
+            "non-utf8-cost": base + ["--algo", "mp", "--cost", f"csv:{utf16}"],
+            "non-utf8-iterates": ["gap", "--iterates", str(utf16)],
+            "negative-seed": ["barycenter", "--gaussian", "--seed", "-1", "--algo", "mp",
+                              "--out", str(tmp_path / "o")],
         }[case]
         proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
         assert proc.returncode == 2, proc.stderr
