@@ -46,7 +46,6 @@ from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import (
     ConfigError,
@@ -56,12 +55,14 @@ from .core import (
     PrimalPoint,
     _adjoint_stack,
     _averaged_pair,
+    _check_eps_and_cost,
     _form_plans,
     _gradient,
     _marginals_stack,
     _residual,
     _scaled_marginals,
     _step_count,
+    _xlogy,
     big_operator_apply,
 )
 from .report import RunReport, run_certified
@@ -95,8 +96,8 @@ def regularizer(x, y, cost):
     Boundary zeros follow the 0*log(0) = 0 convention.
     """
     m, n = x.m, x.n
-    ent = 10.0 * float(xlogy(x.plans, x.plans).sum())
-    ent += 5.0 * m * float(xlogy(x.bary, x.bary).sum())
+    ent = 10.0 * float(_xlogy(x.plans, x.plans).sum())
+    ent += 5.0 * m * float(_xlogy(x.bary, x.bary).sum())
     ysq = y.duals**2
     quad = float((_marginals_stack(x.plans, n) * ysq).sum())
     quad += float((x.bary[None, :] * ysq[:, :n]).sum())
@@ -291,8 +292,7 @@ def am_inner_iterations(eps, theta_value, d_inf):
     by a constant factor, so a logarithmic number of sweeps takes E0 below
     eps / 2.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    _check_eps_and_cost(eps, d_inf)
     bound = de_initial_error_bound(eps, theta_value, d_inf)
     return _step_count(24.0 * math.log(2.0 * bound / eps))
 
@@ -305,17 +305,10 @@ class DEConfig:
 
 
 def de_config(prob, eps, theta_variant="exact"):
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError("eps must be positive and finite")
     d_inf = prob.cost.d_inf
-    if d_inf <= 0:
-        raise ConfigError("cost matrix is identically zero")
     theta_value = theta(prob.n, d_inf, theta_variant)
-    return DEConfig(
-        theta=theta_value,
-        outer_iters=_step_count(12.0 * theta_value / eps),
-        inner_iters=am_inner_iterations(eps, theta_value, d_inf),
-    )
+    inner_iters = am_inner_iterations(eps, theta_value, d_inf)  # checks eps and the cost first
+    return DEConfig(theta_value, _step_count(12.0 * theta_value / eps), inner_iters)
 
 
 @dataclass

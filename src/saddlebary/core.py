@@ -10,8 +10,8 @@ materialized: every application is index arithmetic costing O(n^2) per
 measure, which keeps a full gradient or certificate evaluation at O(m n^2).
 Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
 / Z_i; their shared arithmetic on that form, the constraint residual, the
-saddle gradient (`_gradient`, also behind the certificate) and the averaged
-output live here once.
+saddle gradient (`_gradient`, also behind the certificate), the averaged
+output, the eps and cost checks and `_logsumexp` and `_xlogy` live here once.
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ class NumericalFailure(SaddlebaryError):
             message = f"{message} (iteration {iteration})"
         super().__init__(message)
         self.iteration = iteration
+
+
+def _check_eps_and_cost(eps, d_inf):
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError("eps must be positive and finite")
+    if d_inf <= 0:
+        raise ConfigError("cost matrix is identically zero")
 
 
 def _step_count(budget):
@@ -295,6 +302,20 @@ def _log_normalize(logw):
     w = np.exp(logw - shift)
     total = w.sum(axis=-1, keepdims=True)
     return logw - (shift + np.log(total)), w / total
+
+
+def _logsumexp(a, axis):
+    """Log-sum-exp along `axis` as log1p(rest / count) + log(count) + top; rest omits top's ties."""
+    top = a.max(axis=axis, keepdims=True)
+    ties = a == top
+    rest = np.exp(np.subtract(a, top, out=np.full_like(a, -np.inf), where=~ties))
+    count = ties.sum(axis=axis, keepdims=True, dtype=float)
+    return (np.log1p(rest.sum(axis=axis, keepdims=True) / count) + np.log(count) + top).squeeze(axis)
+
+
+def _xlogy(w, v):
+    """w * log(v) for w >= 0, exactly 0 where w is 0 (so 0 log 0 = 0)."""
+    return w * np.log(v, out=np.zeros(np.broadcast(w, v).shape), where=w > 0)
 
 
 # ---------------------------------------------------------------------------

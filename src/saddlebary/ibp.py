@@ -9,8 +9,8 @@ compensate, and the iteration degenerates into 0/0.  The run then stops with
 status ``underflow-degenerate`` instead of silently emitting garbage.  Its
 certified plans diag(u_i) K diag(v_i) are formed by the Gibbs-form helper
 the saddle solvers share, which sets subnormal entries to 0.  The
-stabilized mode performs the same iteration on log-domain potentials with
-log-sum-exp reductions and always returns a finite simplex vector.
+stabilized mode runs the same iteration on log-domain potentials, rejects a
+reg at which -C / reg overflows, and always returns a finite simplex vector.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .core import (
     ConfigError,
@@ -28,6 +27,8 @@ from .core import (
     NumericalFailure,
     PrimalPoint,
     _form_plans,
+    _logsumexp,
+    _xlogy,
 )
 from .report import RunReport, run_certified
 
@@ -123,7 +124,7 @@ def _ibp_naive(prob, cfg, run):
         if not np.all(np.isfinite(plans)) or np.any(plans.sum(axis=1) == 0.0):
             raise NumericalFailure("transport plans underflow")
         merit = _scaling_merit(
-            float((u * (v @ K.T)).sum()), float(xlogy(Q, v).sum()), cfg.reg, m
+            float((u * (v @ K.T)).sum()), float(_xlogy(Q, v).sum()), cfg.reg, m
         )
         return (*_normalized_pair(plans, p, prob), merit)
 
@@ -133,23 +134,25 @@ def _ibp_naive(prob, cfg, run):
 def _ibp_stabilized(prob, cfg, run):
     n, m = prob.n, prob.m
     C, Q = prob.cost.C, prob.measures
+    if not math.isfinite(prob.cost.d_inf / cfg.reg):
+        raise ConfigError(f"reg {cfg.reg!r} is too small: -C / reg overflows")
     logK = -C / cfg.reg
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
 
     phi = np.full((m, n), -math.log(n))
     log_p = np.full(n, -math.log(n))
-    log_col = logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
+    log_col = _logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
     psi = log_row = None
 
     def step(k):
         nonlocal phi, log_p, log_col, psi, log_row
         psi = logQ - log_col
-        log_row = logsumexp(logK[None, :, :] + psi[:, None, :], axis=2)
+        log_row = _logsumexp(logK[None, :, :] + psi[:, None, :], axis=2)
         log_p = (phi + log_row).mean(axis=0)
         phi = log_p[None, :] - log_row
         # the next sweep's column reduction doubles as this sweep's stop test
-        log_col = logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
+        log_col = _logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
         return np.abs(np.exp(psi + log_col) - Q).sum(axis=1).max() <= cfg.tol
 
     def certified():

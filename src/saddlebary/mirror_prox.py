@@ -29,6 +29,7 @@ from .core import (
     NumericalFailure,
     PrimalPoint,
     _averaged_pair,
+    _check_eps_and_cost,
     _form_plans,
     _log_normalize,
     _marginals_stack,
@@ -75,11 +76,8 @@ def mp_config(prob, eps, variant="derived"):
     """
     if variant not in SCALING_VARIANTS:
         raise ConfigError(f"unknown scaling variant {variant!r}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError("eps must be positive and finite")
     d_inf = prob.cost.d_inf
-    if d_inf <= 0:
-        raise ConfigError("cost matrix is identically zero")
+    _check_eps_and_cost(eps, d_inf)
     n, m = prob.n, prob.m
     root = math.sqrt(6.0 * n * math.log(n))
     eta = 1.0 / (4.0 * d_inf * root)

@@ -219,8 +219,13 @@ class TestInnerIterations:
         assert after - before <= 24 * math.log(2) + 1
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(sb.ConfigError):
-            sb.am_inner_iterations(0.0, 10.0, 1.0)
+        # eps not positive and finite, or an all-zero cost (d_inf 0)
+        for eps, theta_val, d_inf in [
+            (0.0, 10.0, 1.0), (math.inf, 10.0, 1.0), (math.nan, 10.0, 1.0),
+            (0.1, 10.0, 0.0), (0.1, 0.0, 0.0),
+        ]:
+            with pytest.raises(sb.ConfigError):
+                sb.am_inner_iterations(eps, theta_val, d_inf)
 
 
 class TestDEConfig:

@@ -1,4 +1,5 @@
-"""Property tests of the plan arithmetic, the duality-gap certificate and its CSV replay.
+"""Property tests of the plan arithmetic, the log-domain reductions, the duality-gap
+certificate and its CSV replay.
 
 Examples are drawn by hypothesis with a fixed derandomized seed and kept
 small (n <= 6, m <= 3), so the whole file runs in a few seconds.  Each
@@ -7,21 +8,25 @@ arrays.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, xlogy
 
 import saddlebary as sb
 from saddlebary.core import (
     _adjoint_stack,
     _form_plans,
     _gradient,
+    _logsumexp,
     _marginals_stack,
     _residual,
     _scaled_marginals,
+    _xlogy,
 )
 from conftest import dense_big_operator, primal_vector, random_dual, random_primal, random_problem
 
@@ -172,3 +177,44 @@ def test_iterates_csv_replays_exactly(size, concentration):
     ]:
         assert np.array_equal(before, after)
     assert sb.duality_gap(x2, y2, prob2) == sb.duality_gap(x, y, prob)
+
+
+@PROPERTY
+@given(sizes, st.booleans(), st.floats(0.0, 0.5), st.sampled_from([1, 2]))
+def test_logsumexp_is_bitwise_the_reference(size, on_grid, inf_share, axis):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    # small integers tie at a slice's maximum often; wide normals overflow exp unshifted
+    if on_grid:
+        a = rng.integers(-3, 4, (m, n, n)).astype(float)
+    else:
+        a = rng.normal(0.0, 500.0, (m, n, n))
+    a[rng.random(a.shape) < inf_share] = -np.inf
+    a[0, :, 0] = a[0, 0, :] = -np.inf  # an all -inf slice for either axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _logsumexp(a, axis)
+    assert ours.tobytes() == logsumexp(a, axis=axis).tobytes()
+    assert ours[0, 0] == -np.inf
+
+
+@PROPERTY
+@given(sizes, st.floats(0.0, 0.9))
+def test_xlogy_matches_the_reference(size, zero_share):
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n * n), m)
+    w[rng.random(w.shape) < zero_share] = 0.0
+    v = np.exp(rng.uniform(-700.0, 5.0, w.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours, log_ours, self_ours = _xlogy(w, v), _xlogy(np.ones_like(v), v), _xlogy(w, w)
+    ref, log_ref = xlogy(w, v), xlogy(1.0, v)
+    # np.log is within one ulp of the C library's log ...
+    log_ulp = np.spacing(np.maximum(np.abs(log_ours), np.abs(log_ref)))
+    assert np.all(np.abs(log_ours - log_ref) <= log_ulp)
+    # ... so w log v differs by w times that ulp plus the rounding of both products
+    bound = w * np.abs(log_ours - log_ref) + np.spacing(np.maximum(np.abs(ours), np.abs(ref)))
+    assert np.all(np.abs(ours - ref) <= bound)
+    assert np.all(ours[w == 0] == 0.0) and np.all(self_ours[w == 0] == 0.0)
+    np.testing.assert_array_equal(self_ours, xlogy(w, w))

@@ -278,6 +278,13 @@ class TestLibraryWithoutCLI:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("module", ["saddlebary", "saddlebary.cli"])
+    def test_import_loads_no_scipy(self, module):
+        code = f"import sys, {module}; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+        proc = _cli_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_run_prints_no_runpy_warning(self):
         proc = _cli_subprocess("-m", "saddlebary.cli", "--help")
         assert proc.returncode == 0
@@ -314,7 +321,8 @@ class TestNonFiniteInputs:
         ["eps-nan-mp", "eps-nan-de", "reg-nan", "stride-negative", "stride-zero", "nan-histogram",
          "inf-cost", "ragged-cost", "max-iters-zero-mp", "max-iters-zero-de",
          "max-iters-zero-ibp", "eps-min-mp", "eps-min-de", "eps-1e-300-de", "eps-1e-160-de",
-         "non-utf8-input", "non-utf8-cost", "non-utf8-iterates", "negative-seed"],
+         "non-utf8-input", "non-utf8-cost", "non-utf8-iterates", "negative-seed",
+         "reg-overflow-stabilized", "reg-overflow-stabilized-csv-cost"],
     )
     def test_cli_exits_2_without_traceback(self, tmp_path, case):
         hists = tmp_path / "h.csv"
@@ -323,6 +331,8 @@ class TestNonFiniteInputs:
         cost.write_text("0,1,inf\n1,0,1\n1,1,0\n")
         bad_hists = tmp_path / "bad.csv"
         bad_hists.write_text("# grid: 0.0, 0.5, 1.0\nnan,0.5,0.5\n")
+        finite_cost = tmp_path / "finite.csv"
+        finite_cost.write_text("0,1,4\n1,0,1\n4,1,0\n")
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("0,1\n1,0,1\n")
         utf16 = tmp_path / "utf16.csv"
@@ -351,6 +361,13 @@ class TestNonFiniteInputs:
             "non-utf8-iterates": ["gap", "--iterates", str(utf16)],
             "negative-seed": ["barycenter", "--gaussian", "--seed", "-1", "--algo", "mp",
                               "--out", str(tmp_path / "o")],
+            # -C / reg overflows: rejected before the log-domain sweeps start
+            "reg-overflow-stabilized": base + ["--algo", "ibp", "--reg", "1e-310", "--stabilized",
+                                               "--max-iters", "5"],
+            "reg-overflow-stabilized-csv-cost": base + [
+                "--algo", "ibp", "--reg", "1e-310", "--stabilized", "--max-iters", "5",
+                "--cost", f"csv:{finite_cost}",
+            ],
         }[case]
         proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
         assert proc.returncode == 2, proc.stderr
