@@ -28,9 +28,9 @@ against it, through the Gibbs-form helpers in `core` that mirror prox uses
 too.  The first prox output of a step is used only through those
 marginals; the second is formed once, into a buffer the state owns, and
 added to the running average.  Should the kernel and factor exponents
-together span more than FACTOR_SPAN_MAX (just inside the exp underflow
-floor), the call falls back to one kernel block per measure with the
-combined min-shift, the path a general `AMProblem` always takes.
+together span more than `core.FACTOR_SPAN_MAX` (just inside the exp
+underflow floor), the call falls back to one kernel block per measure with
+the combined min-shift, the path a general `AMProblem` always takes.
 
 This module also ships the numerical diagnostics used to sanity-check the
 construction: the area-convexity residual of random triples, the closed-form
@@ -61,6 +61,7 @@ from .core import (
     _marginals_stack,
     _residual,
     _scaled_marginals,
+    _shared_kernel,
     _step_count,
     _xlogy,
     big_operator_apply,
@@ -102,12 +103,6 @@ def regularizer(x, y, cost):
     quad = float((_marginals_stack(x.plans, n) * ysq).sum())
     quad += float((x.bary[None, :] * ysq[:, :n]).sum())
     return (2.0 * cost.d_inf / m) * (ent + quad)
-
-
-# A factored problem keeps its shared kernel while the kernel's exponent span
-# plus its row and column factors' spans stays below this.  exp underflows
-# near -708, so no product of a kernel entry and two factors can underflow.
-FACTOR_SPAN_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -188,20 +183,17 @@ def _plan_kernel(amp, cost, m, n):
 
     With c = m / (20 d_inf), a factored problem shares one kernel
     exp(-c alpha C) across the measures, and its potentials enter as
-    per-measure row and column factors, each half min-shifted into (0, 1].
-    A general problem, or a factored one whose kernel and factor exponents
-    together span more than FACTOR_SPAN_MAX, gets one block exp(min - E_i)
-    per measure with E_i = c v_plans_i, and unit factors.
+    per-measure row and column factors, each half min-shifted into (0, 1]
+    (`core._shared_kernel`).  A general problem, or a factored one whose
+    kernel and factor exponents together span more than
+    `core.FACTOR_SPAN_MAX`, gets one block exp(min - E_i) per measure with
+    E_i = c v_plans_i, and unit factors.
     """
     c = m / (20.0 * cost.d_inf)
     if isinstance(amp, FactoredAMProblem):
-        exponents = (-c * amp.alpha) * cost.C
-        top = exponents.max()
-        potentials = (c * amp.potentials).reshape(m, 2, n)
-        log_factors = potentials.min(axis=2, keepdims=True) - potentials
-        span = top - exponents.min() - log_factors.min(axis=2).sum(axis=1).min()
-        if span <= FACTOR_SPAN_MAX:
-            return np.exp(exponents - top), log_factors.reshape(m, 2 * n)
+        shared = _shared_kernel((c * amp.alpha) * cost.C, c * amp.potentials)
+        if shared is not None:
+            return shared
         amp = amp.dense(cost)
     exponents = c * amp.v_plans
     return np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n), 0.0

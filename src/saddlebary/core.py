@@ -9,7 +9,8 @@ to its row sums minus p and its column sums, block by block.  It is never
 materialized: every application is index arithmetic costing O(n^2) per
 measure, which keeps a full gradient or certificate evaluation at O(m n^2).
 Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
-/ Z_i; their shared arithmetic on that form, the constraint residual, the
+/ Z_i; their shared arithmetic on that form (the one n x n kernel and its
+span test, the scaled marginals, plan formation), the constraint residual, the
 saddle gradient (`_gradient`, also behind the certificate), the averaged
 output, the eps and cost checks and `_logsumexp` and `_xlogy` live here once.
 """
@@ -260,12 +261,38 @@ def big_operator_apply(x):
 _PLAN_FLOOR = np.finfo(float).tiny
 
 
+# A kernel is shared by every plan while its exponent span plus the widest
+# plan's row and column factor spans stays below this.  exp underflows near
+# -708, so no product of a kernel entry and two factors can underflow.
+FACTOR_SPAN_MAX = 700.0
+
+
+def _shared_kernel(costs, potentials):
+    """One kernel for the plans exp(-(costs + row_i (+) col_i)), or None past the span.
+
+    `costs` is (n, n) and `potentials` stacks each plan's [row, column]
+    potentials on its last axis, (..., 2n).  Returns the kernel
+    exp(min - costs), formed in the buffer of `costs`, and the log factors
+    min - potentials of each half, both in (0, 1], when the kernel span
+    plus the widest plan's two factor spans is at most FACTOR_SPAN_MAX;
+    otherwise None, with `costs` left as it was.
+    """
+    low = costs.min()
+    halves = potentials.reshape(potentials.shape[:-1] + (2, costs.shape[0]))
+    log_factors = halves.min(axis=-1, keepdims=True) - halves
+    span = costs.max() - low - log_factors.min(axis=-1).sum(axis=-1).min()
+    if not span <= FACTOR_SPAN_MAX:
+        return None
+    kernel = np.subtract(low, costs, out=costs)
+    return np.exp(kernel, out=kernel), log_factors.reshape(potentials.shape)
+
+
 def _scaled_marginals(K, a, b):
     """Stacked [row sums, column sums] of the unnormalized plans diag(a_i) K diag(b_i).
 
     K is one (n, n) kernel for every measure (two GEMMs) or an (m, n, n)
     stack (batched mat-vecs); a and b are (m, n), or (m, s, n) for s plans
-    per kernel block.
+    per measure.
     """
     single = K.ndim > a.ndim  # a stack with one plan per block: products by row vectors
     if single:
@@ -287,8 +314,14 @@ def _form_plans(K, a, b_over_z, out):
     P = out.reshape(m, n, n)
     np.multiply(K, a[:, :, None], out=P)
     P *= b_over_z[:, None, :]
-    P *= P >= _PLAN_FLOOR
+    _floor(P)
     return out
+
+
+def _floor(P):
+    """Set the entries of P below `_PLAN_FLOOR` to exactly 0, in place; returns P."""
+    np.copyto(P, 0.0, where=P < _PLAN_FLOOR)
+    return P
 
 
 def _log_normalize(logw):

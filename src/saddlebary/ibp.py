@@ -9,8 +9,9 @@ compensate, and the iteration degenerates into 0/0.  The run then stops with
 status ``underflow-degenerate`` instead of silently emitting garbage.  Its
 certified plans diag(u_i) K diag(v_i) are formed by the Gibbs-form helper
 the saddle solvers share, which sets subnormal entries to 0.  The
-stabilized mode runs the same iteration on log-domain potentials, rejects a
-reg at which -C / reg overflows, and always returns a finite simplex vector.
+stabilized mode runs the same iteration on log-domain potentials and always
+returns a finite simplex vector.  Either mode rejects a reg at which
+-C / reg overflows.
 """
 
 from __future__ import annotations
@@ -75,10 +76,13 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     ``report.final_x.bary``.  On an underflow-degenerate naive run the
     barycenter is None and ``report.status`` says so; hitting the sweep cap
     returns the last iterate with ``report.status == "iteration-cap"``.
+    A reg at which -C / reg overflows is a ConfigError in either mode.
     The report logs, per recorded sweep, the exact saddle certificate of the
     current (normalized) plans paired with zero duals, and the scaling merit
     function (see :func:`_scaling_merit`) as the objective column.
     """
+    if not math.isfinite(prob.cost.d_inf / cfg.reg):
+        raise ConfigError(f"reg {cfg.reg!r} is too small: -C / reg overflows")
     report = RunReport(algorithm="ibp", config=asdict(cfg))
     # IBP has no gap target (eps = -inf): it stops on its marginal tolerance.
     run = functools.partial(
@@ -134,8 +138,6 @@ def _ibp_naive(prob, cfg, run):
 def _ibp_stabilized(prob, cfg, run):
     n, m = prob.n, prob.m
     C, Q = prob.cost.C, prob.measures
-    if not math.isfinite(prob.cost.d_inf / cfg.reg):
-        raise ConfigError(f"reg {cfg.reg!r} is too small: -C / reg overflows")
     logK = -C / cfg.reg
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)

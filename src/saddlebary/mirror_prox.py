@@ -8,12 +8,18 @@ duality-gap guarantee, and the gap of the running averages is evaluated
 exactly along the way.
 
 The plan update is in Gibbs scaling form: the exponent separates into the
-fixed kernel exp(-gamma C) and per-measure row and column factors, so an
-iteration needs O(m n) exponentials, batched mat-vecs for the marginals and
-normalizers, and one elementwise pass to form each plan, through the
-Gibbs-form helpers in `core`.  The state keeps the dense plans and their
-marginals, and a step updates it in place, so it allocates no m n^2 float
-array.  The barycenter block (n entries) stays in the log domain.
+fixed cost C and per-measure row and column terms, so after k steps every
+plan of the main iterate is the one kernel exp(-k gamma C) with row and
+column factors.  The state keeps the main iterate as k and those (m, 2n)
+log factors, not as dense plans.  A step builds one n x n kernel (n^2
+exponentials), takes the marginals and normalizers of both of its plans by
+two GEMMs, and forms only the extrapolation plans, which enter the running
+average, through the Gibbs-form helpers in `core`.  Should the kernel and
+factors span more than `core.FACTOR_SPAN_MAX` in the exponent, the main
+iterate is formed densely once and each later step rescales it by
+exp(-gamma C).  A step updates the state in place; only that switch
+allocates an m n^2 float array.  The barycenter block (n entries) stays in
+the log domain.
 """
 
 from __future__ import annotations
@@ -31,13 +37,13 @@ from .core import (
     _averaged_pair,
     _check_eps_and_cost,
     _form_plans,
+    _floor,
     _log_normalize,
-    _marginals_stack,
     _residual,
     _scaled_marginals,
+    _shared_kernel,
     _step_count,
     uniform_primal,
-    zero_dual,
 )
 from .report import RunReport, run_certified
 
@@ -97,22 +103,27 @@ def mp_config(prob, eps, variant="derived"):
 class MPState:
     """Solver state after k iterations, updated in place by `mp_iteration`.
 
-    `x` is the main primal iterate: its dense plans are the authoritative
-    plan state, and `x_marginals` holds their stacked [row sums, column
-    sums], carried from the step that formed them so the next residual
-    needs no pass over the m n^2 plan entries.  The barycenter stays in the
-    log domain as `log_bary`.  `u`/`v` hold the most recent extrapolation
-    pair and `sum_*` their running totals (the certified output is the
-    average `sum / k`).  Every array is owned by the state alone: a step
-    overwrites the arrays of the state it is given.
+    The main primal iterate x is kept in Gibbs form while its exponents fit
+    (see `mp_iteration`): plan i is diag(exp f_i) exp(-k gamma C)
+    diag(exp g_i) / Z_i, with the (m, 2n) `log_factors` [f, g], each half
+    max-shifted to 0, and `plans` is None.  Past that, `plans` holds x's
+    dense plans.  `main_iterate` returns x densely either way.
+    `x_marginals` holds x's stacked [row sums, column sums], carried from
+    the step that made them, and the barycenter is kept as `bary` and in
+    the log domain as `log_bary`.  `duals` stacks the main duals y and the
+    extrapolation duals v as [:, 0] and [:, 1]; `u` holds the extrapolation
+    point and `sum_*` the running totals of u and v (the certified output
+    is the average `sum / k`).  Every array is owned by the state alone: a
+    step overwrites the arrays of the state it is given.
     """
 
-    x: PrimalPoint
-    y: DualPoint
-    u: PrimalPoint
-    v: DualPoint
+    log_factors: np.ndarray
+    plans: np.ndarray | None
     x_marginals: np.ndarray
+    bary: np.ndarray
     log_bary: np.ndarray
+    duals: np.ndarray  # (m, 2, 2n)
+    u: PrimalPoint
     sum_plans: np.ndarray
     sum_bary: np.ndarray
     sum_duals: np.ndarray
@@ -120,18 +131,27 @@ class MPState:
 
     averaged_pair = _averaged_pair
 
+    @property
+    def y(self):
+        return DualPoint(duals=self.duals[:, 0])
+
+    @property
+    def v(self):
+        return DualPoint(duals=self.duals[:, 1])
+
 
 def mp_initial_state(prob):
     """Uniform plans, uniform barycenter, zero duals."""
     n, m = prob.n, prob.m
-    x0 = uniform_primal(n, m)
+    bary = np.full(n, 1.0 / n)
     return MPState(
-        x=x0,
-        y=zero_dual(n, m),
+        log_factors=np.zeros((m, 2 * n)),
+        plans=None,
+        x_marginals=np.full((m, 2 * n), 1.0 / n),
+        bary=bary,
+        log_bary=np.log(bary),
+        duals=np.zeros((m, 2, 2 * n)),
         u=uniform_primal(n, m),
-        v=zero_dual(n, m),
-        x_marginals=_marginals_stack(x0.plans, n),
-        log_bary=np.log(x0.bary),
         sum_plans=np.zeros((m, n * n)),
         sum_bary=np.zeros(n),
         sum_duals=np.zeros((m, 2 * n)),
@@ -139,57 +159,89 @@ def mp_initial_state(prob):
     )
 
 
+def main_iterate(state, cfg, prob):
+    """The main primal iterate x of `state` as a dense `PrimalPoint` (new arrays).
+
+    From the Gibbs form, each plan is exp(min E_i - E_i) with
+    E_i = k gamma C - f_i (+) g_i, normalized, entries below the plan
+    floor set to 0.
+    """
+    if state.plans is not None:
+        return PrimalPoint(plans=state.plans.copy(), bary=state.bary.copy())
+    n, log_factors = prob.n, state.log_factors
+    P = (state.k * cfg.gamma_mult) * prob.cost.C - log_factors[:, :n, None]
+    P -= log_factors[:, None, n:]
+    np.subtract(P.min(axis=(1, 2), keepdims=True), P, out=P)
+    np.exp(P, out=P)
+    P /= P.sum(axis=(1, 2), keepdims=True)
+    return PrimalPoint(plans=_floor(P).reshape(prob.m, n * n), bary=state.bary.copy())
+
+
 def mp_iteration(state, cfg, prob):
     """One extragradient step, accumulated into `state` in place.
 
     The plan exponent -gamma (d + 2 d_inf (y_j + y_{n+k})) separates, so
-    both plans of a step are W * outer(a, b) / Z with W = x * exp(-gamma C)
-    shared and a = exp(-c y[:n]), b = exp(-c y[n:]), c = 2 d_inf gamma.  The
-    marginals and normalizers of both come from batched mat-vecs against W;
-    each plan is materialized once.  W is formed in the buffer of x's plans,
-    u is written into its own buffer and the next x over W.
+    both plans of a step are x exp(-gamma C) scaled by exp(-c y[:n]) and
+    exp(-c y[n:]), c = 2 d_inf gamma: the extrapolation plans u at the
+    duals y, the next x at v.  In Gibbs form that is one kernel
+    exp(-(k + 1) gamma C) shared by every measure, with x's factors and
+    the duals' as row and column factors (`core._shared_kernel`), so the
+    marginals and normalizers of both plans are two GEMMs and only u is
+    formed, into its own buffer.  Once the kernel and factors span more
+    than `core.FACTOR_SPAN_MAX`, x is formed densely and from then on each
+    step forms W = x exp(-gamma C) in x's buffer, takes both plans'
+    marginals by batched mat-vecs against W and forms the next x over W.
     """
-    n, m = prob.n, prob.m
-    x, y, u, v = state.x, state.y, state.u, state.v
+    n = prob.n
+    duals = state.duals
+    y, v = duals[:, 0], duals[:, 1]
 
     # extrapolation dual step at the main iterate
-    residual = _residual(state.x_marginals, x.bary, prob.measures)
-    np.clip(y.duals + cfg.alpha * residual, -1.0, 1.0, out=v.duals)
+    residual = _residual(state.x_marginals, state.bary, prob.measures)
+    np.clip(y + cfg.alpha * residual, -1.0, 1.0, out=v)
 
-    # both plan scalings: index 0 at the duals (u), index 1 at v (next x)
-    W = x.plans.reshape(m, n, n)
-    W *= np.exp(-cfg.gamma_mult * prob.cost.C)
-    scale = np.exp((-2.0 * prob.cost.d_inf * cfg.gamma_mult) * np.stack([y.duals, v.duals], axis=1))
-    a, b = scale[:, :, :n], scale[:, :, n:]
-    marginals = _scaled_marginals(W, a, b)
-    Z = marginals[:, :, :n].sum(axis=2, keepdims=True)
+    # both plans: index 0 at y (u), index 1 at v (next x)
+    scaled = (2.0 * prob.cost.d_inf * cfg.gamma_mult) * duals
+    shared = None
+    if state.plans is None:
+        costs = ((state.k + 1) * cfg.gamma_mult) * prob.cost.C
+        shared = _shared_kernel(costs, scaled - state.log_factors[:, None, :])
+        if shared is None:  # past the span: x is formed densely, once
+            state.plans = main_iterate(state, cfg, prob).plans
+    if shared is not None:
+        K, log_factors = shared
+    else:
+        K = state.plans.reshape(-1, n, n)
+        K *= np.exp(-cfg.gamma_mult * prob.cost.C)
+        log_factors = -scaled
+    e = np.exp(log_factors)
+    a, b = e[..., :n], e[..., n:]
+    marginals = _scaled_marginals(K, a, b)
+    Z = marginals[..., :n].sum(axis=2, keepdims=True)
     marginals /= Z
+    log_bary, bary = _log_normalize(state.log_bary + cfg.beta * duals[..., :n].sum(axis=0))
 
-    _, s_bary = _log_normalize(state.log_bary + cfg.beta * y.duals[:, :n].sum(axis=0))
-    log_p, p_bary = _log_normalize(state.log_bary + cfg.beta * v.duals[:, :n].sum(axis=0))
-
-    if not (
-        np.all(np.isfinite(marginals))
-        and np.all(np.isfinite(Z))
-        and np.all(np.isfinite(s_bary))
-        and np.all(np.isfinite(p_bary))
-    ):
+    if not math.isfinite(marginals.sum() + Z.sum() + bary.sum()):
         raise NumericalFailure("non-finite multiplicative update", iteration=state.k + 1)
 
     # main dual step, evaluated at the extrapolation pair
-    residual_u = _residual(marginals[:, 0], s_bary, prob.measures)
-    np.clip(y.duals + cfg.alpha * residual_u, -1.0, 1.0, out=y.duals)
+    residual_u = _residual(marginals[:, 0], bary[0], prob.measures)
+    np.clip(y + cfg.alpha * residual_u, -1.0, 1.0, out=y)
 
+    u = state.u
     b_over_z = b / Z
-    _form_plans(W, a[:, 0], b_over_z[:, 0], u.plans)
-    _form_plans(W, a[:, 1], b_over_z[:, 1], x.plans)
-    u.bary[:] = s_bary
-    x.bary[:] = p_bary
+    _form_plans(K, a[:, 0], b_over_z[:, 0], u.plans)
+    if shared is not None:
+        state.log_factors = log_factors[:, 1]
+    else:
+        _form_plans(K, a[:, 1], b_over_z[:, 1], state.plans)
+    u.bary[:] = bary[0]
     state.x_marginals = marginals[:, 1]
-    state.log_bary = log_p
+    state.bary = bary[1]
+    state.log_bary = log_bary[1]
     state.sum_plans += u.plans
-    state.sum_bary += s_bary
-    state.sum_duals += v.duals
+    state.sum_bary += bary[0]
+    state.sum_duals += v
     state.k += 1
 
 

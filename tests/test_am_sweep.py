@@ -22,7 +22,7 @@ from saddlebary.area_convex import (
     _box_quadratic_argmin,
     am_prox,
 )
-from saddlebary.core import _form_plans, _scaled_marginals
+from saddlebary.core import FACTOR_SPAN_MAX, _form_plans, _scaled_marginals
 from conftest import random_problem
 
 TOL = 1e-12
@@ -252,7 +252,7 @@ def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
         for budget in (3, LONG):
             x, y, sweeps = sweep_counter(amp, budget, cost, m, n)
             assert isinstance(x, ScaledPlans)
-            assert x.kernel.shape == ((n, n) if span <= ac.FACTOR_SPAN_MAX else (m, n, n))
+            assert x.kernel.shape == ((n, n) if span <= FACTOR_SPAN_MAX else (m, n, n))
             plans, bary, duals, ref_sweeps = _dense_am_prox(dense, budget, cost.d_inf, m, n)
             assert sweeps == ref_sweeps or max(sweeps, ref_sweeps) < budget
             np.testing.assert_allclose(x.dense(), plans, rtol=0, atol=TOL)

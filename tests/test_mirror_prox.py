@@ -7,7 +7,7 @@ from scipy.special import xlogy
 
 import saddlebary as sb
 from saddlebary.core import _adjoint_stack, _log_normalize, _marginals_stack
-from saddlebary.mirror_prox import mp_initial_state, mp_iteration
+from saddlebary.mirror_prox import main_iterate, mp_initial_state, mp_iteration
 from conftest import dense_incidence, random_problem
 
 TINY = np.finfo(float).tiny
@@ -18,7 +18,8 @@ def oracle_step(state, cfg, prob):
     n, m = prob.n, prob.m
     A = dense_incidence(n)
     d, d_inf = prob.cost.d, prob.cost.d_inf
-    x, p, y = state.x.plans, state.x.bary, state.y.duals
+    x = main_iterate(state, cfg, prob)
+    x, p, y = x.plans, x.bary, state.y.duals
     v = np.zeros_like(y)
     u = np.zeros_like(x)
     for i in range(m):
@@ -201,8 +202,9 @@ class TestIteration:
         state = mp_initial_state(prob)
         start = sb.uniform_primal(2, 2)
         mp_iteration(state, cfg, prob)
-        assert np.allclose(state.x.plans, start.plans, atol=1e-15)
-        assert np.allclose(state.x.bary, start.bary, atol=1e-15)
+        x = main_iterate(state, cfg, prob)
+        assert np.allclose(x.plans, start.plans, atol=1e-15)
+        assert np.allclose(x.bary, start.bary, atol=1e-15)
         assert np.array_equal(state.y.duals, np.zeros((2, 4)))
         assert np.allclose(state.u.plans, start.plans, atol=1e-15)
 
@@ -223,11 +225,12 @@ class TestIteration:
         for _ in range(4):
             u, s, v, x_new, p_new, y_new = oracle_step(state, cfg, prob)
             mp_iteration(state, cfg, prob)
+            x = main_iterate(state, cfg, prob)
             assert np.allclose(state.u.plans, u, atol=1e-12)
             assert np.allclose(state.u.bary, s, atol=1e-12)
             assert np.allclose(state.v.duals, v, atol=1e-13)
-            assert np.allclose(state.x.plans, x_new, atol=1e-12)
-            assert np.allclose(state.x.bary, p_new, atol=1e-12)
+            assert np.allclose(x.plans, x_new, atol=1e-12)
+            assert np.allclose(x.bary, p_new, atol=1e-12)
             assert np.allclose(state.y.duals, y_new, atol=1e-13)
 
     def test_feasibility_every_iteration(self):
@@ -235,15 +238,17 @@ class TestIteration:
         cfg = sb.mp_config(prob, 0.1)
         state = mp_initial_state(prob)
         def plan_arrays():
-            return state.x.plans, state.u.plans, state.sum_plans
+            return state.u.plans, state.sum_plans
 
         buffers = plan_arrays()
-        assert not np.shares_memory(state.x.plans, state.u.plans)
         for _ in range(50):
             mp_iteration(state, cfg, prob)
-            # a step writes the plan arrays of the state it is given
+            # a step writes the plan arrays of the state it is given, and
+            # keeps x in Gibbs form: no dense plans of x
             assert all(a is b for a, b in zip(buffers, plan_arrays()))
-            for point in (state.x, state.u):
+            assert state.plans is None
+            x = main_iterate(state, cfg, prob)
+            for point in (x, state.u):
                 assert np.all(point.plans >= 0)
                 assert np.allclose(point.plans.sum(axis=1), 1.0, atol=1e-12)
                 assert np.all(point.bary >= 0)
@@ -251,35 +256,42 @@ class TestIteration:
             for dual in (state.y, state.v):
                 assert np.all(np.abs(dual.duals) <= 1.0)
             # the carried marginals are those of the plans they came with
-            dense = _marginals_stack(state.x.plans, prob.n)
+            dense = _marginals_stack(x.plans, prob.n)
             assert np.allclose(state.x_marginals, dense, rtol=0, atol=1e-14)
 
     def test_matches_log_domain_reference_through_underflow(self):
         # the printed scaling on m=3 drives plan entries below 1e-308 well
-        # within the run, where the log-domain step leaves subnormals
+        # within the run, where the log-domain step leaves subnormals; x's
+        # Gibbs form spans more than FACTOR_SPAN_MAX from step 882 on, so
+        # the run crosses from the shared kernel to the dense x step
         prob = random_problem(7, 16, 3)
         cfg = sb.mp_config(prob, 0.01, "printed")
         state = mp_initial_state(prob)
+        x = main_iterate(state, cfg, prob)
         # the step overwrites the state's arrays, so the reference takes copies
         ref = {
-            "x": sb.PrimalPoint(plans=state.x.plans.copy(), bary=state.x.bary.copy()),
-            "log_plans": np.log(state.x.plans),
-            "log_bary": np.log(state.x.bary),
+            "x": x,
+            "log_plans": np.log(x.plans),
+            "log_bary": np.log(x.bary),
             "y": state.y.duals.copy(),
             "sum_plans": state.sum_plans.copy(),
             "sum_bary": state.sum_bary.copy(),
             "sum_duals": state.sum_duals.copy(),
         }
+        switched_at = None
         for k in range(1, 2001):
             mp_iteration(state, cfg, prob)
+            if switched_at is None and state.plans is not None:
+                switched_at = k
             ref, u_ref, v_ref = _log_domain_step(ref, cfg, prob)
-            assert np.allclose(state.x.plans, ref["x"].plans, rtol=0, atol=1e-12)
-            assert np.allclose(state.x.bary, ref["x"].bary, rtol=0, atol=1e-12)
+            x = main_iterate(state, cfg, prob)
+            assert np.allclose(x.plans, ref["x"].plans, rtol=0, atol=1e-12)
+            assert np.allclose(x.bary, ref["x"].bary, rtol=0, atol=1e-12)
             assert np.allclose(state.u.plans, u_ref.plans, rtol=0, atol=1e-12)
             assert np.allclose(state.u.bary, u_ref.bary, rtol=0, atol=1e-12)
             assert np.allclose(state.y.duals, ref["y"], rtol=0, atol=1e-12)
             assert np.allclose(state.v.duals, v_ref, rtol=0, atol=1e-12)
-            for plans in (state.x.plans, state.u.plans, state.sum_plans):
+            for plans in (x.plans, state.u.plans, state.sum_plans):
                 assert not _has_subnormal(plans), k
             if k % 250 == 0:
                 ref_pair = (
@@ -288,8 +300,10 @@ class TestIteration:
                 )
                 gap = sb.duality_gap(*state.averaged_pair(), prob)
                 assert gap == pytest.approx(sb.duality_gap(*ref_pair, prob), abs=1e-10)
+        # both sides of the switch were checked, each for hundreds of steps
+        assert switched_at is not None and 250 <= switched_at <= 1750, switched_at
         assert ref["log_plans"].min() < math.log(1e-308)
-        assert np.any(state.x.plans == 0.0)
+        assert np.any(x.plans == 0.0)
 
 
 class TestRun:
@@ -372,10 +386,12 @@ class TestFailurePaths:
     def test_non_finite_state_raises_with_iteration(self, t1_problem):
         cfg = sb.mp_config(t1_problem, 0.5)
         state = mp_initial_state(t1_problem)
-        nan_plans = np.full_like(state.x.plans, np.nan)
-        poisoned = dataclasses.replace(
-            state, x=sb.PrimalPoint(plans=nan_plans, bary=state.x.bary), k=4
-        )
-        with pytest.raises(sb.NumericalFailure) as info:
-            mp_iteration(poisoned, cfg, t1_problem)
-        assert info.value.iteration == 5
+        # x in Gibbs form, then as dense plans
+        for changes in (
+            {"log_factors": np.full_like(state.log_factors, np.nan)},
+            {"plans": np.full_like(state.u.plans, np.nan)},
+        ):
+            poisoned = dataclasses.replace(state, k=4, **changes)
+            with pytest.raises(sb.NumericalFailure) as info:
+                mp_iteration(poisoned, cfg, t1_problem)
+            assert info.value.iteration == 5

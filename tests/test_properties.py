@@ -20,6 +20,7 @@ from scipy.special import logsumexp, xlogy
 import saddlebary as sb
 from saddlebary.core import (
     _adjoint_stack,
+    _floor,
     _form_plans,
     _gradient,
     _logsumexp,
@@ -54,6 +55,28 @@ def test_scaled_marginals_are_the_formed_plans_sums(size, layout):
         a_s, b_s = a.reshape(m, pairs, n)[:, s], b.reshape(m, pairs, n)[:, s]
         plans = _form_plans(K, a_s, b_s, np.empty((m, n * n)))
         np.testing.assert_allclose(marginals[:, s], _marginals_stack(plans, n), rtol=1e-13)
+
+
+TINY = np.finfo(float).tiny
+# Plan entries are products of nonnegative factors: 0, subnormals, tiny and
+# its neighbours, normals, inf and NaN, never -0.0.
+plan_entries = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, np.nextafter(TINY, 0.0), TINY,
+                     np.nextafter(TINY, 1.0), 1.0, np.inf, np.nan]),
+    st.floats(min_value=0.0, allow_infinity=True, allow_subnormal=True).filter(
+        lambda v: not (v == 0.0 and np.signbit(v))),
+)
+
+
+@PROPERTY
+@given(st.lists(plan_entries, min_size=1, max_size=64))
+def test_plan_floor_is_bitwise_the_masked_product(entries):
+    # the floor zeroes entries below TINY in place; it replaced P *= P >= TINY
+    P = np.array(entries)
+    expected = P * (P >= TINY)
+    floored = _floor(P)
+    assert floored is P
+    np.testing.assert_array_equal(floored.view(np.uint64), expected.view(np.uint64))
 
 
 @PROPERTY

@@ -322,7 +322,7 @@ class TestNonFiniteInputs:
          "inf-cost", "ragged-cost", "max-iters-zero-mp", "max-iters-zero-de",
          "max-iters-zero-ibp", "eps-min-mp", "eps-min-de", "eps-1e-300-de", "eps-1e-160-de",
          "non-utf8-input", "non-utf8-cost", "non-utf8-iterates", "negative-seed",
-         "reg-overflow-stabilized", "reg-overflow-stabilized-csv-cost"],
+         "reg-overflow-stabilized", "reg-overflow-stabilized-csv-cost", "reg-overflow-naive"],
     )
     def test_cli_exits_2_without_traceback(self, tmp_path, case):
         hists = tmp_path / "h.csv"
@@ -361,13 +361,14 @@ class TestNonFiniteInputs:
             "non-utf8-iterates": ["gap", "--iterates", str(utf16)],
             "negative-seed": ["barycenter", "--gaussian", "--seed", "-1", "--algo", "mp",
                               "--out", str(tmp_path / "o")],
-            # -C / reg overflows: rejected before the log-domain sweeps start
+            # -C / reg overflows: rejected before either mode sweeps
             "reg-overflow-stabilized": base + ["--algo", "ibp", "--reg", "1e-310", "--stabilized",
                                                "--max-iters", "5"],
             "reg-overflow-stabilized-csv-cost": base + [
                 "--algo", "ibp", "--reg", "1e-310", "--stabilized", "--max-iters", "5",
                 "--cost", f"csv:{finite_cost}",
             ],
+            "reg-overflow-naive": base + ["--algo", "ibp", "--reg", "1e-310", "--max-iters", "5"],
         }[case]
         proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
         assert proc.returncode == 2, proc.stderr
