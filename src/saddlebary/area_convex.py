@@ -29,8 +29,8 @@ too.  The first prox output of a step is used only through those
 marginals; the second is formed once, into a buffer the state owns, and
 added to the running average.  Should the kernel and factor exponents
 together span more than `core.FACTOR_SPAN_MAX` (just inside the exp
-underflow floor), the call falls back to one kernel block per measure with
-the combined min-shift, the path a general `AMProblem` always takes.
+underflow floor), the builder gives each measure its own kernel block with
+the combined min-shift and unit factors.
 
 This module also ships the numerical diagnostics used to sanity-check the
 construction: the area-convexity residual of random triples, the closed-form
@@ -59,9 +59,9 @@ from .core import (
     _form_plans,
     _gradient,
     _marginals_stack,
+    _plan_kernel,
     _residual,
     _scaled_marginals,
-    _shared_kernel,
     _step_count,
     _xlogy,
     big_operator_apply,
@@ -133,11 +133,6 @@ class FactoredAMProblem:
     v_bary: np.ndarray  # (n,)
     u: np.ndarray  # (m, 2n)
 
-    def dense(self, cost):
-        n = self.v_bary.shape[0]
-        v_plans = self.alpha * cost.d + _adjoint_stack(self.potentials, n)
-        return AMProblem(v_plans=v_plans, v_bary=self.v_bary, u=self.u)
-
 
 @dataclass(frozen=True)
 class ScaledPlans:
@@ -178,27 +173,6 @@ def _box_quadratic_argmin(lin_coef, curvature):
     return np.maximum(t, -1.0, out=t)
 
 
-def _plan_kernel(amp, cost, m, n):
-    """Kernel and log row/column factors of the plan blocks exp(-c v_plans_i).
-
-    With c = m / (20 d_inf), a factored problem shares one kernel
-    exp(-c alpha C) across the measures, and its potentials enter as
-    per-measure row and column factors, each half min-shifted into (0, 1]
-    (`core._shared_kernel`).  A general problem, or a factored one whose
-    kernel and factor exponents together span more than
-    `core.FACTOR_SPAN_MAX`, gets one block exp(min - E_i) per measure with
-    E_i = c v_plans_i, and unit factors.
-    """
-    c = m / (20.0 * cost.d_inf)
-    if isinstance(amp, FactoredAMProblem):
-        shared = _shared_kernel((c * amp.alpha) * cost.C, c * amp.potentials)
-        if shared is not None:
-            return shared
-        amp = amp.dense(cost)
-    exponents = c * amp.v_plans
-    return np.exp(exponents.min(axis=1, keepdims=True) - exponents).reshape(m, n, n), 0.0
-
-
 def am_prox(amp, num_iters, cost, m, n):
     """Alternating minimization for one proximal subproblem.
 
@@ -210,10 +184,11 @@ def am_prox(amp, num_iters, cost, m, n):
 
     Only the separable term 0.1 * (y_j^2 + y_{n+k}^2) of a plan block's
     exponent depends on the duals, so plan i is diag(a_i) K diag(b_i) / Z_i
-    with a kernel built once per call (see `_plan_kernel`): one (n, n)
-    kernel for a factored problem, whose sweeps then take the plan
-    marginals as two GEMMs against it, or an (m, n, n) stack, taken by
-    batched mat-vecs.
+    with a kernel built once per call by `core._plan_kernel` from c v_plans,
+    c = m / (20 d_inf): c alpha C and c times the potentials for a factored
+    problem, the (m, n, n) exponents and zero potentials for a general one.
+    A shared (n, n) kernel makes a sweep's plan marginals two GEMMs; an
+    (m, n, n) stack takes batched mat-vecs.
 
     A sweep is a function of the duals alone, so the loop stops early only
     where the rest of the budget cannot change the result: when a sweep's
@@ -237,11 +212,16 @@ def am_prox(amp, num_iters, cost, m, n):
     # Non-finite values surface in the curvature check; an overflowing
     # quotient of the dual argmin is clipped to the box.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        K, log_factors = _plan_kernel(amp, cost, m, n)
+        c = m / (20.0 * d_inf)
+        if isinstance(amp, FactoredAMProblem):
+            costs, potentials = (c * amp.alpha) * cost.C, c * amp.potentials
+        else:
+            costs, potentials = (c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n))
+        K, log_factors = _plan_kernel(costs, potentials)
         for t in range(num_iters):
             ysq = y * y
-            # Unit factors keep both scalings in [e^-0.1, 1]; the kernel
-            # builder bounds a factored product away from underflow.
+            # The kernel builder bounds a product of a kernel entry and its
+            # factors away from underflow; the duals' term is at least e^-0.2.
             e = np.exp(log_factors - 0.1 * ysq)
             a, b = e[:, :n], e[:, n:]
             marginals = _scaled_marginals(K, a, b)
@@ -278,15 +258,16 @@ def de_initial_error_bound(eps, theta_value, d_inf):
 
 
 def am_inner_iterations(eps, theta_value, d_inf):
-    """Sweep count ceil(24 ln(2 E0 / eps)) meeting the per-run additive error budget.
+    """Sweep count max(1, ceil(24 ln(2 E0 / eps))) meeting the per-run additive error budget.
 
     E0 is `de_initial_error_bound`: each sweep contracts the suboptimality
     by a constant factor, so a logarithmic number of sweeps takes E0 below
-    eps / 2.
+    eps / 2.  An eps above 2 E0 makes the logarithm negative: the cold
+    start is already within eps / 2, and one sweep is all a prox call needs.
     """
     _check_eps_and_cost(eps, d_inf)
     bound = de_initial_error_bound(eps, theta_value, d_inf)
-    return _step_count(24.0 * math.log(2.0 * bound / eps))
+    return max(1, _step_count(24.0 * math.log(2.0 * bound / eps)))
 
 
 @dataclass(frozen=True)

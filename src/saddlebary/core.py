@@ -9,8 +9,9 @@ to its row sums minus p and its column sums, block by block.  It is never
 materialized: every application is index arithmetic costing O(n^2) per
 measure, which keeps a full gradient or certificate evaluation at O(m n^2).
 Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
-/ Z_i; their shared arithmetic on that form (the one n x n kernel and its
-span test, the scaled marginals, plan formation), the constraint residual, the
+/ Z_i; their shared arithmetic on that form (the kernel builder, which
+shares one n x n kernel or past its span gives each measure its own block,
+the scaled marginals, plan formation), the constraint residual, the
 saddle gradient (`_gradient`, also behind the certificate), the averaged
 output, the eps and cost checks and `_logsumexp` and `_xlogy` live here once.
 """
@@ -267,24 +268,37 @@ _PLAN_FLOOR = np.finfo(float).tiny
 FACTOR_SPAN_MAX = 700.0
 
 
-def _shared_kernel(costs, potentials):
-    """One kernel for the plans exp(-(costs + row_i (+) col_i)), or None past the span.
+def _plan_kernel(costs, potentials):
+    """Kernel and log row/column factors of the plans exp(-(costs + row (+) col)).
 
-    `costs` is (n, n) and `potentials` stacks each plan's [row, column]
-    potentials on its last axis, (..., 2n).  Returns the kernel
-    exp(min - costs), formed in the buffer of `costs`, and the log factors
-    min - potentials of each half, both in (0, 1], when the kernel span
-    plus the widest plan's two factor spans is at most FACTOR_SPAN_MAX;
-    otherwise None, with `costs` left as it was.
+    `costs` is one (n, n) array for every measure or an (m, n, n) stack, and
+    is overwritten; `potentials` holds each plan's [row, column] potentials,
+    (m, 2n) or (m, s, 2n) for s plans per measure.  Within the span (the
+    costs' span plus the widest plan's two potential spans at most
+    FACTOR_SPAN_MAX) the kernel is exp(min - costs), in the buffer of
+    `costs`, and the log factors min - potentials of each half.  Past it,
+    the kernel is log-stabilized scaling's absorbed kernel: a block
+    exp(min_i - E_i) per measure, E_i the exponents of its first plan,
+    entries more than FACTOR_SPAN_MAX below min_i exactly 0, and the log
+    factors are relative to that first plan.
     """
     low = costs.min()
-    halves = potentials.reshape(potentials.shape[:-1] + (2, costs.shape[0]))
+    n = costs.shape[-1]
+    halves = potentials.reshape(potentials.shape[:-1] + (2, n))
     log_factors = halves.min(axis=-1, keepdims=True) - halves
     span = costs.max() - low - log_factors.min(axis=-1).sum(axis=-1).min()
-    if not span <= FACTOR_SPAN_MAX:
-        return None
-    kernel = np.subtract(low, costs, out=costs)
-    return np.exp(kernel, out=kernel), log_factors.reshape(potentials.shape)
+    if span <= FACTOR_SPAN_MAX:
+        kernel = np.subtract(low, costs, out=costs)
+        return np.exp(kernel, out=kernel), log_factors.reshape(potentials.shape)
+    plans = potentials.reshape(potentials.shape[0], -1, 2 * n)
+    first = plans[:, 0]
+    blocks = costs + first[:, :n, None] + first[:, None, n:]
+    np.subtract(blocks.min(axis=(1, 2), keepdims=True), blocks, out=blocks)
+    deep = blocks < -FACTOR_SPAN_MAX
+    # clamped, since np.exp is slow where it underflows; zeroed after
+    np.exp(np.maximum(blocks, -FACTOR_SPAN_MAX, out=blocks), out=blocks)
+    np.copyto(blocks, 0.0, where=deep)
+    return blocks, (first[:, None] - plans).reshape(potentials.shape)
 
 
 def _scaled_marginals(K, a, b):

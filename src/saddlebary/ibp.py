@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ class IBPConfig:
     def __post_init__(self):
         if not (math.isfinite(self.reg) and self.reg > 0):
             raise ConfigError("regularization must be positive and finite")
-        if self.iters < 1:
-            raise ConfigError("need at least one sweep")
+        if not (isinstance(self.iters, numbers.Integral) and self.iters >= 1):
+            raise ConfigError(f"need a whole number of sweeps, at least one: got {self.iters!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError("tol must be nonnegative and finite")
 
 
 def _normalized_pair(plans, bary, prob):

@@ -15,8 +15,9 @@ log factors, not as dense plans.  A step builds one n x n kernel (n^2
 exponentials), takes the marginals and normalizers of both of its plans by
 two GEMMs, and forms only the extrapolation plans, which enter the running
 average, through the Gibbs-form helpers in `core`.  Should the kernel and
-factors span more than `core.FACTOR_SPAN_MAX` in the exponent, the main
-iterate is formed densely once and each later step rescales it by
+factors span more than `core.FACTOR_SPAN_MAX` in the exponent, the kernel
+builder returns one block per measure instead, the step forms the next
+main iterate densely over it, and each later step rescales that by
 exp(-gamma C).  A step updates the state in place; only that switch
 allocates an m n^2 float array.  The barycenter block (n entries) stays in
 the log domain.
@@ -37,11 +38,10 @@ from .core import (
     _averaged_pair,
     _check_eps_and_cost,
     _form_plans,
-    _floor,
     _log_normalize,
+    _plan_kernel,
     _residual,
     _scaled_marginals,
-    _shared_kernel,
     _step_count,
     uniform_primal,
 )
@@ -159,22 +159,30 @@ def mp_initial_state(prob):
     )
 
 
+def _gibbs_marginals(K, log_factors, n):
+    """Factors a, b of the plans diag(a) K diag(b) / Z, their [row, column] sums and Z."""
+    e = np.exp(log_factors)
+    a, b = e[..., :n], e[..., n:]
+    marginals = _scaled_marginals(K, a, b)
+    Z = marginals[..., :n].sum(axis=-1, keepdims=True)
+    marginals /= Z
+    return a, b, marginals, Z
+
+
 def main_iterate(state, cfg, prob):
     """The main primal iterate x of `state` as a dense `PrimalPoint` (new arrays).
 
-    From the Gibbs form, each plan is exp(min E_i - E_i) with
-    E_i = k gamma C - f_i (+) g_i, normalized, entries below the plan
-    floor set to 0.
+    From the Gibbs form, x's plans are formed from `core._plan_kernel` of
+    k gamma C with x's factors, normalized, entries below the plan floor
+    set to 0.
     """
     if state.plans is not None:
         return PrimalPoint(plans=state.plans.copy(), bary=state.bary.copy())
-    n, log_factors = prob.n, state.log_factors
-    P = (state.k * cfg.gamma_mult) * prob.cost.C - log_factors[:, :n, None]
-    P -= log_factors[:, None, n:]
-    np.subtract(P.min(axis=(1, 2), keepdims=True), P, out=P)
-    np.exp(P, out=P)
-    P /= P.sum(axis=(1, 2), keepdims=True)
-    return PrimalPoint(plans=_floor(P).reshape(prob.m, n * n), bary=state.bary.copy())
+    n = prob.n
+    K, log_factors = _plan_kernel((state.k * cfg.gamma_mult) * prob.cost.C, -state.log_factors)
+    a, b, _, Z = _gibbs_marginals(K, log_factors, n)
+    plans = _form_plans(K, a, b / Z, np.empty((prob.m, n * n)))
+    return PrimalPoint(plans=plans, bary=state.bary.copy())
 
 
 def mp_iteration(state, cfg, prob):
@@ -185,10 +193,11 @@ def mp_iteration(state, cfg, prob):
     exp(-c y[n:]), c = 2 d_inf gamma: the extrapolation plans u at the
     duals y, the next x at v.  In Gibbs form that is one kernel
     exp(-(k + 1) gamma C) shared by every measure, with x's factors and
-    the duals' as row and column factors (`core._shared_kernel`), so the
+    the duals' as row and column factors (`core._plan_kernel`), so the
     marginals and normalizers of both plans are two GEMMs and only u is
-    formed, into its own buffer.  Once the kernel and factors span more
-    than `core.FACTOR_SPAN_MAX`, x is formed densely and from then on each
+    formed, into its own buffer.  The step on which the kernel and factors
+    span more than `core.FACTOR_SPAN_MAX` takes the builder's kernel block
+    per measure and forms the next x densely over it; from then on each
     step forms W = x exp(-gamma C) in x's buffer, takes both plans'
     marginals by batched mat-vecs against W and forms the next x over W.
     """
@@ -202,23 +211,14 @@ def mp_iteration(state, cfg, prob):
 
     # both plans: index 0 at y (u), index 1 at v (next x)
     scaled = (2.0 * prob.cost.d_inf * cfg.gamma_mult) * duals
-    shared = None
     if state.plans is None:
         costs = ((state.k + 1) * cfg.gamma_mult) * prob.cost.C
-        shared = _shared_kernel(costs, scaled - state.log_factors[:, None, :])
-        if shared is None:  # past the span: x is formed densely, once
-            state.plans = main_iterate(state, cfg, prob).plans
-    if shared is not None:
-        K, log_factors = shared
+        K, log_factors = _plan_kernel(costs, scaled - state.log_factors[:, None, :])
     else:
         K = state.plans.reshape(-1, n, n)
         K *= np.exp(-cfg.gamma_mult * prob.cost.C)
         log_factors = -scaled
-    e = np.exp(log_factors)
-    a, b = e[..., :n], e[..., n:]
-    marginals = _scaled_marginals(K, a, b)
-    Z = marginals[..., :n].sum(axis=2, keepdims=True)
-    marginals /= Z
+    a, b, marginals, Z = _gibbs_marginals(K, log_factors, n)
     log_bary, bary = _log_normalize(state.log_bary + cfg.beta * duals[..., :n].sum(axis=0))
 
     if not math.isfinite(marginals.sum() + Z.sum() + bary.sum()):
@@ -231,10 +231,10 @@ def mp_iteration(state, cfg, prob):
     u = state.u
     b_over_z = b / Z
     _form_plans(K, a[:, 0], b_over_z[:, 0], u.plans)
-    if shared is not None:
+    if K.ndim == 2:
         state.log_factors = log_factors[:, 1]
-    else:
-        _form_plans(K, a[:, 1], b_over_z[:, 1], state.plans)
+    else:  # per-measure blocks or W: x is dense from here on, formed over K
+        state.plans = _form_plans(K, a[:, 1], b_over_z[:, 1], K.reshape(prob.m, n * n))
     u.bary[:] = bary[0]
     state.x_marginals = marginals[:, 1]
     state.bary = bary[1]

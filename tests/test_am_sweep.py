@@ -22,7 +22,13 @@ from saddlebary.area_convex import (
     _box_quadratic_argmin,
     am_prox,
 )
-from saddlebary.core import FACTOR_SPAN_MAX, _form_plans, _scaled_marginals
+from saddlebary.core import (
+    FACTOR_SPAN_MAX,
+    _adjoint_stack,
+    _form_plans,
+    _plan_kernel,
+    _scaled_marginals,
+)
 from conftest import random_problem
 
 TOL = 1e-12
@@ -45,7 +51,8 @@ def _dense_am_prox(amp, num_iters, d_inf, m, n):
         curv = (2.0 * d_inf / m) * np.concatenate(
             [plans.sum(axis=2) + bary, plans.sum(axis=1)], axis=1
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a quotient that overflows is clipped to the box, as in `am_prox`
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inner = np.where(curv > 0, -amp.u / (2.0 * curv), -np.sign(amp.u))
         y = np.clip(inner, -1.0, 1.0)
         # stop on a bit-identical cycle of period p <= 4 whose phase the
@@ -62,7 +69,11 @@ def _dense_am_prox(amp, num_iters, d_inf, m, n):
 def _kernel_sweeps(amp, cost, m, n):
     """`am_prox`'s sweep with no stop: yields (plans, bary, duals) after each sweep."""
     d_inf = cost.d_inf
-    K, log_factors = ac._plan_kernel(amp, cost, m, n)
+    c = m / (20.0 * d_inf)
+    if isinstance(amp, FactoredAMProblem):
+        K, log_factors = _plan_kernel((c * amp.alpha) * cost.C, c * amp.potentials)
+    else:
+        K, log_factors = _plan_kernel((c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n)))
     y = np.zeros((m, 2 * n))
     while True:
         ysq = y * y
@@ -239,16 +250,17 @@ def _factored_problem(rng, cost, m, n, span):
     )
 
 
-@pytest.mark.parametrize("span", [50.0, 650.0, 750.0, 1100.0])
+@pytest.mark.parametrize("span", [50.0, 650.0, 750.0, 1100.0, 20000.0])
 @pytest.mark.parametrize("n, m", [(5, 3), (16, 2)])
 def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
     # below the threshold the measures share one (n, n) kernel; above it the
-    # prox falls back to a kernel block per measure, the combined min-shift
+    # builder gives each measure a kernel block, the combined min-shift,
+    # and at a span of 20,000 most of each block lies below the exp floor
     cost = random_problem(920 + n, n, m).cost
     rng = np.random.default_rng(int(span) + n)
     for _ in range(2):
         amp = _factored_problem(rng, cost, m, n, span)
-        dense = amp.dense(cost)
+        dense = AMProblem(amp.alpha * cost.d + _adjoint_stack(amp.potentials, n), amp.v_bary, amp.u)
         for budget in (3, LONG):
             x, y, sweeps = sweep_counter(amp, budget, cost, m, n)
             assert isinstance(x, ScaledPlans)

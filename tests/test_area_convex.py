@@ -11,6 +11,7 @@ from saddlebary.area_convex import (
     _box_quadratic_argmin,
     am_prox,
 )
+from saddlebary.core import _adjoint_stack
 from conftest import random_dual, random_primal, random_problem
 
 
@@ -212,6 +213,12 @@ class TestInnerIterations:
         values = [sb.am_inner_iterations(e, theta_val, 1.0) for e in (0.05, 0.1, 0.5, 1.0)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("eps", [1000.0, 2000.0, 10000.0])
+    def test_eps_above_twice_the_start_bound_needs_one_sweep(self, eps):
+        # on the normalized n = 100 suite 2 E0 is about 1,000, so
+        # 24 ln(2 E0 / eps) is 0.04, -16.8 and -55.7 at these eps
+        assert sb.am_inner_iterations(eps, sb.theta(100, 1.0), 1.0) == 1
+
     def test_theta_doubling_growth(self):
         theta_val = sb.theta(8, 1.0)
         before = sb.am_inner_iterations(0.2, theta_val, 1.0)
@@ -400,10 +407,10 @@ class TestDualExtrapolation:
         g_primal, g_dual = sb.gradient_operator(
             sb.PrimalPoint(plans=zp.dense(), bary=zp.bary), zy, t1_problem
         )
-        dense = advanced.dense(cost)
-        np.testing.assert_allclose(dense.v_plans, g_primal[: m * n * n].reshape(m, n * n) / 3.0,
+        v_plans = advanced.alpha * cost.d + _adjoint_stack(advanced.potentials, n)
+        np.testing.assert_allclose(v_plans, g_primal[: m * n * n].reshape(m, n * n) / 3.0,
                                    rtol=0, atol=1e-15)
-        np.testing.assert_allclose(dense.u, g_dual.reshape(m, 2 * n) / 3.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(advanced.u, g_dual.reshape(m, 2 * n) / 3.0, rtol=0, atol=1e-15)
 
     def test_deterministic(self):
         prob = random_problem(56, 3, 2)

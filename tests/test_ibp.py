@@ -26,6 +26,18 @@ class TestConfig:
         with pytest.raises(sb.ConfigError):
             sb.IBPConfig(reg=0.1, iters=0)
 
+    @pytest.mark.parametrize("iters", [2.5, 3.0])
+    def test_rejects_non_integer_iters(self, iters):
+        # the sweep loop's range() takes integers only
+        with pytest.raises(sb.ConfigError):
+            sb.IBPConfig(reg=0.1, iters=iters)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+    def test_rejects_bad_tol(self, tol):
+        # nan never stops a run early and inf stops it after one sweep
+        with pytest.raises(sb.ConfigError):
+            sb.IBPConfig(reg=0.1, iters=10, tol=tol)
+
 
 class TestInstability:
     def test_naive_tiny_reg_degenerates(self, gaussian_problem):

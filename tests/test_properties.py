@@ -19,12 +19,14 @@ from scipy.special import logsumexp, xlogy
 
 import saddlebary as sb
 from saddlebary.core import (
+    FACTOR_SPAN_MAX,
     _adjoint_stack,
     _floor,
     _form_plans,
     _gradient,
     _logsumexp,
     _marginals_stack,
+    _plan_kernel,
     _residual,
     _scaled_marginals,
     _xlogy,
@@ -77,6 +79,43 @@ def test_plan_floor_is_bitwise_the_masked_product(entries):
     floored = _floor(P)
     assert floored is P
     np.testing.assert_array_equal(floored.view(np.uint64), expected.view(np.uint64))
+
+
+@PROPERTY
+@given(
+    sizes,
+    st.sampled_from([10.0, 650.0, 750.0, 1100.0, 20000.0]),
+    st.sampled_from(["shared", "stacked"]),
+    st.sampled_from([1, 2]),
+)
+def test_plan_kernel_forms_the_log_domain_plans(size, span, costs_layout, plans_per_measure):
+    # costs and potentials spanning about `span` in the exponent, on either
+    # side of FACTOR_SPAN_MAX; a second plan per measure sits within 1 of the
+    # first in every potential, as mp's two plans of a step do
+    n, m, seed = size
+    rng = np.random.default_rng(seed)
+    costs = rng.uniform(0.0, span / 2, (n, n) if costs_layout == "shared" else (m, n, n))
+    first = rng.uniform(0.0, span / 4, (m, 1, 2 * n))
+    potentials = first + rng.uniform(-1.0, 1.0, (m, plans_per_measure, 2 * n))
+    potentials[:, 0] = first[:, 0]
+    if plans_per_measure == 1:
+        potentials = potentials[:, 0]
+    per_plan = potentials.reshape(m, -1, 2 * n)
+    logw = -(costs.reshape(-1, 1, n, n) + per_plan[..., :n, None] + per_plan[..., None, n:])
+    logw = logw.reshape(m, -1, n * n)
+    reference = np.exp(logw - logsumexp(logw, axis=2, keepdims=True))
+    halves = per_plan.reshape(m, -1, 2, n)
+    within = np.ptp(costs) + np.ptp(halves, axis=-1).sum(axis=-1).max() <= FACTOR_SPAN_MAX
+
+    kernel, log_factors = _plan_kernel(costs.copy(), potentials)
+    assert kernel.shape == (costs.shape if within else (m, n, n))
+    assert not np.any((kernel > 0) & (kernel < TINY))
+    log_factors = log_factors.reshape(m, -1, 2 * n)
+    for s in range(plans_per_measure):
+        e = np.exp(log_factors[:, s])
+        plans = _form_plans(kernel, e[:, :n], e[:, n:], np.empty((m, n * n)))
+        plans /= plans.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(plans, reference[:, s], rtol=0, atol=1e-12)
 
 
 @PROPERTY

@@ -205,6 +205,15 @@ class TestCLI:
         for name in ("report.csv", "barycenter.csv", "iterates.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("algo", ["mp", "de"])
+    def test_eps_far_above_the_start_bound_exits_0(self, tmp_path, algo):
+        # eps above twice de's start bound E0 (about 1,000 here): one sweep a prox call
+        code = run_cli(
+            ["barycenter", "--algo", algo, "--gaussian", "--normalize-cost", "--eps", "2000",
+             "--out", str(tmp_path / algo), "--timing", "off"]
+        )
+        assert code == 0
+
     def test_ibp_underflow_exit_code(self, tmp_path):
         code = run_cli(
             ["barycenter", "--algo", "ibp", "--reg", "1e-5", "--gaussian",
