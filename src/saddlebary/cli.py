@@ -181,7 +181,9 @@ def build_parser():
         p.add_argument("--cost", type=str, default="sqdist", help="'sqdist' or 'csv:<path>'")
         p.add_argument("--normalize-cost", action="store_true", help="rescale cost to max entry 1")
         p.add_argument("--reg", type=float, default=0.01, help="entropic regularization (ibp)")
-        p.add_argument("--stabilized", action="store_true", help="log-domain ibp")
+        p.add_argument(
+            "--stabilized", action="store_true", help="ibp by absorbed-kernel scaling (small reg)"
+        )
         p.add_argument(
             "--scaling", choices=SCALING_VARIANTS, default="derived",
             help="mirror-prox step scaling variant",

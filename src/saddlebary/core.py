@@ -13,7 +13,9 @@ Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
 shares one n x n kernel or past its span gives each measure its own block,
 the scaled marginals, plan formation), the constraint residual, the
 saddle gradient (`_gradient`, also behind the certificate), the averaged
-output, the eps and cost checks and `_logsumexp` and `_xlogy` live here once.
+output, the eps and cost checks, the clamped exp of absorbed kernel blocks
+(`_clamped_exp`, also behind stabilized IBP's blocks) and `_xlogy` live here
+once.
 """
 
 from __future__ import annotations
@@ -294,11 +296,20 @@ def _plan_kernel(costs, potentials):
     first = plans[:, 0]
     blocks = costs + first[:, :n, None] + first[:, None, n:]
     np.subtract(blocks.min(axis=(1, 2), keepdims=True), blocks, out=blocks)
-    deep = blocks < -FACTOR_SPAN_MAX
-    # clamped, since np.exp is slow where it underflows; zeroed after
-    np.exp(np.maximum(blocks, -FACTOR_SPAN_MAX, out=blocks), out=blocks)
-    np.copyto(blocks, 0.0, where=deep)
-    return blocks, (first[:, None] - plans).reshape(potentials.shape)
+    return _clamped_exp(blocks), (first[:, None] - plans).reshape(potentials.shape)
+
+
+def _clamped_exp(exponents):
+    """exp of `exponents` in their buffer, entries below -FACTOR_SPAN_MAX exactly 0; returns it.
+
+    The exponents are clamped at -FACTOR_SPAN_MAX before the exp, since
+    np.exp is slow where it underflows, and the clamped entries zeroed
+    after.
+    """
+    deep = exponents < -FACTOR_SPAN_MAX
+    np.exp(np.maximum(exponents, -FACTOR_SPAN_MAX, out=exponents), out=exponents)
+    np.copyto(exponents, 0.0, where=deep)
+    return exponents
 
 
 def _scaled_marginals(K, a, b):
@@ -349,15 +360,6 @@ def _log_normalize(logw):
     w = np.exp(logw - shift)
     total = w.sum(axis=-1, keepdims=True)
     return logw - (shift + np.log(total)), w / total
-
-
-def _logsumexp(a, axis):
-    """Log-sum-exp along `axis` as log1p(rest / count) + log(count) + top; rest omits top's ties."""
-    top = a.max(axis=axis, keepdims=True)
-    ties = a == top
-    rest = np.exp(np.subtract(a, top, out=np.full_like(a, -np.inf), where=~ties))
-    count = ties.sum(axis=axis, keepdims=True, dtype=float)
-    return (np.log1p(rest.sum(axis=axis, keepdims=True) / count) + np.log(count) + top).squeeze(axis)
 
 
 def _xlogy(w, v):

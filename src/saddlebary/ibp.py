@@ -9,9 +9,12 @@ compensate, and the iteration degenerates into 0/0.  The run then stops with
 status ``underflow-degenerate`` instead of silently emitting garbage.  Its
 certified plans diag(u_i) K diag(v_i) are formed by the Gibbs-form helper
 the saddle solvers share, which sets subnormal entries to 0.  The
-stabilized mode runs the same iteration on log-domain potentials and always
-returns a finite simplex vector.  Either mode rejects a reg at which
--C / reg overflows.
+stabilized mode runs the same iteration by log-stabilized scaling with
+absorbed kernels (Schmitzer): each measure keeps log potentials f_i and g_i
+and one kernel block exp(-C/reg + f_i (+) g_i), a sweep is two batched
+mat-vecs of scalings near 1 with the blocks, and a scaling that leaves
+e^(+-SCALING_LOG_BOUND) is folded into its potential and the blocks are
+rebuilt.  Either mode rejects a reg at which -C / reg overflows.
 """
 
 from __future__ import annotations
@@ -24,15 +27,26 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
+    FACTOR_SPAN_MAX,
     ConfigError,
     DualPoint,
     NumericalFailure,
     PrimalPoint,
+    _clamped_exp,
     _form_plans,
-    _logsumexp,
     _xlogy,
 )
 from .report import RunReport, run_certified
+
+# The logs of stabilized scalings stay within [-B, B], B = SCALING_LOG_BOUND;
+# past it they are folded into the potentials.  A block entry is then at most e^B
+# (a plan entry is at most 1), so no product of an entry and a scaling
+# leaves the exp range, and the entries the blocks' clamp drops (below
+# e^-FACTOR_SPAN_MAX) add at most n e^(B - FACTOR_SPAN_MAX) to a mat-vec
+# entry: a relative n e^-B to one of at least REDUCTION_FLOOR = e^-2B.  A
+# smaller entry is taken exactly by log-sum-exp (see `_log_reduction`).
+SCALING_LOG_BOUND = FACTOR_SPAN_MAX / 4
+REDUCTION_FLOOR = math.exp(-2 * SCALING_LOG_BOUND)
 
 
 @dataclass(frozen=True)
@@ -138,36 +152,81 @@ def _ibp_naive(prob, cfg, run):
     run(step, certified)
 
 
+def _log_reduction(sums, where, exponents):
+    """log of the batched mat-vec entries `sums` where `where` holds, -inf elsewhere.
+
+    An entry below REDUCTION_FLOOR may have lost its terms to the blocks'
+    clamp or to underflow, so its log is taken exactly: the log-sum-exp of
+    the row of block exponents plus log scalings that `exponents(i, j)`
+    returns for the indices of those entries.
+    """
+    out = np.full(sums.shape, -np.inf)
+    low = where & (sums < REDUCTION_FLOOR)
+    np.log(sums, out=out, where=where & ~low)
+    if low.any():
+        i, j = np.nonzero(low)
+        e = exponents(i, j)
+        top = e.max(axis=1)
+        out[i, j] = np.log(np.exp(e - top[:, None]).sum(axis=1)) + top
+    return out
+
+
 def _ibp_stabilized(prob, cfg, run):
     n, m = prob.n, prob.m
-    C, Q = prob.cost.C, prob.measures
-    logK = -C / cfg.reg
-    with np.errstate(divide="ignore"):
-        logQ = np.log(Q)
+    logK = -prob.cost.C / cfg.reg
+    Q = prob.measures
+    support = Q > 0
+    logQ = np.log(Q, out=np.full((m, n), -np.inf), where=support)
 
-    phi = np.full((m, n), -math.log(n))
-    log_p = np.full(n, -math.log(n))
-    log_col = _logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
-    psi = log_row = None
+    # The total log scalings are f + log_u and g + log_v (psi holds the
+    # latter on the support of Q).  g starts as the c-transform of f, so
+    # every column of a block peaks at 1; a column of zero mass has g = -inf
+    # and no entries.  The scalings are updated in log form: one sweep can
+    # move one far past e^B (log u by about 500 at reg 1e-3 on a zero-mass
+    # input) before it is folded into its potential.
+    f = np.full((m, n), -math.log(n))
+    g = np.where(support, -(logK + f[:, :, None]).max(axis=1), -np.inf)
+    K = np.empty((m, n, n))
+
+    def rebuild():
+        np.add(logK, f[:, :, None], out=K)
+        _clamped_exp(np.add(K, g[:, None, :], out=K))
+
+    rebuild()
+    log_u, u = np.zeros((m, n)), np.ones((m, n))
+    col = (u[:, None, :] @ K)[:, 0]
+    v = psi = log_p = None
 
     def step(k):
-        nonlocal phi, log_p, log_col, psi, log_row
-        psi = logQ - log_col
-        log_row = _logsumexp(logK[None, :, :] + psi[:, None, :], axis=2)
-        log_p = (phi + log_row).mean(axis=0)
-        phi = log_p[None, :] - log_row
+        nonlocal log_u, u, v, col, psi, log_p
+        log_col = _log_reduction(
+            col, support, lambda i, l: logK[:, l].T + (f + log_u)[i] + g[i, l, None]
+        )
+        log_v = np.subtract(logQ, log_col, out=np.full((m, n), -np.inf), where=support)
+        psi = np.add(g, log_v, out=np.zeros((m, n)), where=support)
+        if np.abs(log_v, out=np.zeros((m, n)), where=support).max() > SCALING_LOG_BOUND:
+            np.copyto(g, psi, where=support)
+            rebuild()
+            log_v = np.where(support, 0.0, -np.inf)
+        v = np.exp(log_v)
+        kv = (K @ v[:, :, None])[:, :, 0]
+        log_kv = _log_reduction(kv, True, lambda i, j: logK[j] + (g + log_v)[i] + f[i, j, None])
+        log_p = (log_u + log_kv).mean(axis=0)
+        log_u = log_p - log_kv
+        if np.abs(log_u).max() > SCALING_LOG_BOUND:
+            np.add(f, log_u, out=f)
+            rebuild()
+            log_u = np.zeros((m, n))
+        u = np.exp(log_u)
         # the next sweep's column reduction doubles as this sweep's stop test
-        log_col = _logsumexp(logK[None, :, :] + phi[:, :, None], axis=1)
-        return np.abs(np.exp(psi + log_col) - Q).sum(axis=1).max() <= cfg.tol
+        col = (u[:, None, :] @ K)[:, 0]
+        return np.abs(v * col - Q).sum(axis=1).max() <= cfg.tol
 
     def certified():
-        plans = np.exp(phi[:, :, None] + logK[None, :, :] + psi[:, None, :])
-        merit = _scaling_merit(
-            float(np.exp(phi + log_row).sum()),
-            float((Q * np.where(Q > 0, psi, 0.0)).sum()),
-            cfg.reg,
-            m,
-        )
-        return (*_normalized_pair(plans.reshape(m, n * n), np.exp(log_p), prob), merit)
+        plans = _form_plans(K, u, v, np.empty((m, n * n)))
+        p = np.exp(log_p)
+        # every plan's row sums are p after the barycenter half-update
+        merit = _scaling_merit(m * float(p.sum()), float((Q * psi).sum()), cfg.reg, m)
+        return (*_normalized_pair(plans, p, prob), merit)
 
     run(step, certified)

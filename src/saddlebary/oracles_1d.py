@@ -43,14 +43,19 @@ class Grid1D:
 
 
 def grid_cost(grid, normalize=False):
-    """Ground cost |t_j - t_k|^power on the grid as :class:`CostData`."""
-    diff = np.abs(grid.points[:, None] - grid.points[None, :])
-    C = diff**grid.power
-    if normalize:
-        top = C.max()
-        if top <= 0:
-            raise UnsupportedError("cannot normalize an all-zero cost")
-        C = C / top
+    """Ground cost |t_j - t_k|^power on the grid as :class:`CostData`.
+
+    A cost that overflows is left non-finite for :func:`vectorize_cost` to
+    reject as an :class:`InvalidCostError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(grid.points[:, None] - grid.points[None, :])
+        C = diff**grid.power
+        if normalize:
+            top = C.max()
+            if top <= 0:
+                raise UnsupportedError("cannot normalize an all-zero cost")
+            C = C / top
     return vectorize_cost(C)
 
 

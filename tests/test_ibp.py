@@ -7,6 +7,7 @@ from scipy.special import logsumexp, xlogy
 import saddlebary as sb
 import saddlebary.ibp as ibp
 from saddlebary.cli import GaussianSuiteSpec, gaussian_suite
+from saddlebary.core import _clamped_exp
 from conftest import random_problem
 
 
@@ -180,7 +181,59 @@ def _reference_naive(prob, cfg, run):
 
 
 def _reference_stabilized(prob, cfg, run):
-    """Stabilized sweep with three log-sum-exp reductions over all plan entries."""
+    """Absorbed-kernel sweep that forms the column sums u @ K afresh at the start of every sweep."""
+    n, m = prob.n, prob.m
+    logK = -prob.cost.C / cfg.reg
+    Q = prob.measures
+    support = Q > 0
+    logQ = np.log(Q, out=np.full((m, n), -np.inf), where=support)
+    f = np.full((m, n), -math.log(n))
+    g = np.where(support, -(logK + f[:, :, None]).max(axis=1), -np.inf)
+    K = np.empty((m, n, n))
+
+    def rebuild():
+        np.add(logK, f[:, :, None], out=K)
+        _clamped_exp(np.add(K, g[:, None, :], out=K))
+
+    rebuild()
+    log_u, u = np.zeros((m, n)), np.ones((m, n))
+    v = psi = log_p = None
+
+    def step(k):
+        nonlocal log_u, u, v, psi, log_p
+        col = (u[:, None, :] @ K)[:, 0]
+        log_col = ibp._log_reduction(
+            col, support, lambda i, l: logK[:, l].T + (f + log_u)[i] + g[i, l, None]
+        )
+        log_v = np.subtract(logQ, log_col, out=np.full((m, n), -np.inf), where=support)
+        psi = np.add(g, log_v, out=np.zeros((m, n)), where=support)
+        if np.abs(log_v, out=np.zeros((m, n)), where=support).max() > ibp.SCALING_LOG_BOUND:
+            np.copyto(g, psi, where=support)
+            rebuild()
+            log_v = np.where(support, 0.0, -np.inf)
+        v = np.exp(log_v)
+        kv = (K @ v[:, :, None])[:, :, 0]
+        log_kv = ibp._log_reduction(kv, True, lambda i, j: logK[j] + (g + log_v)[i] + f[i, j, None])
+        log_p = (log_u + log_kv).mean(axis=0)
+        log_u = log_p - log_kv
+        if np.abs(log_u).max() > ibp.SCALING_LOG_BOUND:
+            np.add(f, log_u, out=f)
+            rebuild()
+            log_u = np.zeros((m, n))
+        u = np.exp(log_u)
+        return np.abs(v * (u[:, None, :] @ K)[:, 0] - Q).sum(axis=1).max() <= cfg.tol
+
+    def certified():
+        plans = u[:, :, None] * K * v[:, None, :]
+        p = np.exp(log_p)
+        merit = ibp._scaling_merit(m * float(p.sum()), float((Q * psi).sum()), cfg.reg, m)
+        return (*ibp._normalized_pair(plans.reshape(m, n * n), p, prob), merit)
+
+    run(step, certified)
+
+
+def _log_domain_stabilized(prob, cfg, run):
+    """Stabilized sweep on log potentials: three scipy logsumexp passes over all plan entries."""
     n, m = prob.n, prob.m
     C, Q = prob.cost.C, prob.measures
     logK = -C / cfg.reg
@@ -228,3 +281,65 @@ class TestCarriedColumnReduction:
         assert len(report.records) == report.iterations_run > 100
         assert report.records == ref.records
         assert bary.tobytes() == ref_bary.tobytes()
+
+
+def _zero_mass_problem():
+    grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
+    return sb.BarycenterProblem.create(
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), sb.grid_cost(grid)
+    )
+
+
+class TestLogDomainOracle:
+    @pytest.mark.parametrize(
+        "case, reg, iters",
+        [
+            ("gaussian", 0.1, 10000),
+            ("gaussian", 1e-2, 10000),
+            ("gaussian", 1e-3, 10000),
+            ("gaussian", 3e-4, 10000),
+            ("gaussian", 1e-5, 30),
+            ("random", 0.1, 10000),
+            ("zero-mass", 0.01, 20),
+            # the first sweep moves log u by about 500: the reductions of
+            # rows whose block entries the clamp dropped are taken exactly
+            ("zero-mass", 1e-3, 200),
+            ("non-zero-diagonal", 1e-4, 100),
+        ],
+    )
+    def test_absorbed_sweep_matches_the_log_domain_sweep(
+        self, gaussian_problem, monkeypatch, case, reg, iters
+    ):
+        prob = {
+            "gaussian": lambda: gaussian_problem,
+            "random": lambda: random_problem(70, 12, 3, zero_diagonal=True),
+            "zero-mass": _zero_mass_problem,
+            "non-zero-diagonal": lambda: random_problem(8, 30, 4),
+        }[case]()
+        cfg = sb.IBPConfig(reg=reg, iters=iters, stabilized=True)
+        builds = []
+        monkeypatch.setattr(ibp, "_clamped_exp", lambda e: builds.append(1) or _clamped_exp(e))
+        bary, report = sb.ibp_barycenter(prob, cfg, log_stride=1)
+        monkeypatch.setattr(ibp, "_ibp_stabilized", _log_domain_stabilized)
+        ref_bary, ref = sb.ibp_barycenter(prob, cfg, log_stride=1)
+        assert report.status == ref.status != "underflow-degenerate"
+        assert report.iterations_run == ref.iterations_run == len(report.records)
+        for ours, theirs in zip(report.records, ref.records, strict=True):
+            assert abs(ours.duality_gap - theirs.duality_gap) <= 1e-12
+            assert abs(ours.objective - theirs.objective) <= 1e-12 * abs(theirs.objective)
+        np.testing.assert_allclose(bary, ref_bary, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.final_x.plans, ref.final_x.plans, rtol=0, atol=1e-12)
+        if reg == 1e-5:
+            assert len(builds) - 1 > 1  # rebuilt more than once after the first build
+
+
+def test_log_reduction_takes_entries_below_the_floor_exactly():
+    # row 0's sums are ordinary; row 1's terms lie far below the floor, and
+    # partly below the clamp and the underflow bound of exp
+    rng = np.random.default_rng(5)
+    exponents = np.stack([rng.uniform(-5.0, 0.0, (3, 4)), rng.uniform(-1000.0, -600.0, (3, 4))])
+    where = np.array([[True, False, True], [True, True, True]])
+    sums = np.exp(exponents).sum(axis=2)
+    logs = ibp._log_reduction(sums, where, lambda i, j: exponents[i, j])
+    assert np.all(logs[~where] == -np.inf)
+    np.testing.assert_allclose(logs[where], logsumexp(exponents, axis=2)[where], rtol=1e-14)

@@ -108,6 +108,14 @@ class TestGrid:
         normalized = sb.grid_cost(grid, normalize=True)
         assert normalized.d_inf == 1.0
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overflowing_cost_is_an_invalid_cost(self, normalize):
+        # (1e200)^2 overflows to inf (and inf / inf is nan): the cost check
+        # reports it, not a RuntimeWarning from the power or the division
+        grid = sb.Grid1D(points=np.array([0.0, 1e200, 2e200]), power=2.0)
+        with pytest.raises(sb.InvalidCostError):
+            sb.grid_cost(grid, normalize=normalize)
+
 
 class TestMonotoneTransport:
     def test_identity(self):

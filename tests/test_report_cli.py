@@ -331,7 +331,8 @@ class TestNonFiniteInputs:
          "inf-cost", "ragged-cost", "max-iters-zero-mp", "max-iters-zero-de",
          "max-iters-zero-ibp", "eps-min-mp", "eps-min-de", "eps-1e-300-de", "eps-1e-160-de",
          "non-utf8-input", "non-utf8-cost", "non-utf8-iterates", "negative-seed",
-         "reg-overflow-stabilized", "reg-overflow-stabilized-csv-cost", "reg-overflow-naive"],
+         "reg-overflow-stabilized", "reg-overflow-stabilized-csv-cost", "reg-overflow-naive",
+         "sqdist-overflow"],
     )
     def test_cli_exits_2_without_traceback(self, tmp_path, case):
         hists = tmp_path / "h.csv"
@@ -344,6 +345,8 @@ class TestNonFiniteInputs:
         finite_cost.write_text("0,1,4\n1,0,1\n4,1,0\n")
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("0,1\n1,0,1\n")
+        far = tmp_path / "far.csv"
+        far.write_text("# grid: 0,1e200,2e200\n0.5,0.25,0.25\n")
         utf16 = tmp_path / "utf16.csv"
         utf16.write_bytes(b"\xff\xfe" + "0.5,0.5\n".encode("utf-16-le"))
         base = ["barycenter", "--input", str(hists), "--out", str(tmp_path / "o")]
@@ -378,6 +381,9 @@ class TestNonFiniteInputs:
                 "--cost", f"csv:{finite_cost}",
             ],
             "reg-overflow-naive": base + ["--algo", "ibp", "--reg", "1e-310", "--max-iters", "5"],
+            # the squared distances of the grid overflow
+            "sqdist-overflow": ["barycenter", "--input", str(far), "--algo", "mp",
+                                "--out", str(tmp_path / "o")],
         }[case]
         proc = _cli_subprocess("-m", "saddlebary.cli", *argv)
         assert proc.returncode == 2, proc.stderr
