@@ -23,14 +23,17 @@ Dual extrapolation's gradient sum is its next prox linear term, kept as a
 `FactoredAMProblem`: alpha * C plus a row and a column potential per
 measure, a scalar and an (m, 2n) array.  Each prox call builds one n x n
 kernel exp(-c alpha C) shared by all m measures, with the potentials as row
-and column factors, and a sweep takes the plan marginals as two GEMMs
-against it, through the Gibbs-form helpers in `core` that mirror prox uses
-too.  The first prox output of a step is used only through those
-marginals; the second is formed once, into a buffer the state owns, and
-added to the running average.  Should the kernel and factor exponents
-together span more than `core.FACTOR_SPAN_MAX` (just inside the exp
-underflow floor), the builder gives each measure its own kernel block with
-the combined min-shift and unit factors.
+and column factors, by `core._plan_kernel`, which mirror prox uses too, and
+a sweep takes the plan marginals as two GEMMs against it.  A sweep runs on
+per-call buffers held halves-major, (2, m, n) with the row half of every
+measure before the column half, so each of its NumPy calls writes one
+contiguous block; what the dual argmin needs of u and the curvature scale
+is computed once per call.  The first prox output of a step is used only
+through those marginals; the second is formed once, into a buffer the
+state owns, and added to the running average.  Should the kernel and
+factor exponents together span more than `core.FACTOR_SPAN_MAX` (just
+inside the exp underflow floor), `_plan_kernel` gives each measure its own
+kernel block with the combined min-shift and unit factors.
 
 This module also ships the numerical diagnostics used to sanity-check the
 construction: the area-convexity residual of random triples, the closed-form
@@ -61,7 +64,6 @@ from .core import (
     _marginals_stack,
     _plan_kernel,
     _residual,
-    _scaled_marginals,
     _step_count,
     _xlogy,
     big_operator_apply,
@@ -161,16 +163,52 @@ def am_objective(amp, x, y, cost):
     return lin + regularizer(x, y, cost)
 
 
-def _box_quadratic_argmin(lin_coef, curvature):
+def _box_quadratic_argmin(lin_coef, curvature, signs=None, out=None):
     """Entrywise argmin over [-1, 1] of lin*t + curvature*t^2, curvature >= 0.
 
     A vanishing curvature degenerates to box-linear minimization: the argmin
     is -sign(lin), and 0 when the linear coefficient also vanishes.
+
+    The argmin is a start value, replaced by lin / (-2 curvature) where a
+    mask holds and clipped to the box.  With two arguments the start is
+    -sign(lin) and the mask curvature > 0.  An AM sweep, whose linear
+    coefficients are fixed for the call, hands in `signs` =
+    `_sweep_signs(lin)` and -2 times the curvature, and gets the argmin in
+    `out`; there a zero curvature, -0.0 once scaled, makes the quotient
+    -sign(lin) * inf, which clips to -sign(lin), and the division by zero
+    is the caller's to ignore.  The two forms agree bit for bit but for a
+    -0.0 lin at a zero curvature, where the sweep's form gives +0.0.
     """
-    t = np.negative(np.sign(lin_coef))
-    np.divide(lin_coef, -2.0 * curvature, out=t, where=curvature > 0)
-    np.minimum(t, 1.0, out=t)
-    return np.maximum(t, -1.0, out=t)
+    if signs is None:
+        signs = np.negative(np.sign(lin_coef)), curvature > 0
+        curvature = -2.0 * curvature
+    start, mask = signs
+    if out is None:
+        out = np.empty_like(start)
+    np.copyto(out, start)
+    np.divide(lin_coef, curvature, out=out, where=mask)
+    np.minimum(out, 1.0, out=out)
+    return np.maximum(out, -1.0, out=out)
+
+
+def _sweep_signs(lin_coef):
+    """(start, mask) of the dual argmin for a sweep: -sign(lin), -lin at a zero, and lin != 0.
+
+    -lin is the quotient's value at a zero lin and a positive curvature.
+    """
+    nonzero = lin_coef != 0
+    return np.negative(np.where(nonzero, np.sign(lin_coef), lin_coef)), nonzero
+
+
+def _halves(pairs, m, n):
+    """An (m, 2n) array of [row, column] pairs as a contiguous (2, m, n) array."""
+    return pairs.reshape(m, 2, n).transpose(1, 0, 2).copy()
+
+
+def _pairs(halves):
+    """Inverse of `_halves`: a new (m, 2n) array."""
+    _, m, n = halves.shape
+    return halves.transpose(1, 0, 2).reshape(m, 2 * n)
 
 
 def am_prox(amp, num_iters, cost, m, n):
@@ -190,6 +228,18 @@ def am_prox(amp, num_iters, cost, m, n):
     A shared (n, n) kernel makes a sweep's plan marginals two GEMMs; an
     (m, n, n) stack takes batched mat-vecs.
 
+    A sweep is about twenty NumPy calls on buffers allocated once per call
+    and held halves-major, (2, m, n) with [0] the rows and [1] the columns
+    of every measure: the duals and their squares, the factors [a; b], the
+    kernel products [b K^T; a K], the marginals and the curvature.  Each
+    call writes one contiguous block, and one product of the factors with
+    the kernel products gives both marginal halves.  Computed once per call
+    instead: u in that layout with the dual argmin's start values and mask
+    (`_sweep_signs`), K's transpose, and the curvature scale times -2, a
+    factor that is exact on the normal floats a curvature takes, so the
+    argmin's quotients keep their bits.  The results return in the (m, 2n)
+    layout.
+
     A sweep is a function of the duals alone, so the loop stops early only
     where the rest of the budget cannot change the result: when a sweep's
     duals equal, bit for bit, those of p sweeps back for a period p of at
@@ -205,12 +255,18 @@ def am_prox(amp, num_iters, cost, m, n):
     if not np.all(np.isfinite(amp.u)):
         raise NumericalFailure("non-finite dual linear term", iteration=0)
     bary_lin = amp.v_bary / (10.0 * d_inf)
-    scale = 2.0 * d_inf / m
-    curvature = np.empty((m, 2 * n))
-    y = np.zeros((m, 2 * n))
+    neg_scale = -2.0 * (2.0 * d_inf / m)
+    u = _halves(amp.u, m, n)
+    signs = _sweep_signs(u)
+    y = np.zeros((2, m, n))
+    ysq, e, products, marginals, curvature = np.empty((5, 2, m, n))
+    a, b = e
+    ysq_rows, marginal_rows, curvature_rows = ysq[0], marginals[0], curvature[0]
+    bary_divisor = 5.0 * m
     window = deque([y.tobytes()], maxlen=4)
-    # Non-finite values surface in the curvature check; an overflowing
-    # quotient of the dual argmin is clipped to the box.
+    # Non-finite values surface in the curvature check; a quotient of the
+    # dual argmin that overflows, or divides by a zero curvature, is clipped
+    # to the box.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = m / (20.0 * d_inf)
         if isinstance(amp, FactoredAMProblem):
@@ -218,23 +274,34 @@ def am_prox(amp, num_iters, cost, m, n):
         else:
             costs, potentials = (c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n))
         K, log_factors = _plan_kernel(costs, potentials)
+        log_factors = _halves(log_factors, m, n)
+        KT = np.swapaxes(K, -1, -2)
+        # rows a * (b K^T), columns b * (a K); a stack of kernel blocks takes
+        # each measure's factors as a row vector
+        rows_in, cols_in, rows_out, cols_out = (
+            (b, a, products[0], products[1]) if K.ndim == 2
+            else (b[:, None], a[:, None], products[0][:, None], products[1][:, None])
+        )
         for t in range(num_iters):
-            ysq = y * y
+            np.multiply(y, y, out=ysq)
             # The kernel builder bounds a product of a kernel entry and its
             # factors away from underflow; the duals' term is at least e^-0.2.
-            e = np.exp(log_factors - 0.1 * ysq)
-            a, b = e[:, :n], e[:, n:]
-            marginals = _scaled_marginals(K, a, b)
-            Z = marginals[:, :n].sum(axis=1, keepdims=True)
-            exponent_b = bary_lin + ysq[:, :n].sum(axis=0) / (5.0 * m)
-            w = np.exp(exponent_b.min() - exponent_b)
-            bary = w / w.sum()
+            np.multiply(ysq, 0.1, out=e)
+            np.subtract(log_factors, e, out=e)
+            np.exp(e, out=e)
+            np.matmul(rows_in, KT, out=rows_out)
+            np.matmul(cols_in, K, out=cols_out)
+            np.multiply(e, products, out=marginals)
+            Z = np.add.reduce(marginal_rows, axis=1, keepdims=True)
+            exponent_b = bary_lin + np.add.reduce(ysq_rows, axis=0) / bary_divisor
+            w = np.exp(np.minimum.reduce(exponent_b) - exponent_b)
+            bary = w / np.add.reduce(w)
             np.divide(marginals, Z, out=curvature)
-            curvature[:, :n] += bary
-            curvature *= scale
-            if not math.isfinite(curvature.sum()):
+            curvature_rows += bary
+            curvature *= neg_scale
+            if not math.isfinite(np.add.reduce(curvature, axis=None)):
                 raise NumericalFailure("non-finite alternating-minimization sweep", iteration=t)
-            y = _box_quadratic_argmin(amp.u, curvature)
+            _box_quadratic_argmin(u, curvature, signs, out=y)
             # y_{t+1} == y_{t+1-p} repeats with period p from here on, and a
             # budget of N sweeps ends on this phase iff p divides N - 1 - t.
             key = y.tobytes()
@@ -246,10 +313,13 @@ def am_prox(amp, num_iters, cost, m, n):
                 break
             window.appendleft(key)
     marginals /= Z
-    plans = ScaledPlans(kernel=K, row_scale=a, col_scale=b / Z, marginals=marginals, bary=bary)
+    plans = ScaledPlans(
+        kernel=K, row_scale=a, col_scale=b / Z, marginals=_pairs(marginals), bary=bary
+    )
+    duals = DualPoint(duals=_pairs(y))
     if isinstance(amp, FactoredAMProblem):
-        return plans, DualPoint(duals=y)
-    return PrimalPoint(plans=plans.dense(), bary=bary), DualPoint(duals=y)
+        return plans, duals
+    return PrimalPoint(plans=plans.dense(), bary=bary), duals
 
 
 def de_initial_error_bound(eps, theta_value, d_inf):

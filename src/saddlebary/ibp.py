@@ -33,6 +33,7 @@ from .core import (
     NumericalFailure,
     PrimalPoint,
     _clamped_exp,
+    _floor,
     _form_plans,
     _xlogy,
 )
@@ -73,6 +74,19 @@ def _normalized_pair(plans, bary, prob):
     """The certified pair of a sweep: normalized plans and barycenter, zero duals."""
     x = PrimalPoint(plans=plans / plans.sum(axis=1, keepdims=True), bary=bary / bary.sum())
     return x, DualPoint(duals=np.zeros((prob.m, 2 * prob.n)))
+
+
+def _log_formed_pair(logK, log_rows, log_cols, log_p, prob):
+    """`_normalized_pair` of plans and a barycenter given by their logs.
+
+    Plan i is exp(logK + log_rows_i (+) log_cols_i) and the barycenter
+    exp(log_p), whose mass is every plan's.  Both are formed less that log
+    mass, so a pair whose mass underflows is normalized all the same.
+    """
+    top = log_p.max()
+    log_mass = top + math.log(np.exp(log_p - top).sum())
+    plans = np.exp(logK + (log_rows - log_mass)[:, :, None] + log_cols[:, None, :])
+    return _normalized_pair(_floor(plans).reshape(len(plans), -1), np.exp(log_p - log_mass), prob)
 
 
 def _scaling_merit(mass_total, log_v_paired, reg, m):
@@ -195,10 +209,10 @@ def _ibp_stabilized(prob, cfg, run):
     rebuild()
     log_u, u = np.zeros((m, n)), np.ones((m, n))
     col = (u[:, None, :] @ K)[:, 0]
-    v = psi = log_p = None
+    log_v = v = psi = log_p = None
 
     def step(k):
-        nonlocal log_u, u, v, col, psi, log_p
+        nonlocal log_u, u, log_v, v, col, psi, log_p
         log_col = _log_reduction(
             col, support, lambda i, l: logK[:, l].T + (f + log_u)[i] + g[i, l, None]
         )
@@ -223,10 +237,14 @@ def _ibp_stabilized(prob, cfg, run):
         return np.abs(v * col - Q).sum(axis=1).max() <= cfg.tol
 
     def certified():
-        plans = _form_plans(K, u, v, np.empty((m, n * n)))
         p = np.exp(log_p)
         # every plan's row sums are p after the barycenter half-update
-        merit = _scaling_merit(m * float(p.sum()), float((Q * psi).sum()), cfg.reg, m)
-        return (*_normalized_pair(plans, p, prob), merit)
+        mass = float(p.sum())
+        merit = _scaling_merit(m * mass, float((Q * psi).sum()), cfg.reg, m)
+        if mass >= REDUCTION_FLOOR:
+            plans = _form_plans(K, u, v, np.empty((m, n * n)))
+            return (*_normalized_pair(plans, p, prob), merit)
+        # a mass this small may have underflowed, and the plans with it
+        return (*_log_formed_pair(logK, f + log_u, g + log_v, log_p, prob), merit)
 
     run(step, certified)

@@ -151,20 +151,22 @@ def write_iterates_csv(prob, x, y, path):
     """Self-contained dump of a problem and a primal/dual pair.
 
     One labeled row per vector: the rebuilt problem and points reproduce any
-    certificate evaluated on them to full double precision.
+    certificate evaluated on them to full double precision.  The bytes are
+    those of `csv.writer` with `repr` per value, CRLF line endings; a row's
+    values are formatted by the repr of its list of floats, in C, and
+    written one row at a time, so no more than a row's text is held.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "values..."])
-        for j, row in enumerate(prob.cost.C):
-            writer.writerow(["cost_row", j] + [_fmt(v) for v in row])
-        for i, q in enumerate(prob.measures):
-            writer.writerow(["measure", i] + [_fmt(v) for v in q])
-        for i, plan in enumerate(x.plans):
-            writer.writerow(["plan", i] + [_fmt(v) for v in plan])
-        writer.writerow(["bary", 0] + [_fmt(v) for v in x.bary])
-        for i, dual in enumerate(y.duals):
-            writer.writerow(["dual", i] + [_fmt(v) for v in dual])
+        fh.write("kind,index,values...\r\n")
+        for kind, rows in (
+            ("cost_row", prob.cost.C),
+            ("measure", prob.measures),
+            ("plan", x.plans),
+            ("bary", x.bary[None]),
+            ("dual", y.duals),
+        ):
+            for i, row in enumerate(np.asarray(rows, dtype=float)):
+                fh.write(f"{kind},{i},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")
 
 
 def read_iterates_csv(path):

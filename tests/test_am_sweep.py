@@ -7,8 +7,13 @@ are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
 no stop rule, the reference for the early stop on a repeat of the duals
 with period 1 to 4.  `_dense_de` is dual extrapolation on dense m n^2
 gradient sums taken from `gradient_operator`, as it ran before its state
-was factored.
+was factored.  `_pair_layout_am_prox` is the sweep as it ran on (m, 2n)
+arrays with the two-argument dual argmin, before its buffers were held
+halves-major; `am_prox` must return its bits exactly.
 """
+
+from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from saddlebary.area_convex import (
     _box_quadratic_argmin,
     am_prox,
 )
+from saddlebary.cli import main
 from saddlebary.core import (
     FACTOR_SPAN_MAX,
     _adjoint_stack,
@@ -108,15 +114,81 @@ def _first_repeat(amp, cap, cost, m, n):
     return None
 
 
+def _pair_layout_am_prox(amp, num_iters, cost, m, n):
+    """`am_prox` as it ran on (m, 2n) arrays: (ScaledPlans, duals, sweeps run)."""
+    d_inf = cost.d_inf
+    bary_lin = amp.v_bary / (10.0 * d_inf)
+    scale = 2.0 * d_inf / m
+    curvature = np.empty((m, 2 * n))
+    y = np.zeros((m, 2 * n))
+    window = deque([y.tobytes()], maxlen=4)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = m / (20.0 * d_inf)
+        if isinstance(amp, FactoredAMProblem):
+            costs, potentials = (c * amp.alpha) * cost.C, c * amp.potentials
+        else:
+            costs, potentials = (c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n))
+        K, log_factors = _plan_kernel(costs, potentials)
+        for t in range(num_iters):
+            ysq = y * y
+            e = np.exp(log_factors - 0.1 * ysq)
+            a, b = e[:, :n], e[:, n:]
+            marginals = _scaled_marginals(K, a, b)
+            Z = marginals[:, :n].sum(axis=1, keepdims=True)
+            exponent_b = bary_lin + ysq[:, :n].sum(axis=0) / (5.0 * m)
+            w = np.exp(exponent_b.min() - exponent_b)
+            bary = w / w.sum()
+            np.divide(marginals, Z, out=curvature)
+            curvature[:, :n] += bary
+            curvature *= scale
+            # the dual argmin as it was: -sign(u), u / (-2 c) where c > 0, clipped
+            y = np.negative(np.sign(amp.u))
+            np.divide(amp.u, -2.0 * curvature, out=y, where=curvature > 0)
+            np.minimum(y, 1.0, out=y)
+            np.maximum(y, -1.0, out=y)
+            key = y.tobytes()
+            if key in window and any(
+                key == seen and (num_iters - 1 - t) % p == 0 for p, seen in enumerate(window, 1)
+            ):
+                break
+            window.appendleft(key)
+    marginals /= Z
+    return ScaledPlans(K, a, b / Z, marginals, bary), y, t + 1
+
+
+def _pair_layout_prox(amp, num_iters, cost, m, n):
+    """`_pair_layout_am_prox` with `am_prox`'s return value, for dual extrapolation."""
+    plans, y, _ = _pair_layout_am_prox(amp, num_iters, cost, m, n)
+    return plans, sb.DualPoint(duals=y)
+
+
+def _same_bits(p, q):
+    return p.shape == q.shape and p.dtype == q.dtype and p.tobytes() == q.tobytes()
+
+
+def _assert_pair_layout_bits(out, amp, num_iters, cost, m, n):
+    """`am_prox`'s output `out` (x, y, sweeps) is bitwise the pair-layout sweep's."""
+    x, y, sweeps = out
+    plans, duals, ref_sweeps = _pair_layout_am_prox(amp, num_iters, cost, m, n)
+    assert sweeps == ref_sweeps
+    assert _same_bits(y.duals, duals)
+    if isinstance(x, ScaledPlans):
+        for field in fields(ScaledPlans):
+            assert _same_bits(getattr(x, field.name), getattr(plans, field.name)), field.name
+    else:
+        assert _same_bits(x.plans, plans.dense())
+        assert _same_bits(x.bary, plans.bary)
+
+
 @pytest.fixture
 def sweep_counter(monkeypatch):
     """Counts AM sweeps through the one `_box_quadratic_argmin` call per sweep."""
     calls = [0]
     inner = ac._box_quadratic_argmin
 
-    def counted(lin_coef, curvature):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return inner(lin_coef, curvature)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(ac, "_box_quadratic_argmin", counted)
 
@@ -174,6 +246,7 @@ def _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, cost, m, n):
         out = sweep_counter(amp, budget, cost, m, n)
         assert out[2] == t + 1 + (budget - 1 - t) % period
         _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
+        _assert_pair_layout_bits(out, amp, budget, cost, m, n)
 
 
 @pytest.mark.parametrize("n, m", [(3, 2), (8, 3)])
@@ -329,3 +402,66 @@ def test_factored_de_matches_dense_de(make, steps):
         sb.PrimalPoint(plans=plans, bary=bary), sb.DualPoint(duals=duals), prob
     )
     assert report.final_gap == pytest.approx(dense_gap, rel=TOL, abs=0)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, LONG])
+@pytest.mark.parametrize("n, m", [(2, 1), (5, 3), (16, 2)])
+def test_sweep_is_bitwise_the_pair_layout_sweep(sweep_counter, n, m, budget):
+    # shared kernels (spans up to 650), stacked kernel blocks past
+    # FACTOR_SPAN_MAX, and general problems, whose kernels are stacks too
+    cost = random_problem(930 + n, n, m).cost
+    rng = np.random.default_rng(n + 10 * m + budget)
+    for span in (50.0, 650.0, 750.0, 20000.0):
+        amp = _factored_problem(rng, cost, m, n, span)
+        out = sweep_counter(amp, budget, cost, m, n)
+        assert out[0].kernel.shape == ((n, n) if span <= FACTOR_SPAN_MAX else (m, n, n))
+        _assert_pair_layout_bits(out, amp, budget, cost, m, n)
+    for amp in _problems(40 * n + m, n, m, cost.d_inf):
+        _assert_pair_layout_bits(sweep_counter(amp, budget, cost, m, n), amp, budget, cost, m, n)
+
+
+def _criterion2_inputs(tmp_path, seed, n, m):
+    prob = random_problem(seed, n, m)
+    hists, cost = tmp_path / f"c2-{seed}.csv", tmp_path / f"c2-{seed}-cost.csv"
+    hists.write_text("".join(",".join(map(repr, q.tolist())) + "\n" for q in prob.measures))
+    cost.write_text("".join(",".join(map(repr, r.tolist())) + "\n" for r in prob.cost.C))
+    return prob, ["--input", str(hists), "--cost", f"csv:{cost}"]
+
+
+def _cli_outputs(argv, outdir, capsys):
+    assert main(["barycenter", "--algo", "de", "--timing", "off", "--out", str(outdir), *argv]) == 0
+    printed = capsys.readouterr().out
+    return printed, {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "case", ["criterion-2-instance-1", "criterion-2-instance-2", "gauss-suite-20"]
+)
+def test_de_runs_are_bitwise_the_pair_layout_sweeps(tmp_path, capsys, case):
+    # de's final pair and its CLI files with the halves-major sweep and with
+    # the pair-layout sweep in its place; iterates.csv holds the final pair
+    # to the last bit
+    if case == "gauss-suite-20":
+        prob = _gaussian_suite_problem()
+        argv = ["--gaussian", "--seed", "0", "--normalize-cost", "--max-iters", "20"]
+    else:
+        seed, n, m = (1, 4, 5) if case.endswith("1") else (2, 8, 2)
+        prob, argv = _criterion2_inputs(tmp_path, seed, n, m)
+    argv += ["--eps", "0.25"]
+    max_outer = 20 if case == "gauss-suite-20" else None
+    runs = []
+    for prox in (am_prox, _pair_layout_prox):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ac, "am_prox", prox)
+            x, y, report = sb.run_dual_extrapolation(
+                prob, 0.25, max_outer=max_outer, timer=lambda: 0.0
+            )
+            outdir = tmp_path / prox.__name__
+            outdir.mkdir()
+            runs.append((x, y, report, *_cli_outputs(argv, outdir, capsys)))
+    (x, y, report, printed, files), (x0, y0, report0, printed0, files0) = runs
+    assert _same_bits(x.plans, x0.plans) and _same_bits(x.bary, x0.bary)
+    assert _same_bits(y.duals, y0.duals)
+    assert (report.iterations_run, report.final_gap) == (report0.iterations_run, report0.final_gap)
+    assert printed == printed0
+    assert files == files0 and set(files) == {"report.csv", "barycenter.csv", "iterates.csv"}

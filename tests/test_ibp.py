@@ -7,7 +7,8 @@ from scipy.special import logsumexp, xlogy
 import saddlebary as sb
 import saddlebary.ibp as ibp
 from saddlebary.cli import GaussianSuiteSpec, gaussian_suite
-from saddlebary.core import _clamped_exp
+from saddlebary.cli import main
+from saddlebary.core import _clamped_exp, _form_plans
 from conftest import random_problem
 
 
@@ -288,6 +289,61 @@ def _zero_mass_problem():
     return sb.BarycenterProblem.create(
         np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), sb.grid_cost(grid)
     )
+
+
+class TestUnderflowingMass:
+    # At reg 1e-4, sweep 1's barycenter on the zero-mass input has mass about
+    # e^-1250: p and every plan underflow to 0 in linear form, so the
+    # certified pair is formed from its logs less the log mass.
+    def test_every_record_is_finite(self):
+        prob = _zero_mass_problem()
+        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
+        p_star = sb.barycenter_1d_quantile(prob.measures, grid)
+        calls = []
+
+        def oracle(bary):
+            calls.append(bary.copy())
+            return sb.optimality_gap(bary, p_star, prob, grid)
+
+        cfg = sb.IBPConfig(reg=1e-4, iters=200, stabilized=True)
+        bary, report = sb.ibp_barycenter(prob, cfg, log_stride=1, oracle=oracle)
+        assert report.status == "ok" and len(report.records) == report.iterations_run > 1
+        for r in report.records:
+            assert all(map(math.isfinite, (r.duality_gap, r.objective, r.optimality_gap)))
+        for barycenter in calls:
+            assert np.all(barycenter >= 0.0) and abs(barycenter.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(bary, [1.0 / 3.0, 2.0 / 3.0, 0.0], atol=1e-6)
+
+    def test_cli_run_exits_0_with_finite_records(self, tmp_path, capsys):
+        path = tmp_path / "zero-mass.csv"
+        path.write_text("# grid: 0.0,0.5,1.0\n1,0,0\n0,.5,.5\n")
+        argv = ["barycenter", "--input", str(path), "--algo", "ibp", "--stabilized",
+                "--reg", "1e-4", "--log-stride", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "status: ok" in capsys.readouterr().out
+        rows = [row.split(",") for row in (tmp_path / "report.csv").read_text().splitlines()[1:]]
+        # duality gap, objective and the exact 1-D oracle's optimality gap
+        assert len(rows) > 1 and all(math.isfinite(float(v)) for row in rows for v in row[2:])
+
+    @pytest.mark.parametrize("shift", [0.0, -1000.0])
+    def test_log_formed_pair_is_the_normalized_pair(self, shift):
+        # plans diag(u_i) K diag(v_i) with row sums p: the linear pair, and
+        # the log-formed pair of the same logs shifted by 1000 below exp's
+        # underflow bound, where the linear form is all zeros
+        n, m = 5, 3
+        prob = random_problem(8, n, m)
+        rng = np.random.default_rng(9)
+        logK = -prob.cost.C / 0.05
+        log_u, log_v = rng.uniform(-3.0, 3.0, (m, n)), rng.uniform(-3.0, 3.0, (m, n))
+        K = np.exp(logK)
+        u, v = np.exp(log_u), np.exp(log_v)
+        p = u[0] * (K @ v[0])
+        u = p / (v @ K.T)  # every plan's row sums are p
+        x, y = ibp._normalized_pair(_form_plans(K, u, v, np.empty((m, n * n))), p, prob)
+        ours, ours_y = ibp._log_formed_pair(logK, np.log(u) + shift, log_v, np.log(p) + shift, prob)
+        np.testing.assert_allclose(ours.plans, x.plans, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ours.bary, x.bary, rtol=1e-13, atol=0)
+        assert np.array_equal(ours_y.duals, y.duals)
 
 
 class TestLogDomainOracle:

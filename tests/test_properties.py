@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, xlogy
 
 import saddlebary as sb
+from saddlebary.area_convex import _box_quadratic_argmin, _sweep_signs
 from saddlebary.core import (
     FACTOR_SPAN_MAX,
     _adjoint_stack,
@@ -129,6 +130,67 @@ def test_clamped_exp_is_exp_down_to_the_clamp_and_zero_below(size, depth):
     buffer = exponents.copy()
     assert _clamped_exp(buffer) is buffer
     np.testing.assert_array_equal(buffer.view(np.uint64), expected.view(np.uint64))
+
+
+def _reference_box_argmin(u, c):
+    """The dual argmin as the sweep once took it: -sign(u), u / (-2 c) where c > 0, clipped."""
+    t = np.negative(np.sign(u))
+    np.divide(u, -2.0 * c, out=t, where=c > 0)
+    np.minimum(t, 1.0, out=t)
+    return np.maximum(t, -1.0, out=t)
+
+
+# Linear coefficients: signed zeros, subnormals and floats up to the largest,
+# so quotients overflow.  Curvatures: both zeros, subnormals, normals and inf.
+argmin_lin = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TINY, -1.0, 1.0, 1e300, -1.79e308]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+argmin_curvature = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, TINY, 1e-300, 0.5, 1.0, 1e300, np.inf]),
+    st.floats(min_value=0.0, max_value=1e307, allow_subnormal=True),
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(argmin_lin, argmin_curvature), min_size=1, max_size=32))
+def test_box_argmin_keeps_its_two_argument_semantics(entries):
+    u, c = np.array(entries).T
+    # an overflowing quotient is clipped to the box; the warning is the caller's
+    with np.errstate(over="ignore"):
+        ours, ref = _box_quadratic_argmin(u, c), _reference_box_argmin(u, c)
+    np.testing.assert_array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+# A sweep's curvature is a sum of products of nonnegative factors: 0,
+# never -0.0, or a normal float; its product with the curvature scale is 0
+# or normal too, where the factor -2 is exact.
+sweep_curvature = st.one_of(
+    st.sampled_from([0.0, TINY, 1.0, 1e300]),
+    st.floats(min_value=TINY, max_value=1e300),
+)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(argmin_lin, sweep_curvature), min_size=1, max_size=32),
+    st.sampled_from([1.0, 2.0 / 3.0, 0.25, 1e-3, 7.5]),
+)
+def test_sweep_box_argmin_is_bitwise_the_reference(entries, scale):
+    u, raw = np.array(entries).T
+    # a -0.0 coefficient at a zero curvature gives the other zero (see the
+    # docstring); either minimizes 0 * t
+    keep = ((raw == 0) | (raw * scale >= TINY)) & ~((u == 0) & np.signbit(u) & (raw == 0))
+    u, raw = u[keep], raw[keep]
+    assume(u.size)
+    out = np.full(u.shape, np.nan)
+    # the sweep ignores the division by a zero curvature and an overflowing
+    # quotient, nothing else; any other floating-point warning is an error
+    with np.errstate(divide="ignore", over="ignore"):
+        ours = _box_quadratic_argmin(u, raw * (-2.0 * scale), _sweep_signs(u), out)
+        ref = _reference_box_argmin(u, raw * scale)
+    assert ours is out
+    np.testing.assert_array_equal(ours.view(np.uint64), ref.view(np.uint64))
 
 
 @PROPERTY

@@ -113,6 +113,29 @@ class TestIteratesRoundTrip:
         assert np.array_equal(y2.duals, y.duals)
         assert sb.duality_gap(x2, y2, prob2) == sb.duality_gap(x, y, prob)
 
+    def test_bytes_are_the_csv_writer_bytes(self, tmp_path):
+        # the writer's bytes against csv.writer with one repr per value, on
+        # signed zeros, subnormals, exponent forms and long mantissas
+        awkward = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.0, 0.1 + 0.2, 1.0 / 3.0,
+                   np.nextafter(1.0, 2.0), 123456789.12345679, 2.5e-310, 1e22, -1.7976931348623157e308]
+        n, m = 4, 2
+        cost = np.abs(np.resize(awkward, (n, n)))
+        measures = np.array([[5e-324, 1e-05, 0.1 + 0.2, 1.0 - 1e-05 - (0.1 + 0.2)], [0.25] * 4])
+        prob = sb.BarycenterProblem.create(measures, sb.vectorize_cost(cost))
+        x = sb.PrimalPoint(plans=np.resize(awkward, (m, n * n)), bary=np.resize(awkward[::-1], n))
+        y = sb.DualPoint(duals=np.resize(awkward[3:], (m, 2 * n)))
+        path, reference = tmp_path / "iterates.csv", tmp_path / "reference.csv"
+        sb.write_iterates_csv(prob, x, y, path)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["kind", "index", "values..."])
+            for kind, rows in [("cost_row", prob.cost.C), ("measure", prob.measures),
+                               ("plan", x.plans), ("bary", [x.bary]), ("dual", y.duals)]:
+                for i, row in enumerate(rows):
+                    writer.writerow([kind, i] + [repr(float(v)) for v in row])
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
+
     def test_cost_rescaling_scales_certificate(self, tmp_path):
         rng = np.random.default_rng(91)
         prob = random_problem(91, 3, 2)
