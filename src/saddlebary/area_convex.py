@@ -151,10 +151,6 @@ class ScaledPlans:
     marginals: np.ndarray  # (m, 2n)
     bary: np.ndarray  # (n,)
 
-    def dense(self):
-        m, n = self.row_scale.shape
-        return _form_plans(self.kernel, self.row_scale, self.col_scale, np.empty((m, n * n)))
-
 
 def am_objective(amp, x, y, cost):
     """Proximal subproblem objective <v, x> + <u, y> + r(x, y)."""
@@ -163,30 +159,20 @@ def am_objective(amp, x, y, cost):
     return lin + regularizer(x, y, cost)
 
 
-def _box_quadratic_argmin(lin_coef, curvature, signs=None, out=None):
-    """Entrywise argmin over [-1, 1] of lin*t + curvature*t^2, curvature >= 0.
+def _box_quadratic_argmin(lin_coef, neg_curvature, signs, out):
+    """Entrywise argmin over [-1, 1] of lin*t + curvature*t^2 into `out`, curvature >= 0.
 
-    A vanishing curvature degenerates to box-linear minimization: the argmin
-    is -sign(lin), and 0 when the linear coefficient also vanishes.
-
-    The argmin is a start value, replaced by lin / (-2 curvature) where a
-    mask holds and clipped to the box.  With two arguments the start is
-    -sign(lin) and the mask curvature > 0.  An AM sweep, whose linear
-    coefficients are fixed for the call, hands in `signs` =
-    `_sweep_signs(lin)` and -2 times the curvature, and gets the argmin in
-    `out`; there a zero curvature, -0.0 once scaled, makes the quotient
-    -sign(lin) * inf, which clips to -sign(lin), and the division by zero
-    is the caller's to ignore.  The two forms agree bit for bit but for a
-    -0.0 lin at a zero curvature, where the sweep's form gives +0.0.
+    `neg_curvature` is -2 times the curvature and `signs` is
+    `_sweep_signs(lin_coef)`, which an AM call computes once.  The argmin
+    starts at -sign(lin), or -lin at a zero lin, is replaced by
+    lin / neg_curvature where lin != 0, and is clipped to the box.  A zero
+    curvature, -0.0 once scaled, makes the quotient -sign(lin) * inf, which
+    clips to -sign(lin), the minimizer of the linear term; the division by
+    zero is the caller's to ignore.
     """
-    if signs is None:
-        signs = np.negative(np.sign(lin_coef)), curvature > 0
-        curvature = -2.0 * curvature
     start, mask = signs
-    if out is None:
-        out = np.empty_like(start)
     np.copyto(out, start)
-    np.divide(lin_coef, curvature, out=out, where=mask)
+    np.divide(lin_coef, neg_curvature, out=out, where=mask)
     np.minimum(out, 1.0, out=out)
     return np.maximum(out, -1.0, out=out)
 
@@ -218,7 +204,7 @@ def am_prox(amp, num_iters, cost, m, n):
     plan blocks and the barycenter by their softmax closed forms, then solves
     every dual coordinate's clipped 1-D quadratic.  An `AMProblem` returns
     the final primal/dual pair; a `FactoredAMProblem` returns its plans as
-    `ScaledPlans`, whose dense form is built only on request.
+    `ScaledPlans`, which the caller forms densely where it needs them.
 
     Only the separable term 0.1 * (y_j^2 + y_{n+k}^2) of a plan block's
     exponent depends on the duals, so plan i is diag(a_i) K diag(b_i) / Z_i
@@ -312,14 +298,11 @@ def am_prox(amp, num_iters, cost, m, n):
             if stop:
                 break
             window.appendleft(key)
-    marginals /= Z
-    plans = ScaledPlans(
-        kernel=K, row_scale=a, col_scale=b / Z, marginals=_pairs(marginals), bary=bary
-    )
     duals = DualPoint(duals=_pairs(y))
     if isinstance(amp, FactoredAMProblem):
-        return plans, duals
-    return PrimalPoint(plans=plans.dense(), bary=bary), duals
+        marginals /= Z
+        return ScaledPlans(K, a, b / Z, _pairs(marginals), bary), duals
+    return PrimalPoint(plans=_form_plans(K, a, b / Z, np.empty((m, n * n))), bary=bary), duals
 
 
 def de_initial_error_bound(eps, theta_value, d_inf):

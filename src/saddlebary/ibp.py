@@ -145,7 +145,8 @@ def _ibp_naive(prob, cfg, run):
         nonlocal u, uK, v, p
         v = Q / uK
         UKv = u * (v @ K.T)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # non-finite scalings are the underflow the check below reports
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = np.exp(np.log(UKv).mean(axis=0))
             u = u * p[None, :] / UKv
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
@@ -158,6 +159,9 @@ def _ibp_naive(prob, cfg, run):
         plans = _form_plans(K, u, v, np.empty((m, n * n)))
         if not np.all(np.isfinite(plans)) or np.any(plans.sum(axis=1) == 0.0):
             raise NumericalFailure("transport plans underflow")
+        if np.any(v[Q > 0] == 0.0):
+            # the merit's log v is -inf there
+            raise NumericalFailure("column scaling underflows under positive mass")
         merit = _scaling_merit(
             float((u * (v @ K.T)).sum()), float(_xlogy(Q, v).sum()), cfg.reg, m
         )

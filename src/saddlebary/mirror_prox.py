@@ -107,7 +107,7 @@ class MPState:
     (see `mp_iteration`): plan i is diag(exp f_i) exp(-k gamma C)
     diag(exp g_i) / Z_i, with the (m, 2n) `log_factors` [f, g], each half
     max-shifted to 0, and `plans` is None.  Past that, `plans` holds x's
-    dense plans.  `main_iterate` returns x densely either way.
+    dense plans.
     `x_marginals` holds x's stacked [row sums, column sums], carried from
     the step that made them, and the barycenter is kept as `bary` and in
     the log domain as `log_bary`.  `duals` stacks the main duals y and the
@@ -167,22 +167,6 @@ def _gibbs_marginals(K, log_factors, n):
     Z = marginals[..., :n].sum(axis=-1, keepdims=True)
     marginals /= Z
     return a, b, marginals, Z
-
-
-def main_iterate(state, cfg, prob):
-    """The main primal iterate x of `state` as a dense `PrimalPoint` (new arrays).
-
-    From the Gibbs form, x's plans are formed from `core._plan_kernel` of
-    k gamma C with x's factors, normalized, entries below the plan floor
-    set to 0.
-    """
-    if state.plans is not None:
-        return PrimalPoint(plans=state.plans.copy(), bary=state.bary.copy())
-    n = prob.n
-    K, log_factors = _plan_kernel((state.k * cfg.gamma_mult) * prob.cost.C, -state.log_factors)
-    a, b, _, Z = _gibbs_marginals(K, log_factors, n)
-    plans = _form_plans(K, a, b / Z, np.empty((prob.m, n * n)))
-    return PrimalPoint(plans=plans, bary=state.bary.copy())
 
 
 def mp_iteration(state, cfg, prob):

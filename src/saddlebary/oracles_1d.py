@@ -65,11 +65,14 @@ def _quantile_segments(measures):
     Splits [0, 1] at the union of all cumulative levels and returns the
     segment widths plus, per row, the quantile on each segment: the first
     support index whose cumulative mass reaches the segment (probed at its
-    midpoint, so zero-mass entries never carry a segment).
+    midpoint, so zero-mass entries never carry a segment).  The levels are
+    merged by a sort and an adjacent != mask, the steps of np.unique, which
+    on first use imports numpy.ma.
     """
     cums = np.minimum(np.cumsum(measures, axis=1), 1.0)
     cums[:, -1] = 1.0
-    levels = np.unique(np.concatenate([cums.ravel(), [0.0]]))
+    levels = np.sort(np.concatenate([cums.ravel(), [0.0]]))
+    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
     mids = 0.5 * (levels[:-1] + levels[1:])
     indices = np.stack([np.searchsorted(c, mids, side="left") for c in cums])
     return np.diff(levels), indices

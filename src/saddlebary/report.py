@@ -4,14 +4,14 @@ Every solver runs through :func:`run_certified`, which owns the iteration
 budget, the recording cadence, the clock, the exact certificate and the
 early stop, so the three solvers share one definition of a record.
 
-All files are plain RFC-4180-style CSV with '.' decimals.  Floats are written
-with `repr`, which round-trips exactly in IEEE double precision, so a stored
-certificate can be re-derived from the stored iterates without loss.
+All files are plain CSV with '.' decimals, CRLF line endings and no quoted
+fields.  Floats are written with `repr`, which round-trips exactly in IEEE
+double precision, so a stored certificate can be re-derived from the stored
+iterates without loss.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -125,36 +125,33 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _row(values):
+    """Floats as one CSV row, each value's repr: the repr of their list, formatted in C."""
+    return repr(np.asarray(values, dtype=float).tolist())[1:-1].replace(", ", ",")
+
+
 def write_report_csv(report, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
+        fh.write(",".join(REPORT_COLUMNS) + "\r\n")
         for rec in report.records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    f"{rec.elapsed_seconds:.6f}",
-                    _fmt(rec.duality_gap),
-                    _fmt(rec.objective),
-                    "" if rec.optimality_gap is None else _fmt(rec.optimality_gap),
-                ]
+            optimality = "" if rec.optimality_gap is None else _fmt(rec.optimality_gap)
+            fh.write(
+                f"{rec.iteration},{rec.elapsed_seconds:.6f},{_fmt(rec.duality_gap)},"
+                f"{_fmt(rec.objective)},{optimality}\r\n"
             )
 
 
 def write_barycenter_csv(bary, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([_fmt(v) for v in np.asarray(bary, dtype=float)])
+        fh.write(_row(bary) + "\r\n")
 
 
 def write_iterates_csv(prob, x, y, path):
     """Self-contained dump of a problem and a primal/dual pair.
 
     One labeled row per vector: the rebuilt problem and points reproduce any
-    certificate evaluated on them to full double precision.  The bytes are
-    those of `csv.writer` with `repr` per value, CRLF line endings; a row's
-    values are formatted by the repr of its list of floats, in C, and
-    written one row at a time, so no more than a row's text is held.
+    certificate evaluated on them to full double precision.  Rows are
+    written one at a time, so no more than a row's text is held.
     """
     with open(path, "w", newline="") as fh:
         fh.write("kind,index,values...\r\n")
@@ -165,8 +162,8 @@ def write_iterates_csv(prob, x, y, path):
             ("bary", x.bary[None]),
             ("dual", y.duals),
         ):
-            for i, row in enumerate(np.asarray(rows, dtype=float)):
-                fh.write(f"{kind},{i},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")
+            for i, row in enumerate(rows):
+                fh.write(f"{kind},{i},{_row(row)}\r\n")
 
 
 def read_iterates_csv(path):
@@ -175,16 +172,18 @@ def read_iterates_csv(path):
     With n the length of the first cost row and m the number of measures,
     a file must hold n cost rows, m measures and m plans, one barycenter and
     m duals, of n, n, n^2, n and 2n finite values, each kind indexed exactly
-    0..k-1.  Anything else raises a ParseError naming the line.  The
-    measures are then validated like every other input, and the point must
-    lie in the feasible domain, or a DomainError names the line: plans and
-    barycenter nonnegative with mass within SIMPLEX_ATOL of 1, duals in
-    [-1, 1].  A gap evaluated off that domain certifies nothing.
+    0..k-1.  Lines are split on commas, as the writer writes them, so a
+    quoted field is not a value.  Anything else raises a ParseError naming
+    the line.  The measures are then validated like every other input, and
+    the point must lie in the feasible domain, or a DomainError names the
+    line: plans and barycenter nonnegative with mass within SIMPLEX_ATOL of
+    1, duals in [-1, 1].  A gap evaluated off that domain certifies nothing.
     """
     groups = {kind: [] for kind in ("cost_row", "measure", "plan", "bary", "dual")}
     with _open_text(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0] == "kind":
+        for lineno, line in enumerate(fh, start=1):
+            row = line.strip().split(",")
+            if row == [""] or row[0] == "kind":
                 continue
             kind = row[0]
             if kind not in groups:

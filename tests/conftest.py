@@ -39,6 +39,19 @@ def primal_vector(x):
     return np.concatenate([x.plans.ravel(), x.bary])
 
 
+def dense_plans(scaled):
+    """The (m, n^2) plans diag(row_scale_i) K diag(col_scale_i) of a `ScaledPlans`.
+
+    Products in the order the package forms them, so the bits match; entries
+    below the smallest normal double are set to 0, as the package's are.
+    """
+    a, b = scaled.row_scale, scaled.col_scale
+    m, n = a.shape
+    plans = scaled.kernel * a[:, :, None] * b[:, None, :]
+    plans[plans < np.finfo(float).tiny] = 0.0
+    return plans.reshape(m, n * n)
+
+
 def random_problem(seed, n, m, zero_diagonal=False, normalized=True):
     rng = np.random.default_rng(seed)
     C = rng.uniform(0.0, 1.0, (n, n))

@@ -8,8 +8,9 @@ no stop rule, the reference for the early stop on a repeat of the duals
 with period 1 to 4.  `_dense_de` is dual extrapolation on dense m n^2
 gradient sums taken from `gradient_operator`, as it ran before its state
 was factored.  `_pair_layout_am_prox` is the sweep as it ran on (m, 2n)
-arrays with the two-argument dual argmin, before its buffers were held
-halves-major; `am_prox` must return its bits exactly.
+arrays with the dual argmin written out, before its buffers were held
+halves-major; `am_prox` must return its bits exactly.  Prox plans returned
+as `ScaledPlans` are formed densely by `conftest.dense_plans`.
 """
 
 from collections import deque
@@ -25,6 +26,7 @@ from saddlebary.area_convex import (
     FactoredAMProblem,
     ScaledPlans,
     _box_quadratic_argmin,
+    _sweep_signs,
     am_prox,
 )
 from saddlebary.cli import main
@@ -35,7 +37,7 @@ from saddlebary.core import (
     _plan_kernel,
     _scaled_marginals,
 )
-from conftest import random_problem
+from conftest import dense_plans, random_problem
 
 TOL = 1e-12
 LONG = 400
@@ -81,6 +83,7 @@ def _kernel_sweeps(amp, cost, m, n):
     else:
         K, log_factors = _plan_kernel((c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n)))
     y = np.zeros((m, 2 * n))
+    signs = _sweep_signs(amp.u)
     while True:
         ysq = y * y
         e = np.exp(log_factors - 0.1 * ysq)
@@ -92,7 +95,9 @@ def _kernel_sweeps(amp, cost, m, n):
         bary = w / w.sum()
         curvature = marginals / Z
         curvature[:, :n] += bary
-        y = _box_quadratic_argmin(amp.u, (2.0 * d_inf / m) * curvature)
+        neg_curvature = (-2.0 * (2.0 * d_inf / m)) * curvature
+        with np.errstate(divide="ignore"):
+            y = _box_quadratic_argmin(amp.u, neg_curvature, signs, np.empty((m, 2 * n)))
         yield _form_plans(K, a, b / Z, np.empty((m, n * n))), bary, y
 
 
@@ -176,7 +181,7 @@ def _assert_pair_layout_bits(out, amp, num_iters, cost, m, n):
         for field in fields(ScaledPlans):
             assert _same_bits(getattr(x, field.name), getattr(plans, field.name)), field.name
     else:
-        assert _same_bits(x.plans, plans.dense())
+        assert _same_bits(x.plans, dense_plans(plans))
         assert _same_bits(x.bary, plans.bary)
 
 
@@ -233,7 +238,7 @@ def test_kernel_sweep_matches_dense_reference(sweep_counter, n, m):
 
 def _assert_same(out, ref):
     x, y = out[:2]
-    assert np.array_equal(x.dense() if isinstance(x, ScaledPlans) else x.plans, ref[0])
+    assert np.array_equal(dense_plans(x) if isinstance(x, ScaledPlans) else x.plans, ref[0])
     assert np.array_equal(x.bary, ref[1])
     assert np.array_equal(y.duals, ref[2])
 
@@ -340,7 +345,7 @@ def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
             assert x.kernel.shape == ((n, n) if span <= FACTOR_SPAN_MAX else (m, n, n))
             plans, bary, duals, ref_sweeps = _dense_am_prox(dense, budget, cost.d_inf, m, n)
             assert sweeps == ref_sweeps or max(sweeps, ref_sweeps) < budget
-            np.testing.assert_allclose(x.dense(), plans, rtol=0, atol=TOL)
+            np.testing.assert_allclose(dense_plans(x), plans, rtol=0, atol=TOL)
             np.testing.assert_allclose(x.marginals, sb.big_operator_apply(
                 sb.PrimalPoint(plans=plans, bary=np.zeros(n))).reshape(m, 2 * n), rtol=0, atol=TOL)
             np.testing.assert_allclose(x.bary, bary, rtol=0, atol=TOL)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
+import saddlebary.area_convex as ac
 from saddlebary.area_convex import (
     AMProblem,
     FactoredAMProblem,
-    ScaledPlans,
     _box_quadratic_argmin,
+    _sweep_signs,
     am_prox,
 )
 from saddlebary.core import _adjoint_stack
-from conftest import random_dual, random_primal, random_problem
+from conftest import dense_plans, random_dual, random_primal, random_problem
 
 
 def full_direction(rng, n, m):
@@ -99,17 +100,26 @@ class TestAMObjective:
         assert after - before == pytest.approx(7.0, abs=1e-10)
 
 
+def _box_argmin(lin, curvature):
+    """The dual argmin as an AM sweep calls it: -2 times the curvature and the sweep's signs."""
+    lin = np.array(lin)
+    with np.errstate(divide="ignore"):
+        return _box_quadratic_argmin(
+            lin, -2.0 * np.array(curvature), _sweep_signs(lin), np.empty_like(lin)
+        )
+
+
 class TestBoxQuadraticArgmin:
     def test_interior_solution(self):
         # linear coefficient -4, curvature 2: unclipped minimizer is exactly 1
-        assert _box_quadratic_argmin(np.array([-4.0]), np.array([2.0]))[0] == 1.0
+        assert _box_argmin([-4.0], [2.0])[0] == 1.0
 
     def test_clipping(self):
-        assert _box_quadratic_argmin(np.array([-40.0]), np.array([2.0]))[0] == 1.0
-        assert _box_quadratic_argmin(np.array([40.0]), np.array([2.0]))[0] == -1.0
+        assert _box_argmin([-40.0], [2.0])[0] == 1.0
+        assert _box_argmin([40.0], [2.0])[0] == -1.0
 
     def test_degenerate_zero_curvature(self):
-        out = _box_quadratic_argmin(np.array([3.0, -3.0, 0.0]), np.zeros(3))
+        out = _box_argmin([3.0, -3.0, 0.0], np.zeros(3))
         assert np.array_equal(out, [-1.0, 1.0, 0.0])
 
 
@@ -400,12 +410,12 @@ class TestDualExtrapolation:
         )
         wp, wy_manual = am_prox(advanced, cfg.inner_iters, cost, m, n)
         wx, wy, _ = sb.run_dual_extrapolation(t1_problem, 0.5, max_outer=1)
-        assert np.array_equal(wx.plans, 0.0 + wp.dense())
+        assert np.array_equal(wx.plans, 0.0 + dense_plans(wp))
         assert np.array_equal(wx.bary, 0.0 + wp.bary)
         assert np.array_equal(wy.duals, 0.0 + wy_manual.duals)
         # the factored composition is the dense one: C / m + adj(scaled duals)
         g_primal, g_dual = sb.gradient_operator(
-            sb.PrimalPoint(plans=zp.dense(), bary=zp.bary), zy, t1_problem
+            sb.PrimalPoint(plans=dense_plans(zp), bary=zp.bary), zy, t1_problem
         )
         v_plans = advanced.alpha * cost.d + _adjoint_stack(advanced.potentials, n)
         np.testing.assert_allclose(v_plans, g_primal[: m * n * n].reshape(m, n * n) / 3.0,
@@ -438,16 +448,22 @@ class TestDualExtrapolation:
         assert -1.25 <= slope <= -0.75
 
     def test_steps_form_plans_into_the_state_buffer(self, monkeypatch):
-        # each step's second prox output used to be formed by ScaledPlans.dense
-        # into a fresh m n^2 array: 20 calls in 20 steps
-        calls = []
-        dense = ScaledPlans.dense
-        monkeypatch.setattr(ScaledPlans, "dense", lambda plans: calls.append(1) or dense(plans))
+        # every step forms its second prox output into the one m n^2 buffer
+        # the state owns, not into a fresh array
+        outs = []
+        form = ac._form_plans
+
+        def recording(K, a, b_over_z, out):
+            outs.append(out)
+            return form(K, a, b_over_z, out)
+
+        monkeypatch.setattr(ac, "_form_plans", recording)
         _, _, report = sb.run_dual_extrapolation(
             _gaussian_suite_problem(), 0.25, max_outer=20, timer=lambda: 0.0
         )
         assert report.iterations_run == 20
-        assert calls == []
+        assert len(outs) == 20
+        assert all(out is outs[0] for out in outs)
 
     def test_steps_to_eps_flat_in_n(self):
         # The paper's point: de drops mp's sqrt(n) factor.  On the seed-0

@@ -70,6 +70,36 @@ class TestInstability:
         assert report.iterations_run == 0
 
 
+NAIVE_UNDERFLOW_INPUTS = {
+    # v underflows to 0 under the mass 5e-324, where the merit takes log 0
+    "column-scaling-underflow": (
+        "# grid: 0.0,0.5,1.0\n5e-324,0.5,0.5\n0.5,0.5,0\n", []
+    ),
+    # u = u * p / UKv overflows before the finiteness check
+    "row-scaling-overflow": (
+        "# grid: 0.5438833638979692,2.221153200790804,3.2211532007908037,4.221153200790804\n"
+        "0.15512739512187845,0.22777520597884704,1.0,0.3287365222598073\n"
+        "0.13757679905921438,0.8351087780442564,0.9794107739067525,0.0\n"
+        "0.034352730264955444,0.366962409400291,0.5,0.6852574307898845\n",
+        ["--normalize", "--normalize-cost", "--reg", "1e-4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAIVE_UNDERFLOW_INPUTS))
+def test_naive_underflow_exits_4_without_warning(tmp_path, capsys, case):
+    # the suite turns a RuntimeWarning into an error, which main does not catch
+    text, flags = NAIVE_UNDERFLOW_INPUTS[case]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    argv = ["barycenter", "--input", str(path), "--algo", "ibp", *flags,
+            "--timing", "off", "--out", str(tmp_path / "out")]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert "status: underflow-degenerate" in out and err == ""
+    assert not (tmp_path / "out" / "barycenter.csv").exists()
+
+
 class TestAgreement:
     def test_modes_agree_at_moderate_reg(self, gaussian_problem):
         cfg_args = dict(reg=0.05, iters=300)

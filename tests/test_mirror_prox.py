@@ -7,10 +7,29 @@ from scipy.special import xlogy
 
 import saddlebary as sb
 from saddlebary.core import _adjoint_stack, _log_normalize, _marginals_stack
-from saddlebary.mirror_prox import main_iterate, mp_initial_state, mp_iteration
+from saddlebary.mirror_prox import mp_initial_state, mp_iteration
 from conftest import dense_incidence, random_problem
 
 TINY = np.finfo(float).tiny
+
+
+def main_iterate(state, cfg, prob):
+    """The main iterate x of `state` as a dense `PrimalPoint` (new arrays).
+
+    In Gibbs form plan i is exp(f_i (+) g_i - k gamma C) normalized, with
+    [f, g] = `state.log_factors`: formed here in the log domain, max-shifted,
+    with entries below the smallest normal double set to 0 as the package
+    sets its plans'.
+    """
+    if state.plans is not None:
+        return sb.PrimalPoint(plans=state.plans.copy(), bary=state.bary.copy())
+    n = prob.n
+    f, g = state.log_factors[:, :n], state.log_factors[:, n:]
+    logw = f[:, :, None] + g[:, None, :] - (state.k * cfg.gamma_mult) * prob.cost.C
+    w = np.exp(logw - logw.max(axis=(1, 2), keepdims=True))
+    plans = (w / w.sum(axis=(1, 2), keepdims=True)).reshape(prob.m, n * n)
+    plans[plans < TINY] = 0.0
+    return sb.PrimalPoint(plans=plans, bary=state.bary.copy())
 
 
 def oracle_step(state, cfg, prob):

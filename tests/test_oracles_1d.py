@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import saddlebary as sb
+from saddlebary.oracles_1d import _quantile_segments
 
 
 def brute_force_ot(p, q, grid, unit):
@@ -293,3 +298,83 @@ class TestOptimalityGap:
             p_star = sb.barycenter_1d_quantile(prob.measures, grid)
             p = rng.dirichlet(np.ones(7))
             assert sb.optimality_gap(p, p_star, prob, grid) >= -1e-10
+
+
+class TestQuantileSegments:
+    def test_levels_are_bitwise_those_of_np_unique(self):
+        # the merge as it was taken, by np.unique, on rows with -0.0 and
+        # zero entries, subnormal masses and an all-zero row
+        rng = np.random.default_rng(93)
+        for _ in range(300):
+            n, m = rng.integers(1, 25), rng.integers(1, 6)
+            rows = rng.dirichlet(np.ones(n), m)
+            rows[rng.random((m, n)) < 0.3] = 0.0
+            rows[rng.random((m, n)) < 0.3] = -0.0
+            rows[rng.random((m, n)) < 0.1] = 5e-324
+            if rng.random() < 0.2:
+                rows[rng.integers(m)] = 0.0
+            cums = np.minimum(np.cumsum(rows, axis=1), 1.0)
+            cums[:, -1] = 1.0
+            levels = np.unique(np.concatenate([cums.ravel(), [0.0]]))
+            widths, indices = _quantile_segments(rows)
+            mids = 0.5 * (levels[:-1] + levels[1:])
+            expected = np.stack([np.searchsorted(c, mids, side="left") for c in cums])
+            assert widths.tobytes() == np.diff(levels).tobytes()
+            assert indices.tobytes() == expected.tobytes()
+
+    def test_oracles_leave_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on first use, tens of milliseconds of
+        # set-up in every run with an oracle
+        code = (
+            "import sys, numpy as np, saddlebary as sb\n"
+            "g = sb.Grid1D(points=np.linspace(0.0, 1.0, 4))\n"
+            "q = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 0.5, 0.0]])\n"
+            "prob = sb.BarycenterProblem(q, sb.grid_cost(g))\n"
+            "p = sb.barycenter_1d_quantile(q, g)\n"
+            "sb.optimality_gap(np.full(4, 0.25), p, prob, g)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(sb.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+def _sandwich_inputs():
+    measures, points = sb.gaussian_suite(sb.GaussianSuiteSpec(support=20, seed=0))
+    yield "gauss-suite-20", measures, points
+    rng = np.random.default_rng(94)
+    yield "random-grid", rng.dirichlet(np.ones(9), 4), np.sort(rng.uniform(-3.0, 3.0, 9))
+
+
+SANDWICH_RUNS = {
+    "mp": lambda prob, driver: sb.run_mirror_prox(prob, 0.05, **driver)[2],
+    "de": lambda prob, driver: sb.run_dual_extrapolation(prob, 0.25, max_outer=50, **driver)[2],
+    "ibp-stabilized": lambda prob, driver: sb.ibp_barycenter(
+        prob, sb.IBPConfig(reg=1e-3, stabilized=True), **driver)[1],
+    "ibp-naive": lambda prob, driver: sb.ibp_barycenter(prob, sb.IBPConfig(reg=1e-2), **driver)[1],
+}
+
+
+@pytest.mark.parametrize("algo", sorted(SANDWICH_RUNS))
+def test_duality_gap_bounds_the_exact_optimality_gap(algo):
+    # every record's certificate is at least the exact 1-D optimality gap
+    # of its barycenter, on the normalized cost, as the command line reports it
+    for name, measures, points in _sandwich_inputs():
+        grid = sb.Grid1D(points=points, power=2.0)
+        scale = sb.grid_cost(grid).d_inf
+        prob = sb.BarycenterProblem(measures, sb.grid_cost(grid, normalize=True))
+        p_star = sb.barycenter_1d_quantile(measures, grid)
+        driver = {
+            "log_stride": 1,
+            "oracle": lambda bary: sb.optimality_gap(bary, p_star, prob, grid) / scale,
+            "timer": lambda: 0.0,
+        }
+        report = SANDWICH_RUNS[algo](prob, driver)
+        assert report.status in ("ok", "iteration-cap") and report.records, name
+        for r in report.records:
+            assert r.optimality_gap <= r.duality_gap + 1e-12, (name, r)

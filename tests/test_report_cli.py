@@ -136,6 +136,45 @@ class TestIteratesRoundTrip:
         assert path.read_bytes() == reference.read_bytes()
         assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
 
+    def test_report_and_barycenter_bytes_are_the_csv_writer_bytes(self, tmp_path):
+        # the same reference for the other two files: csv.writer, repr per
+        # float, the elapsed column to six places, an empty optimality gap
+        awkward = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 1.0 / 3.0, 2.5e-310, 1e22, np.inf]
+        report = sb.RunReport(algorithm="mp", config={})
+        for k, value in enumerate(awkward, start=1):
+            report.add(k, 1.0 / k, value, -value, None if k % 3 else value / 7.0)
+        bary = np.array(awkward[:-1])
+        path, reference = tmp_path / "out.csv", tmp_path / "reference.csv"
+        sb.write_report_csv(report, path)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(REPORT_COLUMNS)
+            for r in report.records:
+                writer.writerow([r.iteration, f"{r.elapsed_seconds:.6f}", repr(r.duality_gap),
+                                 repr(r.objective),
+                                 "" if r.optimality_gap is None else repr(r.optimality_gap)])
+        assert path.read_bytes() == reference.read_bytes()
+        sb.write_barycenter_csv(bary, path)
+        with open(reference, "w", newline="") as fh:
+            csv.writer(fh).writerow([repr(float(v)) for v in bary])
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_quoted_field_is_a_parse_error(self, tmp_path, column):
+        # the writer never quotes; a quoted kind or value names its line
+        rng = np.random.default_rng(92)
+        prob = random_problem(92, 3, 2)
+        path = tmp_path / "iterates.csv"
+        sb.write_iterates_csv(prob, random_primal(rng, 3, 2), random_dual(rng, 3, 2), path)
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[4].split(b",")
+        assert fields[0] == b"measure"
+        fields[column] = b'"' + fields[column] + b'"'
+        lines[4] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(sb.ParseError, match="line 5"):
+            sb.read_iterates_csv(path)
+
     def test_cost_rescaling_scales_certificate(self, tmp_path):
         rng = np.random.default_rng(91)
         prob = random_problem(91, 3, 2)
@@ -308,6 +347,12 @@ class TestLibraryWithoutCLI:
             "-c", "import sys, saddlebary; print('saddlebary.cli' in sys.modules)"
         )
         assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    def test_import_loads_no_csv(self):
+        # the package writes and reads its CSV rows itself
+        proc = _cli_subprocess("-c", "import sys, saddlebary; print('csv' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("module", ["saddlebary", "saddlebary.cli"])
