@@ -11,12 +11,8 @@ here.
 from .area_convex import (
     DEConfig,
     am_inner_iterations,
-    am_objective,
-    area_convexity_residual,
     de_config,
     de_initial_error_bound,
-    hessian_forms,
-    regularizer,
     run_dual_extrapolation,
     theta,
 )
@@ -33,15 +29,11 @@ from .core import (
     SaddlebaryError,
     ShapeError,
     UnsupportedError,
-    big_operator_apply,
     certificate_values,
     duality_gap,
-    gradient_operator,
-    objective_f,
     uniform_primal,
     validate_histogram,
     vectorize_cost,
-    zero_dual,
 )
 from .data import GaussianSuiteSpec, gaussian_suite, load_cost_csv, load_histograms
 from .ibp import IBPConfig, ibp_barycenter

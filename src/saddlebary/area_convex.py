@@ -34,12 +34,6 @@ state owns, and added to the running average.  Should the kernel and
 factor exponents together span more than `core.FACTOR_SPAN_MAX` (just
 inside the exp underflow floor), `_plan_kernel` gives each measure its own
 kernel block with the combined min-shift and unit factors.
-
-This module also ships the numerical diagnostics used to sanity-check the
-construction: the area-convexity residual of random triples, the closed-form
-Hessian quadratic form against its diagonal surrogate, and the regularizer
-range bounds (the shipped default keeps the barycenter entropy term that the
-tighter advertised constant drops).
 """
 
 from __future__ import annotations
@@ -52,21 +46,16 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DomainError,
     DualPoint,
     NumericalFailure,
     PrimalPoint,
-    _adjoint_stack,
     _averaged_pair,
     _check_eps_and_cost,
     _form_plans,
     _gradient,
-    _marginals_stack,
     _plan_kernel,
     _residual,
     _step_count,
-    _xlogy,
-    big_operator_apply,
 )
 from .report import RunReport, run_certified
 
@@ -88,23 +77,6 @@ def theta(n, d_inf, variant="exact"):
         raise ConfigError(f"unknown theta variant {variant!r}")
     factor = 40.0 if variant == "paper" else 50.0
     return (factor * math.log(n) + 6.0) * d_inf
-
-
-def regularizer(x, y, cost):
-    """Area-convex regularizer value at a primal/dual pair.
-
-    Entropy part: 10 times the plan entropies plus 5m times the barycenter
-    entropy.  Quadratic part: squared dual entries weighted by the plan
-    marginals, plus the first-half squared duals weighted by the barycenter.
-    Boundary zeros follow the 0*log(0) = 0 convention.
-    """
-    m, n = x.m, x.n
-    ent = 10.0 * float(_xlogy(x.plans, x.plans).sum())
-    ent += 5.0 * m * float(_xlogy(x.bary, x.bary).sum())
-    ysq = y.duals**2
-    quad = float((_marginals_stack(x.plans, n) * ysq).sum())
-    quad += float((x.bary[None, :] * ysq[:, :n]).sum())
-    return (2.0 * cost.d_inf / m) * (ent + quad)
 
 
 @dataclass(frozen=True)
@@ -150,13 +122,6 @@ class ScaledPlans:
     col_scale: np.ndarray  # (m, n)
     marginals: np.ndarray  # (m, 2n)
     bary: np.ndarray  # (n,)
-
-
-def am_objective(amp, x, y, cost):
-    """Proximal subproblem objective <v, x> + <u, y> + r(x, y)."""
-    lin = float((amp.v_plans * x.plans).sum()) + float(np.dot(amp.v_bary, x.bary))
-    lin += float((amp.u * y.duals).sum())
-    return lin + regularizer(x, y, cost)
 
 
 def _box_quadratic_argmin(lin_coef, neg_curvature, signs, out):
@@ -448,76 +413,3 @@ def run_dual_extrapolation(
         log_stride=log_stride, oracle=oracle, timer=timer,
     )
     return report.final_x, report.final_y, report
-
-
-# ---------------------------------------------------------------------------
-# Numerical diagnostics: area-convexity, Hessian sandwich
-# ---------------------------------------------------------------------------
-
-
-def area_convexity_residual(a, b, c, cost, kappa=KAPPA):
-    """Residual of the area-convexity inequality on a triple of points.
-
-    Nonnegative (up to roundoff) for kappa = 3: kappa times the Jensen-type
-    gap of the regularizer at the triple dominates the pairing of the
-    gradient-operator difference with the displacement.  The linear parts of
-    the gradient operator cancel in the difference, so no measures enter.
-    """
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    m, n = ax.m, ax.n
-    mid = (
-        PrimalPoint(plans=(ax.plans + bx.plans + cx.plans) / 3.0, bary=(ax.bary + bx.bary + cx.bary) / 3.0),
-        DualPoint(duals=(ay.duals + by.duals + cy.duals) / 3.0),
-    )
-    jensen = (
-        regularizer(ax, ay, cost)
-        + regularizer(bx, by, cost)
-        + regularizer(cx, cy, cost)
-        - 3.0 * regularizer(*mid, cost)
-    )
-    # the gradient at a minus the gradient at b, residuals taken with
-    # measures 0: the linear parts, C / m included, cancel
-    pa, ga_bary, ga_dual = _gradient(ay.duals, big_operator_apply(ax).reshape(m, 2 * n), cost.d_inf)
-    pb, gb_bary, gb_dual = _gradient(by.duals, big_operator_apply(bx).reshape(m, 2 * n), cost.d_inf)
-    pairing = float((_adjoint_stack(pa - pb, n) * (bx.plans - cx.plans)).sum())
-    pairing += float(np.dot(ga_bary - gb_bary, bx.bary - cx.bary))
-    pairing += float(((ga_dual - gb_dual) * (by.duals - cy.duals)).sum())
-    return kappa * jensen - pairing
-
-
-def hessian_forms(x, y, w, cost, m):
-    """Quadratic forms of the regularizer Hessian and its diagonal surrogate.
-
-    `w` is a direction over the full primal/dual space (plans, barycenter,
-    duals concatenated).  The Hessian form uses the closed-form blocks:
-    entropy diagonals, the marginal-operator cross terms against the duals,
-    and the dual diagonal weighted by marginals plus barycenter.  The
-    surrogate drops the cross terms and shrinks the diagonals; the two forms
-    sandwich each other within a factor of 6.  Assembled matrix-free.
-    """
-    n = x.n
-    if np.any(x.plans <= 0) or np.any(x.bary <= 0):
-        raise DomainError("Hessian forms need strictly positive plans and barycenter")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (m * n * n + n + 2 * m * n,):
-        raise ConfigError("direction vector has wrong length")
-    w_plans = w[: m * n * n].reshape(m, n * n)
-    w_bary = w[m * n * n : m * n * n + n]
-    w_duals = w[m * n * n + n :].reshape(m, 2 * n)
-
-    dual_weights = _marginals_stack(x.plans, n)
-    dual_weights[:, :n] += x.bary
-
-    ent_plans = float((w_plans**2 / x.plans).sum())
-    ent_bary = float((w_bary**2 / x.bary).sum())
-    dual_quad = float((dual_weights * w_duals**2).sum())
-    yw = y.duals * w_duals
-    cross = 4.0 * float((w_plans * _adjoint_stack(yw, n)).sum())
-    cross += 4.0 * float(np.dot(w_bary, yw[:, :n].sum(axis=0)))
-
-    scale = 2.0 * cost.d_inf / m
-    q_hess = scale * (10.0 * ent_plans + 5.0 * m * ent_bary + cross + 2.0 * dual_quad)
-    q_diag = scale * (2.0 * ent_plans + m * ent_bary + dual_quad)
-    return q_hess, q_diag

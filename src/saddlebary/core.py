@@ -72,12 +72,17 @@ def _check_eps_and_cost(eps, d_inf):
         raise ConfigError("eps must be positive and finite")
     if d_inf <= 0:
         raise ConfigError("cost matrix is identically zero")
+    if d_inf < np.finfo(float).tiny:  # the step sizes, multiples of 1 / d_inf, overflow
+        raise ConfigError(f"largest cost {d_inf!r} is subnormal; rescale it (--normalize-cost)")
 
 
 def _step_count(budget):
     """A theory budget rounded up to a step count; one that is not finite is a ConfigError."""
     if not math.isfinite(budget):
-        raise ConfigError(f"step budget {budget!r} is not finite: eps is too small")
+        raise ConfigError(
+            f"step budget {budget!r} is not finite: the cost scale over eps is too large;"
+            " rescale the cost (--normalize-cost) or raise eps"
+        )
     return math.ceil(budget)
 
 
@@ -210,10 +215,6 @@ def uniform_primal(n, m):
     return PrimalPoint(plans=plans, bary=bary)
 
 
-def zero_dual(n, m):
-    return DualPoint(duals=np.zeros((m, 2 * n)))
-
-
 def _averaged_pair(state):
     """`averaged_pair` of both solver states: their running sums over k steps, averaged."""
     k = max(state.k, 1)
@@ -244,16 +245,6 @@ def _residual(marginals, bary, measures):
     """[row sums - p, column sums - q_i] from stacked marginals; measures = 0 applies A."""
     n = bary.shape[0]
     return np.concatenate([marginals[:, :n] - bary, marginals[:, n:] - measures], axis=1)
-
-
-def big_operator_apply(x):
-    """Stacked constraint operator applied to a primal point, flattened.
-
-    Block i equals [row sums of plan i minus bary, column sums of plan i].
-    A plan whose row sums match the barycenter therefore zeroes the first
-    half of its block.
-    """
-    return _residual(_marginals_stack(x.plans, x.n), x.bary, 0.0).ravel()
 
 
 # Plan entries below the smallest normal double are set to exactly 0.
@@ -316,17 +307,14 @@ def _scaled_marginals(K, a, b):
     """Stacked [row sums, column sums] of the unnormalized plans diag(a_i) K diag(b_i).
 
     K is one (n, n) kernel for every measure (two GEMMs) or an (m, n, n)
-    stack (batched mat-vecs); a and b are (m, n), or (m, s, n) for s plans
-    per measure.
+    stack (batched mat-vecs); a and b are (m, s, n) for s plans per measure,
+    or (m, n) against a shared kernel.
     """
-    single = K.ndim > a.ndim  # a stack with one plan per block: products by row vectors
-    if single:
-        a, b = a[:, None, :], b[:, None, :]
     n = a.shape[-1]
     marginals = np.empty(a.shape[:-1] + (2 * n,))
     np.multiply(a, b @ np.swapaxes(K, -1, -2), out=marginals[..., :n])
     np.multiply(b, a @ K, out=marginals[..., n:])
-    return marginals[:, 0] if single else marginals
+    return marginals
 
 
 def _form_plans(K, a, b_over_z, out):
@@ -368,21 +356,8 @@ def _xlogy(w, v):
 
 
 # ---------------------------------------------------------------------------
-# Saddle objective, gradient operator, duality-gap certificate
+# Saddle gradient, duality-gap certificate
 # ---------------------------------------------------------------------------
-
-
-def objective_f(x, y, prob):
-    """Bilinear saddle objective at a primal/dual pair.
-
-    Averages over measures the plan costs plus the penalty pairing of the
-    duals with the constraint residuals.
-    """
-    cost = prob.cost
-    lin = float(np.dot(x.plans.sum(axis=0), cost.d))
-    residual = _residual(_marginals_stack(x.plans, prob.n), x.bary, prob.measures)
-    bil = float(np.sum(y.duals * residual))
-    return (lin + 2.0 * cost.d_inf * bil) / prob.m
 
 
 def _gradient(duals, residual, d_inf):
@@ -397,19 +372,6 @@ def _gradient(duals, residual, d_inf):
     m, n = duals.shape[0], duals.shape[1] // 2
     scale = 2.0 * d_inf / m
     return scale * duals, -scale * duals[:, :n].sum(axis=0), -scale * residual
-
-
-def gradient_operator(x, y, prob):
-    """Monotone gradient operator of the saddle objective, flattened.
-
-    The primal part is the gradient in the plans/barycenter, the dual part
-    is minus the gradient in the duals; descending both drives the pair
-    toward the saddle.
-    """
-    residual = _residual(_marginals_stack(x.plans, prob.n), x.bary, prob.measures)
-    potentials, g_bary, g_dual = _gradient(y.duals, residual, prob.cost.d_inf)
-    g_plans = prob.cost.d / prob.m + _adjoint_stack(potentials, prob.n)
-    return np.concatenate([g_plans.ravel(), g_bary]), g_dual.ravel()
 
 
 def certificate_values(x, y, prob):

@@ -42,7 +42,7 @@ class Grid1D:
         return self.points.shape[0]
 
 
-def grid_cost(grid, normalize=False):
+def grid_cost(grid):
     """Ground cost |t_j - t_k|^power on the grid as :class:`CostData`.
 
     A cost that overflows is left non-finite for :func:`vectorize_cost` to
@@ -51,11 +51,6 @@ def grid_cost(grid, normalize=False):
     with np.errstate(over="ignore", invalid="ignore"):
         diff = np.abs(grid.points[:, None] - grid.points[None, :])
         C = diff**grid.power
-        if normalize:
-            top = C.max()
-            if top <= 0:
-                raise UnsupportedError("cannot normalize an all-zero cost")
-            C = C / top
     return vectorize_cost(C)
 
 

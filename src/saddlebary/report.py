@@ -69,10 +69,6 @@ class RunReport:
             RunRecord(iteration, elapsed_seconds, duality_gap, objective, optimality_gap)
         )
 
-    @property
-    def failed(self):
-        return self.status not in ("ok", "iteration-cap")
-
 
 def run_certified(report, prob, eps, total, step, certified, log_stride=None, oracle=None, timer=None):
     """Step a solver, recording and stopping on its exact duality gap.

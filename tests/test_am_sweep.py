@@ -6,7 +6,7 @@ no code with `am_prox`: softmax, marginals and the clipped 1-D quadratic
 are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
 no stop rule, the reference for the early stop on a repeat of the duals
 with period 1 to 4.  `_dense_de` is dual extrapolation on dense m n^2
-gradient sums taken from `gradient_operator`, as it ran before its state
+gradient sums, written out by reshape-sums, as it ran before its state
 was factored.  `_pair_layout_am_prox` is the sweep as it ran on (m, 2n)
 arrays with the dual argmin written out, before its buffers were held
 halves-major; `am_prox` must return its bits exactly.  Prox plans returned
@@ -41,6 +41,17 @@ from conftest import dense_plans, random_problem
 
 TOL = 1e-12
 LONG = 400
+
+
+def _one_plan_marginals(K, a, b):
+    """`_scaled_marginals` of one plan per measure, as a sweep takes them.
+
+    A stack of kernel blocks takes each measure's (m, n) factors as row
+    vectors, (m, 1, n).
+    """
+    if K.ndim == 2:
+        return _scaled_marginals(K, a, b)
+    return _scaled_marginals(K, a[:, None], b[:, None])[:, 0]
 
 
 def _dense_am_prox(amp, num_iters, d_inf, m, n):
@@ -88,7 +99,7 @@ def _kernel_sweeps(amp, cost, m, n):
         ysq = y * y
         e = np.exp(log_factors - 0.1 * ysq)
         a, b = e[:, :n], e[:, n:]
-        marginals = _scaled_marginals(K, a, b)
+        marginals = _one_plan_marginals(K, a, b)
         Z = marginals[:, :n].sum(axis=1, keepdims=True)
         exponent_b = amp.v_bary / (10.0 * d_inf) + ysq[:, :n].sum(axis=0) / (5.0 * m)
         w = np.exp(exponent_b.min() - exponent_b)
@@ -138,7 +149,7 @@ def _pair_layout_am_prox(amp, num_iters, cost, m, n):
             ysq = y * y
             e = np.exp(log_factors - 0.1 * ysq)
             a, b = e[:, :n], e[:, n:]
-            marginals = _scaled_marginals(K, a, b)
+            marginals = _one_plan_marginals(K, a, b)
             Z = marginals[:, :n].sum(axis=1, keepdims=True)
             exponent_b = bary_lin + ysq[:, :n].sum(axis=0) / (5.0 * m)
             w = np.exp(exponent_b.min() - exponent_b)
@@ -346,8 +357,9 @@ def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
             plans, bary, duals, ref_sweeps = _dense_am_prox(dense, budget, cost.d_inf, m, n)
             assert sweeps == ref_sweeps or max(sweeps, ref_sweeps) < budget
             np.testing.assert_allclose(dense_plans(x), plans, rtol=0, atol=TOL)
-            np.testing.assert_allclose(x.marginals, sb.big_operator_apply(
-                sb.PrimalPoint(plans=plans, bary=np.zeros(n))).reshape(m, 2 * n), rtol=0, atol=TOL)
+            P = plans.reshape(m, n, n)
+            marginals = np.concatenate([P.sum(axis=2), P.sum(axis=1)], axis=1)
+            np.testing.assert_allclose(x.marginals, marginals, rtol=0, atol=TOL)
             np.testing.assert_allclose(x.bary, bary, rtol=0, atol=TOL)
             np.testing.assert_allclose(y.duals, duals, rtol=0, atol=TOL)
 
@@ -356,10 +368,16 @@ def _dense_de(prob, eps, steps):
     """Dual extrapolation on dense gradient sums: the averaged pair after `steps`."""
     cfg = sb.de_config(prob, eps)
     m, n, cost = prob.m, prob.n, prob.cost
+    scale = 2.0 * cost.d_inf / m
 
     def gradient(x, y):
-        g_primal, g_dual = sb.gradient_operator(x, y, prob)
-        return g_primal[: m * n * n].reshape(m, n * n), g_primal[m * n * n :], g_dual.reshape(m, 2 * n)
+        # plans: C / m + adj(scale y); barycenter: -scale times the row duals'
+        # sum; duals: -scale times the residual [row sums - p, column sums - q_i]
+        potentials = scale * y.duals
+        g_plans = cost.d / m + (potentials[:, :n, None] + potentials[:, None, n:]).reshape(m, n * n)
+        P = x.plans.reshape(m, n, n)
+        residual = np.concatenate([P.sum(axis=2) - x.bary, P.sum(axis=1) - prob.measures], axis=1)
+        return g_plans, -scale * y.duals[:, :n].sum(axis=0), -scale * residual
 
     s_plans, s_bary, s_duals = np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))
     sums = [np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))]
@@ -379,9 +397,8 @@ def _dense_de(prob, eps, steps):
 
 def _gaussian_suite_problem():
     measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(seed=0))
-    return sb.BarycenterProblem.create(
-        measures, sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
-    )
+    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
+    return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
 
 
 @pytest.mark.parametrize(

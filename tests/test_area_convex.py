@@ -13,7 +13,16 @@ from saddlebary.area_convex import (
     am_prox,
 )
 from saddlebary.core import _adjoint_stack
-from conftest import dense_plans, random_dual, random_primal, random_problem
+from conftest import (
+    dense_big_operator,
+    dense_plans,
+    primal_vector,
+    random_dual,
+    random_primal,
+    random_problem,
+    zero_dual,
+)
+from paper_checks import am_objective, area_convexity_residual, hessian_forms, regularizer
 
 
 def full_direction(rng, n, m):
@@ -28,7 +37,7 @@ def second_difference(x, y, w, cost, h):
         z = np.concatenate([x.plans.ravel(), x.bary, y.duals.ravel()]) + t * w
         xp = sb.PrimalPoint(plans=z[: m * n * n].reshape(m, n * n), bary=z[m * n * n : m * n * n + n])
         yp = sb.DualPoint(duals=z[m * n * n + n :].reshape(m, 2 * n))
-        return sb.regularizer(xp, yp, cost)
+        return regularizer(xp, yp, cost)
 
     return (r_at(h) - 2.0 * r_at(0.0) + r_at(-h)) / h**2
 
@@ -52,14 +61,14 @@ class TestTheta:
 class TestRegularizer:
     def test_value_at_canonical_minimizer(self, t1_problem):
         x = sb.uniform_primal(2, 1)
-        y = sb.zero_dual(2, 1)
-        assert sb.regularizer(x, y, t1_problem.cost) == pytest.approx(-50 * math.log(2))
+        y = zero_dual(2, 1)
+        assert regularizer(x, y, t1_problem.cost) == pytest.approx(-50 * math.log(2))
 
     def test_zero_at_vertices(self, t1_problem):
         plans = np.zeros((1, 4))
         plans[0, 2] = 1.0
         x = sb.PrimalPoint(plans=plans, bary=np.array([0.0, 1.0]))
-        assert sb.regularizer(x, sb.zero_dual(2, 1), t1_problem.cost) == 0.0
+        assert regularizer(x, zero_dual(2, 1), t1_problem.cost) == 0.0
 
     def test_quadratic_part_nonnegative(self):
         rng = np.random.default_rng(40)
@@ -67,8 +76,8 @@ class TestRegularizer:
         for _ in range(100):
             x = random_primal(rng, 3, 2)
             y = random_dual(rng, 3, 2)
-            with_duals = sb.regularizer(x, y, cost)
-            without = sb.regularizer(x, sb.zero_dual(3, 2), cost)
+            with_duals = regularizer(x, y, cost)
+            without = regularizer(x, zero_dual(3, 2), cost)
             assert with_duals >= without - 1e-12
 
 
@@ -77,14 +86,14 @@ class TestAMObjective:
         rng = np.random.default_rng(42)
         x, y = random_primal(rng, 2, 1), random_dual(rng, 2, 1)
         amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
-        assert sb.am_objective(amp, x, y, t1_problem.cost) == pytest.approx(
-            sb.regularizer(x, y, t1_problem.cost)
+        assert am_objective(amp, x, y, t1_problem.cost) == pytest.approx(
+            regularizer(x, y, t1_problem.cost)
         )
 
     def test_value_at_canonical_point(self, t1_problem):
         amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
-        value = sb.am_objective(
-            amp, sb.uniform_primal(2, 1), sb.zero_dual(2, 1), t1_problem.cost
+        value = am_objective(
+            amp, sb.uniform_primal(2, 1), zero_dual(2, 1), t1_problem.cost
         )
         assert value == pytest.approx(-50 * math.log(2))
 
@@ -95,8 +104,8 @@ class TestAMObjective:
             v_plans=rng.normal(size=(1, 4)), v_bary=rng.normal(size=2), u=rng.normal(size=(1, 4))
         )
         shifted = AMProblem(v_plans=amp.v_plans + 7.0, v_bary=amp.v_bary, u=amp.u)
-        before = sb.am_objective(amp, x, y, t1_problem.cost)
-        after = sb.am_objective(shifted, x, y, t1_problem.cost)
+        before = am_objective(amp, x, y, t1_problem.cost)
+        after = am_objective(shifted, x, y, t1_problem.cost)
         assert after - before == pytest.approx(7.0, abs=1e-10)
 
 
@@ -200,12 +209,12 @@ class TestAMProx:
                 u=rng.normal(0, 3, (m, 2 * n)),
             )
             values = [
-                sb.am_objective(amp, *am_prox(amp, t, cost, m, n), cost)
+                am_objective(amp, *am_prox(amp, t, cost, m, n), cost)
                 for t in range(1, 26)
             ]
             values = np.array(values)
             assert np.all(np.diff(values) <= 1e-9 * np.maximum(1.0, np.abs(values[:-1])))
-            star = sb.am_objective(amp, *am_prox(amp, 400, cost, m, n), cost)
+            star = am_objective(amp, *am_prox(amp, 400, cost, m, n), cost)
             sub = values - star
             good = sub[:-1] > 1e-11
             ratios.extend((sub[1:][good] / sub[:-1][good]).tolist())
@@ -267,7 +276,7 @@ class TestHessianForms:
         n, m = 3, 2
         cost = random_problem(47, n, m).cost
         x, y = random_primal(rng, n, m), random_dual(rng, n, m)
-        q_hess, q_diag = sb.hessian_forms(x, y, np.zeros(m * n * n + n + 2 * m * n), cost, m)
+        q_hess, q_diag = hessian_forms(x, y, np.zeros(m * n * n + n + 2 * m * n), cost, m)
         assert q_hess == 0.0 and q_diag == 0.0
 
     def test_zero_duals_dual_direction_doubles_surrogate(self):
@@ -279,7 +288,7 @@ class TestHessianForms:
         x = random_primal(rng, n, m)
         w = np.zeros(m * n * n + n + 2 * m * n)
         w[m * n * n + n :] = rng.normal(size=2 * m * n)
-        q_hess, q_diag = sb.hessian_forms(x, sb.zero_dual(n, m), w, cost, m)
+        q_hess, q_diag = hessian_forms(x, zero_dual(n, m), w, cost, m)
         assert q_hess == pytest.approx(2.0 * q_diag, rel=1e-12)
 
     def test_matches_central_differences(self):
@@ -294,7 +303,7 @@ class TestHessianForms:
         y = sb.DualPoint(duals=0.5 * random_dual(rng, n, m).duals)
         w = full_direction(rng, n, m)
         w /= np.linalg.norm(w)
-        q_hess, _ = sb.hessian_forms(x, y, w, cost, m)
+        q_hess, _ = hessian_forms(x, y, w, cost, m)
         fd = second_difference(x, y, w, cost, h=1e-5)
         assert q_hess == pytest.approx(fd, rel=1e-5)
 
@@ -309,7 +318,7 @@ class TestHessianForms:
             x = sb.PrimalPoint(plans=plans / plans.sum(1, keepdims=True), bary=bary / bary.sum())
             y = random_dual(rng, n, m)
             w = full_direction(rng, n, m)
-            q_hess, q_diag = sb.hessian_forms(x, y, w, cost, m)
+            q_hess, q_diag = hessian_forms(x, y, w, cost, m)
             assert q_diag <= q_hess * (1 + 1e-8) + 1e-12
             assert q_hess <= 6 * q_diag * (1 + 1e-8) + 1e-12
 
@@ -320,9 +329,9 @@ class TestHessianForms:
         x = sb.PrimalPoint(plans=np.array([[1.0, 0.0, 0.0, 0.0]]), bary=np.array([0.5, 0.5]))
         w = np.zeros(m * n * n + n + 2 * m * n)
         with pytest.raises(sb.DomainError):
-            sb.hessian_forms(x, sb.zero_dual(n, m), w, cost, m)
+            hessian_forms(x, zero_dual(n, m), w, cost, m)
         with pytest.raises(sb.ConfigError):
-            sb.hessian_forms(random_primal(rng, n, m), sb.zero_dual(n, m), np.zeros(3), cost, m)
+            hessian_forms(random_primal(rng, n, m), zero_dual(n, m), np.zeros(3), cost, m)
 
 
 class TestAreaConvexity:
@@ -331,7 +340,7 @@ class TestAreaConvexity:
         n, m = 3, 2
         cost = random_problem(52, n, m).cost
         z = (random_primal(rng, n, m), random_dual(rng, n, m))
-        assert abs(sb.area_convexity_residual(z, z, z, cost)) <= 1e-12
+        assert abs(area_convexity_residual(z, z, z, cost)) <= 1e-12
 
     def test_zero_cost_reduces_to_jensen(self):
         rng = np.random.default_rng(53)
@@ -340,7 +349,7 @@ class TestAreaConvexity:
         triple = [(random_primal(rng, n, m), random_dual(rng, n, m)) for _ in range(3)]
         # the regularizer and the operator both scale with the sup-norm of
         # the cost, so everything vanishes
-        assert sb.area_convexity_residual(*triple, cost) == 0.0
+        assert area_convexity_residual(*triple, cost) == 0.0
 
     def test_nonnegative_on_random_triples(self):
         rng = np.random.default_rng(54)
@@ -348,7 +357,7 @@ class TestAreaConvexity:
             cost = random_problem(54 + n, n, m).cost
             for _ in range(300):
                 triple = [(random_primal(rng, n, m), random_dual(rng, n, m)) for _ in range(3)]
-                assert sb.area_convexity_residual(*triple, cost) >= -1e-9
+                assert area_convexity_residual(*triple, cost) >= -1e-9
 
 
 class TestRegularizerRange:
@@ -356,7 +365,7 @@ class TestRegularizerRange:
         rng = np.random.default_rng(55)
         n, m = 4, 2
         cost = random_problem(55, n, m).cost
-        base = sb.regularizer(sb.uniform_primal(n, m), sb.zero_dual(n, m), cost)
+        base = regularizer(sb.uniform_primal(n, m), zero_dual(n, m), cost)
         top = sb.theta(n, cost.d_inf, "exact")
         for trial in range(500):
             if trial % 10 == 0:
@@ -369,15 +378,15 @@ class TestRegularizerRange:
             else:
                 x = random_primal(rng, n, m, alpha=rng.choice([1.0, 0.05]))
                 y = random_dual(rng, n, m)
-            value = sb.regularizer(x, y, cost) - base
+            value = regularizer(x, y, cost) - base
             assert value >= 0.0
             assert value <= top + 1e-9
 
 
 def _gaussian_suite_problem(support=100):
     measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(support=support, seed=0))
-    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
-    return sb.BarycenterProblem.create(measures, cost)
+    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
+    return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
 
 
 class TestDualExtrapolation:
@@ -414,12 +423,13 @@ class TestDualExtrapolation:
         assert np.array_equal(wx.bary, 0.0 + wp.bary)
         assert np.array_equal(wy.duals, 0.0 + wy_manual.duals)
         # the factored composition is the dense one: C / m + adj(scaled duals)
-        g_primal, g_dual = sb.gradient_operator(
-            sb.PrimalPoint(plans=dense_plans(zp), bary=zp.bary), zy, t1_problem
-        )
+        big = dense_big_operator(n, m)
+        adjoint = (big.T @ zy.duals.ravel())[: m * n * n]
+        g_primal = (np.tile(cost.d, m) + 2.0 * cost.d_inf * adjoint) / m
+        zx = sb.PrimalPoint(plans=dense_plans(zp), bary=zp.bary)
+        g_dual = -scale * (big @ primal_vector(zx) - target.ravel())
         v_plans = advanced.alpha * cost.d + _adjoint_stack(advanced.potentials, n)
-        np.testing.assert_allclose(v_plans, g_primal[: m * n * n].reshape(m, n * n) / 3.0,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v_plans, g_primal.reshape(m, n * n) / 3.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(advanced.u, g_dual.reshape(m, 2 * n) / 3.0, rtol=0, atol=1e-15)
 
     def test_deterministic(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
-from saddlebary.core import _adjoint_stack, _marginals_stack
+from saddlebary.core import _adjoint_stack, _gradient, _marginals_stack, _residual
 from conftest import (
     dense_big_operator,
     dense_incidence,
@@ -13,6 +13,8 @@ from conftest import (
     random_dual,
     random_primal,
     random_problem,
+    saddle_objective,
+    zero_dual,
 )
 
 
@@ -150,10 +152,15 @@ class TestMarginalsAdjoint:
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def big_operator(x):
+    """The stacked constraint operator on a primal point, as the certificate applies it."""
+    return _residual(_marginals_stack(x.plans, x.n), x.bary, 0.0).ravel()
+
+
 class TestBigOperator:
     def test_uniform_single_measure(self):
         x = sb.PrimalPoint(plans=np.full((1, 4), 0.25), bary=np.array([0.5, 0.5]))
-        out = sb.big_operator_apply(x)
+        out = big_operator(x)
         expected = dense_big_operator(2, 1) @ primal_vector(x)
         assert np.allclose(out, expected, atol=1e-15)
         assert np.allclose(out, [0.0, 0.0, 0.5, 0.5])
@@ -164,12 +171,12 @@ class TestBigOperator:
         bary = rng.dirichlet(np.ones(n))
         plans = np.stack([np.outer(bary, rng.dirichlet(np.ones(n))).ravel() for _ in range(m)])
         x = sb.PrimalPoint(plans=plans, bary=bary)
-        out = sb.big_operator_apply(x).reshape(m, 2 * n)
+        out = big_operator(x).reshape(m, 2 * n)
         assert np.allclose(out[:, :n], 0.0, atol=1e-15)
 
     def test_two_measures_skewed_bary(self):
         x = sb.PrimalPoint(plans=np.full((2, 4), 0.25), bary=np.array([1.0, 0.0]))
-        out = sb.big_operator_apply(x)
+        out = big_operator(x)
         expected = dense_big_operator(2, 2) @ primal_vector(x)
         assert np.allclose(out, expected, atol=1e-15)
         assert np.allclose(out, [-0.5, 0.5, 0.5, 0.5, -0.5, 0.5, 0.5, 0.5])
@@ -180,40 +187,50 @@ class TestBigOperator:
             big = dense_big_operator(n, m)
             for _ in range(10):
                 x = random_primal(rng, n, m)
-                assert np.allclose(sb.big_operator_apply(x), big @ primal_vector(x), atol=1e-13)
+                assert np.allclose(big_operator(x), big @ primal_vector(x), atol=1e-13)
 
 
 class TestObjective:
+    """The saddle objective of the brute-force gap reference, on hand-computed values."""
+
     def test_zero_dual_leaves_linear_term(self, t1_problem):
         rng = np.random.default_rng(6)
         x = random_primal(rng, 2, 1)
-        y = sb.zero_dual(2, 1)
+        y = zero_dual(2, 1)
         expected = float(np.dot(x.plans[0], t1_problem.cost.d))
-        assert sb.objective_f(x, y, t1_problem) == pytest.approx(expected, abs=1e-15)
+        assert saddle_objective(x, y, t1_problem) == pytest.approx(expected, abs=1e-15)
 
     def test_uniform_value(self, t1_problem):
         x = sb.uniform_primal(2, 1)
-        assert sb.objective_f(x, sb.zero_dual(2, 1), t1_problem) == pytest.approx(0.5)
+        assert saddle_objective(x, zero_dual(2, 1), t1_problem) == pytest.approx(0.5)
 
     def test_single_active_dual(self, t1_problem):
         x = sb.uniform_primal(2, 1)
         y = sb.DualPoint(duals=np.array([[0.0, 0.0, 1.0, 0.0]]))
-        assert sb.objective_f(x, y, t1_problem) == pytest.approx(-0.5)
+        assert saddle_objective(x, y, t1_problem) == pytest.approx(-0.5)
+
+
+def gradient(x, y, prob):
+    """The saddle gradient as the solvers take it, flattened: (plans and barycenter, duals)."""
+    residual = _residual(_marginals_stack(x.plans, prob.n), x.bary, prob.measures)
+    potentials, g_bary, g_dual = _gradient(y.duals, residual, prob.cost.d_inf)
+    g_plans = prob.cost.d / prob.m + _adjoint_stack(potentials, prob.n)
+    return np.concatenate([g_plans.ravel(), g_bary]), g_dual.ravel()
 
 
 class TestGradientOperator:
     def test_zero_dual(self, t1_problem):
         rng = np.random.default_rng(7)
         x = random_primal(rng, 2, 1)
-        gx, _ = sb.gradient_operator(x, sb.zero_dual(2, 1), t1_problem)
+        gx, _ = gradient(x, zero_dual(2, 1), t1_problem)
         assert np.allclose(gx[:4], t1_problem.cost.d)
         assert np.allclose(gx[4:], 0.0)
 
     def test_dual_gradient_from_big_operator(self, t1_problem):
         x = sb.uniform_primal(2, 1)
-        _, gy = sb.gradient_operator(x, sb.zero_dual(2, 1), t1_problem)
+        _, gy = gradient(x, zero_dual(2, 1), t1_problem)
         c = np.array([0.0, 0.0, 1.0, 0.0])
-        expected = 2.0 * (c - sb.big_operator_apply(x))
+        expected = 2.0 * (c - big_operator(x))
         assert np.allclose(gy, expected)
         assert np.allclose(gy, [0.0, 0.0, 1.0, -1.0])
 
@@ -221,7 +238,7 @@ class TestGradientOperator:
         rng = np.random.default_rng(8)
         x = random_primal(rng, 2, 1)
         y = sb.DualPoint(duals=np.array([[1.0, 0.0, 0.0, 0.0]]))
-        gx, _ = sb.gradient_operator(x, y, t1_problem)
+        gx, _ = gradient(x, y, t1_problem)
         assert np.allclose(gx[:4], [2.0, 3.0, 1.0, 0.0])
 
     def test_matches_dense_derivative(self):
@@ -238,7 +255,7 @@ class TestGradientOperator:
         for i in range(m):
             c[2 * n * i + n : 2 * n * (i + 1)] = prob.measures[i]
         gy_expected = (2.0 * prob.cost.d_inf / m) * (c - big @ primal_vector(x))
-        gx, gy = sb.gradient_operator(x, y, prob)
+        gx, gy = gradient(x, y, prob)
         assert np.allclose(gx, gx_expected, atol=1e-13)
         assert np.allclose(gy, gy_expected, atol=1e-13)
 
@@ -246,7 +263,7 @@ class TestGradientOperator:
 class TestDualityGap:
     def test_uniform_start_value(self, t1_problem):
         x = sb.uniform_primal(2, 1)
-        y = sb.zero_dual(2, 1)
+        y = zero_dual(2, 1)
         assert sb.duality_gap(x, y, t1_problem) == pytest.approx(2.5, abs=1e-12)
         assert enumerated_gap(x, y, t1_problem) == pytest.approx(2.5, abs=1e-12)
 
@@ -256,7 +273,7 @@ class TestDualityGap:
         prob = random_problem(10, 3, 1, zero_diagonal=True)
         q = prob.measures[0]
         x = sb.PrimalPoint(plans=np.diag(q).ravel()[None, :], bary=q)
-        y = sb.zero_dual(3, 1)
+        y = zero_dual(3, 1)
         assert abs(sb.duality_gap(x, y, prob)) <= 1e-12
 
     def test_constant_shift_invariance(self, t1_problem):
@@ -320,7 +337,7 @@ class TestOperatorNorm:
             x = sb.PrimalPoint(
                 plans=plans * coef[:m, None], bary=bary * coef[m] / math.sqrt(m)
             )
-            assert float(np.sum(sb.big_operator_apply(x) ** 2)) <= 2.0 + 1e-9
+            assert float(np.sum(big_operator(x) ** 2)) <= 2.0 + 1e-9
 
 
 class TestValidation:
@@ -352,7 +369,7 @@ class TestValidation:
     def test_problem_copies_its_measures(self, t1_problem):
         measures = np.array([[0.25, 0.75]])
         prob = sb.BarycenterProblem(measures=measures, cost=t1_problem.cost)
-        x, y = sb.uniform_primal(2, 1), sb.zero_dual(2, 1)
+        x, y = sb.uniform_primal(2, 1), zero_dual(2, 1)
         gap = sb.duality_gap(x, y, prob)
         measures[0] = [2.0, -1.0]
         assert np.array_equal(prob.measures, [[0.25, 0.75]])

@@ -8,7 +8,7 @@ import pytest
 
 import saddlebary as sb
 from saddlebary.cli import main
-from conftest import random_problem
+from conftest import random_problem, zero_dual
 
 TOTAL, STRIDE = 10, 3
 
@@ -55,7 +55,7 @@ class _Constant:
         self.x = sb.PrimalPoint(
             plans=rng.dirichlet(np.ones(prob.n**2), prob.m), bary=rng.dirichlet(np.ones(prob.n))
         )
-        self.y = sb.zero_dual(prob.n, prob.m)
+        self.y = zero_dual(prob.n, prob.m)
 
     def step(self, k):
         self.steps = k

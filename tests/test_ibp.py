@@ -15,8 +15,8 @@ from conftest import random_problem
 @pytest.fixture(scope="module")
 def gaussian_problem():
     measures, grid = gaussian_suite(GaussianSuiteSpec(seed=0))
-    g = sb.Grid1D(points=grid, power=2.0)
-    return sb.BarycenterProblem.create(measures, sb.grid_cost(g, normalize=True))
+    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
+    return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
 
 
 class TestConfig:
@@ -46,7 +46,6 @@ class TestInstability:
         bary, report = sb.ibp_barycenter(gaussian_problem, sb.IBPConfig(reg=1e-5, iters=2000))
         assert bary is None
         assert report.status == "underflow-degenerate"
-        assert report.failed
 
     def test_stabilized_tiny_reg_stays_on_simplex(self, gaussian_problem):
         bary, report = sb.ibp_barycenter(
@@ -169,7 +168,6 @@ class TestIterationCap:
         assert bary is not None
         assert report.status == "iteration-cap"
         assert not report.converged
-        assert not report.failed
 
 
 class TestCertifiedBarycenter:

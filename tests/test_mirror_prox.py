@@ -8,7 +8,7 @@ from scipy.special import xlogy
 import saddlebary as sb
 from saddlebary.core import _adjoint_stack, _log_normalize, _marginals_stack
 from saddlebary.mirror_prox import mp_initial_state, mp_iteration
-from conftest import dense_incidence, random_problem
+from conftest import dense_big_operator, dense_incidence, primal_vector, random_problem
 
 TINY = np.finfo(float).tiny
 
@@ -70,9 +70,10 @@ def _log_domain_step(ref, cfg, prob):
     n, m = prob.n, prob.m
     d, d_inf = prob.cost.d, prob.cost.d_inf
     targets = np.concatenate([np.zeros((m, n)), prob.measures], axis=1)
+    big = dense_big_operator(n, m)
     duals = ref["y"]
 
-    residual = sb.big_operator_apply(ref["x"]).reshape(m, 2 * n) - targets
+    residual = (big @ primal_vector(ref["x"])).reshape(m, 2 * n) - targets
     v = np.clip(duals + cfg.alpha * residual, -1.0, 1.0)
 
     log_u = ref["log_plans"] - cfg.gamma_mult * (
@@ -82,7 +83,7 @@ def _log_domain_step(ref, cfg, prob):
     _, s_bary = _log_normalize(ref["log_bary"] + cfg.beta * duals[:, :n].sum(axis=0))
 
     u = sb.PrimalPoint(plans=u_plans, bary=s_bary)
-    residual_u = sb.big_operator_apply(u).reshape(m, 2 * n) - targets
+    residual_u = (big @ primal_vector(u)).reshape(m, 2 * n) - targets
     y_new = np.clip(duals + cfg.alpha * residual_u, -1.0, 1.0)
 
     log_x = ref["log_plans"] - cfg.gamma_mult * (
@@ -336,7 +337,8 @@ class TestRun:
         pts = np.linspace(0, 1, 6)
         grid = sb.Grid1D(points=pts, power=2.0)
         q = rng.dirichlet(np.ones(6))
-        prob = sb.BarycenterProblem.create(q[None, :], sb.grid_cost(grid, normalize=True))
+        cost = sb.grid_cost(grid)
+        prob = sb.BarycenterProblem.create(q[None, :], sb.CostData(C=cost.C / cost.d_inf))
         eps = 0.02
         x, _, report = sb.run_mirror_prox(prob, eps)
         assert report.final_gap <= eps
@@ -388,8 +390,8 @@ class TestRun:
         steps = []
         for n in sizes:
             measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(support=n, seed=0))
-            cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
-            prob = sb.BarycenterProblem.create(measures, cost)
+            cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
+            prob = sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
             _, _, report = sb.run_mirror_prox(prob, 0.25, log_stride=10, timer=lambda: 0.0)
             assert report.converged, n
             steps.append(report.iterations_run)

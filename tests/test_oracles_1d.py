@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 import saddlebary as sb
+from saddlebary.cli import main
 from saddlebary.oracles_1d import _quantile_segments
 
 
@@ -110,16 +111,23 @@ class TestGrid:
         cd = sb.grid_cost(grid)
         assert cd.C[0, 2] == 9.0
         assert cd.d_inf == 9.0
-        normalized = sb.grid_cost(grid, normalize=True)
-        assert normalized.d_inf == 1.0
 
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_overflowing_cost_is_an_invalid_cost(self, normalize):
-        # (1e200)^2 overflows to inf (and inf / inf is nan): the cost check
-        # reports it, not a RuntimeWarning from the power or the division
-        grid = sb.Grid1D(points=np.array([0.0, 1e200, 2e200]), power=2.0)
-        with pytest.raises(sb.InvalidCostError):
-            sb.grid_cost(grid, normalize=normalize)
+    def test_overflowing_cost_is_an_invalid_cost(self, normalize, tmp_path, capsys):
+        # (1e200)^2 overflows to inf: the cost check reports it, not a
+        # RuntimeWarning from the power, also where the command line would
+        # rescale the cost (--normalize-cost)
+        if not normalize:
+            grid = sb.Grid1D(points=np.array([0.0, 1e200, 2e200]), power=2.0)
+            with pytest.raises(sb.InvalidCostError):
+                sb.grid_cost(grid)
+            return
+        hists = tmp_path / "h.csv"
+        hists.write_text("# grid: 0.0, 1e200, 2e200\n0.2,0.3,0.5\n")
+        argv = ["barycenter", "--algo", "mp", "--input", str(hists), "--normalize-cost",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cost matrix has non-finite entries\n"
 
 
 class TestMonotoneTransport:
@@ -366,8 +374,9 @@ def test_duality_gap_bounds_the_exact_optimality_gap(algo):
     # of its barycenter, on the normalized cost, as the command line reports it
     for name, measures, points in _sandwich_inputs():
         grid = sb.Grid1D(points=points, power=2.0)
-        scale = sb.grid_cost(grid).d_inf
-        prob = sb.BarycenterProblem(measures, sb.grid_cost(grid, normalize=True))
+        cost = sb.grid_cost(grid)
+        scale = cost.d_inf
+        prob = sb.BarycenterProblem(measures, sb.CostData(C=cost.C / scale))
         p_star = sb.barycenter_1d_quantile(measures, grid)
         driver = {
             "log_stride": 1,

@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import subprocess
@@ -188,8 +189,8 @@ class TestIteratesRoundTrip:
     @pytest.fixture(scope="class")
     def suite(self):
         measures, grid = gaussian_suite(GaussianSuiteSpec(seed=0))
-        cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0), normalize=True)
-        return sb.BarycenterProblem.create(measures, cost)
+        cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
+        return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
 
     @pytest.mark.parametrize("algo", ["mp", "de", "ibp-stabilized", "ibp-naive"])
     def test_solver_output_round_trips(self, suite, tmp_path, algo):
@@ -299,6 +300,40 @@ class TestCLI:
         code = run_cli(["barycenter", "--algo", "mp", "--input", inp, "--gaussian",
                         "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("algo", ["mp", "de", "ibp", "ibp-stabilized"])
+    def test_cost_scale_outside_the_step_sizes_exits_2(self, tmp_path, capsys, algo):
+        # mp's and de's step sizes are multiples of 1 / max(C) and their
+        # budgets of max(C) / eps.  A largest cost of 4e-320 (subnormal) or
+        # 1e308 makes one of them non-finite; ibp takes neither.  A largest
+        # cost of 2.25e-308, just above the smallest normal float, runs, and
+        # --normalize-cost rescales either cost to largest entry 1.
+        hists = tmp_path / "h.csv"
+        rows = "0.2,0.3,0.5\n0.5,0.25,0.25\n"
+        cost = tmp_path / "cost.csv"
+        cost.write_text("0,1e308,1\n1,0,1\n1,1,0\n")
+        solver = ["--algo", "ibp", "--stabilized"] if algo == "ibp-stabilized" else ["--algo", algo]
+
+        def run(name, grid, *extra):
+            hists.write_text(f"# grid: {grid}\n{rows}")
+            argv = ["barycenter", *solver, "--input", str(hists), "--max-iters", "30",
+                    "--timing", "off", "--out", str(tmp_path / name), *extra]
+            return run_cli(argv), capsys.readouterr().err
+
+        code, err = run("subnormal", "0,1e-160,2e-160")
+        if algo.startswith("ibp"):
+            assert (code, err) == (0, "")
+            return
+        assert code == 2 and err.startswith("error:") and "subnormal" in err, err
+        assert "--normalize-cost" in err
+        code, err = run("huge", "0,1,2", "--cost", f"csv:{cost}")
+        assert code == 2 and err.startswith("error:") and "cost scale" in err, err
+        assert "--normalize-cost" in err
+        for name, grid, extra in (("subnormal-1", "0,1e-160,2e-160", []),
+                                  ("huge-1", "0,1,2", ["--cost", f"csv:{cost}"])):
+            assert run(name, grid, "--normalize-cost", *extra) == (0, "")
+            assert sb.read_iterates_csv(tmp_path / name / "iterates.csv")[0].cost.d_inf == 1.0
+        assert run("smallest-normal", "0,7.5e-155,1.5e-154") == (0, "")
 
 
 class TestGaussianBenchCLI:
@@ -543,12 +578,34 @@ class TestPublicSurface:
             "DualPoint", "GaussianSuiteSpec", "Grid1D", "IBPConfig", "InvalidCostError",
             "MPConfig", "NumericalFailure", "ParseError", "PrimalPoint", "RunRecord",
             "RunReport", "SaddlebaryError", "ShapeError", "UnsupportedError",
-            "am_inner_iterations", "am_objective", "area_convexity_residual",
-            "barycenter_1d_quantile", "big_operator_apply", "certificate_values", "de_config",
-            "de_initial_error_bound", "duality_gap", "gaussian_suite", "gradient_operator",
-            "grid_cost", "hessian_forms", "ibp_barycenter", "load_cost_csv", "load_histograms",
-            "mp_config", "objective_f", "optimality_gap", "ot_1d_monotone", "read_iterates_csv",
-            "regularizer", "run_certified", "run_dual_extrapolation", "run_mirror_prox",
-            "theta", "uniform_primal", "validate_histogram", "vectorize_cost",
-            "write_barycenter_csv", "write_iterates_csv", "write_report_csv", "zero_dual",
+            "am_inner_iterations", "barycenter_1d_quantile", "certificate_values", "de_config",
+            "de_initial_error_bound", "duality_gap", "gaussian_suite", "grid_cost",
+            "ibp_barycenter", "load_cost_csv", "load_histograms", "mp_config", "optimality_gap",
+            "ot_1d_monotone", "read_iterates_csv", "run_certified", "run_dual_extrapolation",
+            "run_mirror_prox", "theta", "uniform_primal", "validate_histogram", "vectorize_cost",
+            "write_barycenter_csv", "write_iterates_csv", "write_report_csv",
         ]
+
+    def test_every_public_name_has_a_package_caller(self):
+        """Every public name is used in a package module or in the benchmark.
+
+        A name only tests use belongs in the tests.  The scan counts any use
+        outside `__init__.py`, so test-only functions that call only each
+        other escape it.  The one exception is `ot_1d_monotone`: it is the
+        exact 1-D transport cost that `optimality_gap` is tested against, a
+        reference oracle with no caller in the package.
+        """
+        root = Path(__file__).resolve().parents[1]
+        files = [p for p in (root / "src" / "saddlebary").glob("*.py") if p.name != "__init__.py"]
+        used = set()
+        for path in files + sorted((root / "perfbench").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        public = {
+            name for name, value in vars(sb).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert sorted(public - used) == ["ot_1d_monotone"]
