@@ -151,8 +151,9 @@ def _sweep_signs(lin_coef):
     return np.negative(np.where(nonzero, np.sign(lin_coef), lin_coef)), nonzero
 
 
-def _halves(pairs, m, n):
+def _halves(pairs):
     """An (m, 2n) array of [row, column] pairs as a contiguous (2, m, n) array."""
+    m, n = pairs.shape[0], pairs.shape[1] // 2
     return pairs.reshape(m, 2, n).transpose(1, 0, 2).copy()
 
 
@@ -162,7 +163,7 @@ def _pairs(halves):
     return halves.transpose(1, 0, 2).reshape(m, 2 * n)
 
 
-def am_prox(amp, num_iters, cost, m, n):
+def am_prox(amp, num_iters, cost):
     """Alternating minimization for one proximal subproblem.
 
     Starting from uniform simplices and zero duals, each sweep updates the
@@ -205,9 +206,10 @@ def am_prox(amp, num_iters, cost, m, n):
         raise ConfigError("cost matrix is identically zero")
     if not np.all(np.isfinite(amp.u)):
         raise NumericalFailure("non-finite dual linear term", iteration=0)
+    m, n = amp.u.shape[0], amp.u.shape[1] // 2
     bary_lin = amp.v_bary / (10.0 * d_inf)
     neg_scale = -2.0 * (2.0 * d_inf / m)
-    u = _halves(amp.u, m, n)
+    u = _halves(amp.u)
     signs = _sweep_signs(u)
     y = np.zeros((2, m, n))
     ysq, e, products, marginals, curvature = np.empty((5, 2, m, n))
@@ -225,7 +227,7 @@ def am_prox(amp, num_iters, cost, m, n):
         else:
             costs, potentials = (c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n))
         K, log_factors = _plan_kernel(costs, potentials)
-        log_factors = _halves(log_factors, m, n)
+        log_factors = _halves(log_factors)
         KT = np.swapaxes(K, -1, -2)
         # rows a * (b K^T), columns b * (a K); a stack of kernel blocks takes
         # each measure's factors as a row vector
@@ -316,8 +318,6 @@ class DEState:
     sum_duals: np.ndarray
     k: int = 0
 
-    averaged_pair = _averaged_pair
-
 
 def _advance(amp, plans, duals, prob, divisor):
     """`amp` plus the saddle gradient at a prox output over `divisor`.
@@ -336,17 +336,17 @@ def _advance(amp, plans, duals, prob, divisor):
     )
 
 
-def _check_gradient_sums(sums, k, kappa, d_inf, m):
+def _check_gradient_sums(sums, k, d_inf):
     # The plan-block gradient is bounded by (1 + 2*max(2, m)) * d_inf / m in
     # sup norm (3*d_inf for m >= 2, 5*d_inf for a single measure) and the
-    # dual gradient by 8*d_inf in l1; the sums accumulate k/(2*kappa) of
+    # dual gradient by 8*d_inf in l1; the sums accumulate k/(2*KAPPA) of
     # either.  The plan sum alpha * C + row (+) col is bounded by
-    # alpha * d_inf + max|row| + max|col| <= 5 k d_inf / (2 kappa m).
+    # alpha * d_inf + max|row| + max|col| <= 5 k d_inf / (2 KAPPA m).
     # Violations mean the arithmetic went wrong, not the math.
-    rate_x = max(3.0, (1.0 + 2.0 * max(2.0, m)) / m) * d_inf / (2.0 * kappa)
-    rate_y = 8.0 * d_inf / (2.0 * kappa)
+    m, n = sums.potentials.shape[0], sums.v_bary.shape[0]
+    rate_x = max(3.0, (1.0 + 2.0 * max(2.0, m)) / m) * d_inf / (2.0 * KAPPA)
+    rate_y = 8.0 * d_inf / (2.0 * KAPPA)
     slack = 1.0 + 1e-9
-    n = sums.v_bary.shape[0]
     potentials = np.abs(sums.potentials)
     plans_sup = sums.alpha * d_inf + potentials[:, :n].max() + potentials[:, n:].max()
     sup = max(plans_sup, np.abs(sums.v_bary).max())
@@ -398,18 +398,18 @@ def run_dual_extrapolation(
 
     def step(k):
         # No -<grad r(z_min), z> term: it is a constant on the product of simplices.
-        zx, zy = am_prox(state.sums, cfg.inner_iters, cost, m, n)
+        zx, zy = am_prox(state.sums, cfg.inner_iters, cost)
         advanced = _advance(state.sums, zx, zy.duals, prob, KAPPA)
-        wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
+        wx, wy = am_prox(advanced, cfg.inner_iters, cost)
         state.sums = _advance(state.sums, wx, wy.duals, prob, 2.0 * KAPPA)
         state.sum_plans += _form_plans(wx.kernel, wx.row_scale, wx.col_scale, state.plans)
         state.sum_bary += wx.bary
         state.sum_duals += wy.duals
         state.k = k
-        _check_gradient_sums(state.sums, k, KAPPA, cost.d_inf, m)
+        _check_gradient_sums(state.sums, k, cost.d_inf)
 
     run_certified(
-        report, prob, eps, total, step, lambda: (*state.averaged_pair(), None),
+        report, prob, eps, total, step, lambda: (*_averaged_pair(state), None),
         log_stride=log_stride, oracle=oracle, timer=timer,
     )
     return report.final_x, report.final_y, report

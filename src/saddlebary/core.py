@@ -180,14 +180,6 @@ class PrimalPoint:
         if self.plans.shape[1] != n * n:
             raise ShapeError("plan length does not match bary length squared")
 
-    @property
-    def n(self):
-        return self.bary.shape[0]
-
-    @property
-    def m(self):
-        return self.plans.shape[0]
-
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -199,14 +191,6 @@ class DualPoint:
         if self.duals.ndim != 2 or self.duals.shape[1] % 2:
             raise ShapeError("duals must be (m, 2n)")
 
-    @property
-    def n(self):
-        return self.duals.shape[1] // 2
-
-    @property
-    def m(self):
-        return self.duals.shape[0]
-
 
 def uniform_primal(n, m):
     """Uniform plans and uniform barycenter: the canonical starting point."""
@@ -216,7 +200,7 @@ def uniform_primal(n, m):
 
 
 def _averaged_pair(state):
-    """`averaged_pair` of both solver states: their running sums over k steps, averaged."""
+    """The certified pair of both solver states: their running sums over k steps, averaged."""
     k = max(state.k, 1)
     return (
         PrimalPoint(plans=state.sum_plans / k, bary=state.sum_bary / k),

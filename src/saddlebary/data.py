@@ -9,16 +9,17 @@ import numpy as np
 
 from .core import ConfigError, ParseError
 
+SUITE_COUNT = 10
+SUPPORT_RANGE = (-10.0, 10.0)
+MEAN_RANGE = (-5.0, 5.0)
+VAR_RANGE = (0.8, 1.8)
+
 
 @dataclass(frozen=True)
 class GaussianSuiteSpec:
-    """Benchmark suite: discretized Gaussians on an equispaced grid."""
+    """Benchmark suite: grid size and the seed of the means and variances."""
 
-    count: int = 10
     support: int = 100
-    support_range: tuple = (-10.0, 10.0)
-    mean_range: tuple = (-5.0, 5.0)
-    var_range: tuple = (0.8, 1.8)
     seed: int = 0
 
     def __post_init__(self):
@@ -29,14 +30,14 @@ class GaussianSuiteSpec:
 def gaussian_suite(spec):
     """Deterministic-per-seed suite of discretized Gaussian histograms.
 
-    Returns (measures, grid points): `count` rows of Gaussian densities
-    evaluated on the grid and normalized to unit mass, with means and
-    variances drawn uniformly from the configured ranges.
+    Returns (measures, grid points): SUITE_COUNT rows of Gaussian densities
+    on `spec.support` equispaced points of SUPPORT_RANGE, normalized to unit
+    mass, with means and variances drawn uniformly from MEAN_RANGE and VAR_RANGE.
     """
     rng = np.random.default_rng(spec.seed)
-    means = rng.uniform(*spec.mean_range, size=spec.count)
-    variances = rng.uniform(*spec.var_range, size=spec.count)
-    points = np.linspace(*spec.support_range, spec.support)
+    means = rng.uniform(*MEAN_RANGE, size=SUITE_COUNT)
+    variances = rng.uniform(*VAR_RANGE, size=SUITE_COUNT)
+    points = np.linspace(*SUPPORT_RANGE, spec.support)
     densities = np.exp(-((points[None, :] - means[:, None]) ** 2) / (2.0 * variances[:, None]))
     measures = densities / densities.sum(axis=1, keepdims=True)
     return measures, points

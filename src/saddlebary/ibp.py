@@ -49,6 +49,10 @@ from .report import RunReport, run_certified
 SCALING_LOG_BOUND = FACTOR_SPAN_MAX / 4
 REDUCTION_FLOOR = math.exp(-2 * SCALING_LOG_BOUND)
 
+# A run stops once the worst per-measure l1 violation of the fixed marginals
+# drops below this (masses are 1, so absolute equals relative).
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class IBPConfig:
@@ -57,17 +61,12 @@ class IBPConfig:
     reg: float
     iters: int = 10000
     stabilized: bool = False
-    # Stop once the worst per-measure l1 violation of the fixed marginals
-    # drops below this (masses are 1, so absolute equals relative).
-    tol: float = 1e-6
 
     def __post_init__(self):
         if not (math.isfinite(self.reg) and self.reg > 0):
             raise ConfigError("regularization must be positive and finite")
         if not (isinstance(self.iters, numbers.Integral) and self.iters >= 1):
             raise ConfigError(f"need a whole number of sweeps, at least one: got {self.iters!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ConfigError("tol must be nonnegative and finite")
 
 
 def _normalized_pair(plans, bary, prob):
@@ -112,9 +111,13 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     current (normalized) plans paired with zero duals, and the scaling merit
     function (see :func:`_scaling_merit`) as the objective column.
     """
-    if not math.isfinite(prob.cost.d_inf / cfg.reg):
-        raise ConfigError(f"reg {cfg.reg!r} is too small: -C / reg overflows")
-    report = RunReport(algorithm="ibp", config=asdict(cfg))
+    d_inf = prob.cost.d_inf
+    if not math.isfinite(d_inf / cfg.reg):
+        raise ConfigError(
+            f"largest cost {d_inf!r} over reg {cfg.reg!r} overflows;"
+            " rescale the cost (--normalize-cost) or raise reg"
+        )
+    report = RunReport(algorithm="ibp", config={**asdict(cfg), "tol": TOL})
     # IBP has no gap target (eps = -inf): it stops on its marginal tolerance.
     run = functools.partial(
         run_certified, report, prob, -math.inf, cfg.iters,
@@ -153,7 +156,7 @@ def _ibp_naive(prob, cfg, run):
             raise NumericalFailure("non-finite scaling sweep", iteration=k)
         # the next sweep's column reduction doubles as this sweep's stop test
         uK = u @ K
-        return np.abs(v * uK - Q).sum(axis=1).max() <= cfg.tol
+        return np.abs(v * uK - Q).sum(axis=1).max() <= TOL
 
     def certified():
         plans = _form_plans(K, u, v, np.empty((m, n * n)))
@@ -238,7 +241,7 @@ def _ibp_stabilized(prob, cfg, run):
         u = np.exp(log_u)
         # the next sweep's column reduction doubles as this sweep's stop test
         col = (u[:, None, :] @ K)[:, 0]
-        return np.abs(v * col - Q).sum(axis=1).max() <= cfg.tol
+        return np.abs(v * col - Q).sum(axis=1).max() <= TOL
 
     def certified():
         p = np.exp(log_p)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DualPoint,
     NumericalFailure,
     PrimalPoint,
     _averaged_pair,
@@ -128,16 +127,6 @@ class MPState:
     sum_bary: np.ndarray
     sum_duals: np.ndarray
     k: int
-
-    averaged_pair = _averaged_pair
-
-    @property
-    def y(self):
-        return DualPoint(duals=self.duals[:, 0])
-
-    @property
-    def v(self):
-        return DualPoint(duals=self.duals[:, 1])
 
 
 def mp_initial_state(prob):
@@ -253,7 +242,7 @@ def run_mirror_prox(
     state = mp_initial_state(prob)
     run_certified(
         report, prob, eps, total, lambda k: mp_iteration(state, cfg, prob),
-        lambda: (*state.averaged_pair(), None),
+        lambda: (*_averaged_pair(state), None),
         log_stride=log_stride, oracle=oracle, timer=timer,
     )
     return report.final_x, report.final_y, report

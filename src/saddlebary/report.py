@@ -59,7 +59,6 @@ class RunReport:
     final_y: DualPoint | None = None
     final_gap: float | None = None
     iterations_run: int = 0
-    converged: bool = False
     status: str = "ok"
 
     def add(self, iteration, elapsed_seconds, duality_gap, objective, optimality_gap=None):
@@ -111,8 +110,7 @@ def run_certified(report, prob, eps, total, step, certified, log_stride=None, or
                 break
     report.final_bary = report.final_x.bary
     report.final_gap = gap
-    report.converged = stopped or gap <= eps
-    if not report.converged:
+    if not (stopped or gap <= eps):
         report.status = "iteration-cap"
     return report
 

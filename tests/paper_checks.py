@@ -26,7 +26,7 @@ def regularizer(x, y, cost):
     marginals, plus the first-half squared duals weighted by the barycenter.
     Boundary zeros follow the 0*log(0) = 0 convention.
     """
-    m, n = x.m, x.n
+    m, n = x.plans.shape[0], x.bary.shape[0]
     ent = 10.0 * float(_xlogy(x.plans, x.plans).sum())
     ent += 5.0 * m * float(_xlogy(x.bary, x.bary).sum())
     ysq = y.duals**2
@@ -53,7 +53,7 @@ def area_convexity_residual(a, b, c, cost, kappa=KAPPA):
     ax, ay = a
     bx, by = b
     cx, cy = c
-    n = ax.n
+    n = ax.bary.shape[0]
     mid = (
         sb.PrimalPoint(
             plans=(ax.plans + bx.plans + cx.plans) / 3.0, bary=(ax.bary + bx.bary + cx.bary) / 3.0
@@ -88,7 +88,7 @@ def hessian_forms(x, y, w, cost, m):
     surrogate drops the cross terms and shrinks the diagonals; the two forms
     sandwich each other within a factor of 6.  Assembled matrix-free.
     """
-    n = x.n
+    n = x.bary.shape[0]
     if np.any(x.plans <= 0) or np.any(x.bary <= 0):
         raise sb.DomainError("Hessian forms need strictly positive plans and barycenter")
     w = np.asarray(w, dtype=float)

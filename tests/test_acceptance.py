@@ -167,10 +167,10 @@ def test_criterion_07_am_linear_convergence():
             u=rng.normal(0.0, 3.0, (m, 2 * n)),
         )
         values = np.array(
-            [am_objective(amp, *am_prox(amp, t, cost, m, n), cost) for t in range(1, 26)]
+            [am_objective(amp, *am_prox(amp, t, cost), cost) for t in range(1, 26)]
         )
         assert np.all(np.diff(values) <= 1e-9 * np.maximum(1.0, np.abs(values[:-1])))
-        star = am_objective(amp, *am_prox(amp, 400, cost, m, n), cost)
+        star = am_objective(amp, *am_prox(amp, 400, cost), cost)
         sub = values - star
         valid = sub[:-1] > 1e-11
         ratios.extend((sub[1:][valid] / sub[:-1][valid]).tolist())

@@ -172,8 +172,9 @@ def _pair_layout_am_prox(amp, num_iters, cost, m, n):
     return ScaledPlans(K, a, b / Z, marginals, bary), y, t + 1
 
 
-def _pair_layout_prox(amp, num_iters, cost, m, n):
-    """`_pair_layout_am_prox` with `am_prox`'s return value, for dual extrapolation."""
+def _pair_layout_prox(amp, num_iters, cost):
+    """`_pair_layout_am_prox` as a drop-in `am_prox`, for dual extrapolation."""
+    m, n = amp.u.shape[0], amp.u.shape[1] // 2
     plans, y, _ = _pair_layout_am_prox(amp, num_iters, cost, m, n)
     return plans, sb.DualPoint(duals=y)
 
@@ -208,9 +209,9 @@ def sweep_counter(monkeypatch):
 
     monkeypatch.setattr(ac, "_box_quadratic_argmin", counted)
 
-    def run(amp, num_iters, cost, m, n):
+    def run(amp, num_iters, cost):
         calls[0] = 0
-        x, y = am_prox(amp, num_iters, cost, m, n)
+        x, y = am_prox(amp, num_iters, cost)
         return x, y, calls[0]
 
     return run
@@ -238,7 +239,7 @@ def test_kernel_sweep_matches_dense_reference(sweep_counter, n, m):
     cost = random_problem(900 + n, n, m).cost
     for amp in _problems(10 * n + m, n, m, cost.d_inf):
         for budget in (3, LONG):
-            x, y, sweeps = sweep_counter(amp, budget, cost, m, n)
+            x, y, sweeps = sweep_counter(amp, budget, cost)
             plans, bary, duals, ref_sweeps = _dense_am_prox(amp, budget, cost.d_inf, m, n)
             # equal sweep counts, or both stopped at the same fixed point
             assert sweeps == ref_sweeps or max(sweeps, ref_sweeps) < budget
@@ -259,7 +260,7 @@ def _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, cost, m, n):
     # it ends on, and returns exactly what a loop without an early stop
     # returns for that budget
     for budget in budgets:
-        out = sweep_counter(amp, budget, cost, m, n)
+        out = sweep_counter(amp, budget, cost)
         assert out[2] == t + 1 + (budget - 1 - t) % period
         _assert_same(out, _no_stop_am_prox(amp, budget, cost, m, n))
         _assert_pair_layout_bits(out, amp, budget, cost, m, n)
@@ -280,14 +281,14 @@ def _record_prox_calls(seed, n, m, max_outer):
     calls = []
     inner = ac.am_prox
 
-    def recording(amp, num_iters, cost, m, n):
+    def recording(amp, num_iters, cost):
         # the solver hands over its linear terms in factored form; copies
         # keep the record whatever the solver does with its arrays later
         assert isinstance(amp, FactoredAMProblem)
         calls.append(
             FactoredAMProblem(amp.alpha, amp.potentials.copy(), amp.v_bary.copy(), amp.u.copy())
         )
-        return inner(amp, num_iters, cost, m, n)
+        return inner(amp, num_iters, cost)
 
     prob = random_problem(seed, n, m)
     with pytest.MonkeyPatch.context() as mp:
@@ -315,7 +316,7 @@ def test_short_cycle_stops_bitwise_below_cap(sweep_counter, seed, n, m, max_oute
     for amp, t in cycling:
         budgets = (t + 2, t + 3, t + 4, cap, cap + 1)
         _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, prob.cost, m, n)
-        assert sweep_counter(amp, cap, prob.cost, m, n)[2] < cap
+        assert sweep_counter(amp, cap, prob.cost)[2] < cap
 
 
 def _factored_problem(rng, cost, m, n, span):
@@ -351,7 +352,7 @@ def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
         amp = _factored_problem(rng, cost, m, n, span)
         dense = AMProblem(amp.alpha * cost.d + _adjoint_stack(amp.potentials, n), amp.v_bary, amp.u)
         for budget in (3, LONG):
-            x, y, sweeps = sweep_counter(amp, budget, cost, m, n)
+            x, y, sweeps = sweep_counter(amp, budget, cost)
             assert isinstance(x, ScaledPlans)
             assert x.kernel.shape == ((n, n) if span <= FACTOR_SPAN_MAX else (m, n, n))
             plans, bary, duals, ref_sweeps = _dense_am_prox(dense, budget, cost.d_inf, m, n)
@@ -382,10 +383,10 @@ def _dense_de(prob, eps, steps):
     s_plans, s_bary, s_duals = np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))
     sums = [np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))]
     for _ in range(steps):
-        zx, zy = am_prox(AMProblem(s_plans, s_bary, s_duals), cfg.inner_iters, cost, m, n)
+        zx, zy = am_prox(AMProblem(s_plans, s_bary, s_duals), cfg.inner_iters, cost)
         g_plans, g_bary, g_dual = gradient(zx, zy)
         advanced = AMProblem(s_plans + g_plans / 3.0, s_bary + g_bary / 3.0, s_duals + g_dual / 3.0)
-        wx, wy = am_prox(advanced, cfg.inner_iters, cost, m, n)
+        wx, wy = am_prox(advanced, cfg.inner_iters, cost)
         g_plans, g_bary, g_dual = gradient(wx, wy)
         s_plans = s_plans + g_plans / 6.0
         s_bary = s_bary + g_bary / 6.0
@@ -435,11 +436,11 @@ def test_sweep_is_bitwise_the_pair_layout_sweep(sweep_counter, n, m, budget):
     rng = np.random.default_rng(n + 10 * m + budget)
     for span in (50.0, 650.0, 750.0, 20000.0):
         amp = _factored_problem(rng, cost, m, n, span)
-        out = sweep_counter(amp, budget, cost, m, n)
+        out = sweep_counter(amp, budget, cost)
         assert out[0].kernel.shape == ((n, n) if span <= FACTOR_SPAN_MAX else (m, n, n))
         _assert_pair_layout_bits(out, amp, budget, cost, m, n)
     for amp in _problems(40 * n + m, n, m, cost.d_inf):
-        _assert_pair_layout_bits(sweep_counter(amp, budget, cost, m, n), amp, budget, cost, m, n)
+        _assert_pair_layout_bits(sweep_counter(amp, budget, cost), amp, budget, cost, m, n)
 
 
 def _criterion2_inputs(tmp_path, seed, n, m):

@@ -154,7 +154,7 @@ class TestMarginalsAdjoint:
 
 def big_operator(x):
     """The stacked constraint operator on a primal point, as the certificate applies it."""
-    return _residual(_marginals_stack(x.plans, x.n), x.bary, 0.0).ravel()
+    return _residual(_marginals_stack(x.plans, x.bary.shape[0]), x.bary, 0.0).ravel()
 
 
 class TestBigOperator:

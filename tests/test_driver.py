@@ -19,7 +19,7 @@ def _run(algo, prob):
         return sb.run_mirror_prox(prob, 1e-12, max_iters=TOTAL, log_stride=STRIDE)[2]
     if algo == "de":
         return sb.run_dual_extrapolation(prob, 1e-12, max_outer=TOTAL, log_stride=STRIDE)[2]
-    cfg = sb.IBPConfig(reg=0.1, iters=TOTAL, stabilized=algo == "ibp-stabilized", tol=0.0)
+    cfg = sb.IBPConfig(reg=0.1, iters=TOTAL, stabilized=algo == "ibp-stabilized")
     return sb.ibp_barycenter(prob, cfg, log_stride=STRIDE)[1]
 
 
@@ -29,7 +29,7 @@ def test_driver_contract(algo):
     report = _run(algo, prob)
     assert [r.iteration for r in report.records] == [3, 6, 9, 10]
     assert report.iterations_run == TOTAL
-    assert report.status == "iteration-cap" and not report.converged
+    assert report.status == "iteration-cap"
     assert report.final_gap == report.records[-1].duality_gap
     assert report.final_gap == sb.duality_gap(report.final_x, report.final_y, prob)
 
@@ -42,7 +42,7 @@ def test_report_config_holds_the_config_as_built(algo):
     elif algo == "de":
         cfg = sb.de_config(prob, 1e-12)
     else:
-        cfg = sb.IBPConfig(reg=0.1, iters=TOTAL, stabilized=algo == "ibp-stabilized", tol=0.0)
+        cfg = sb.IBPConfig(reg=0.1, iters=TOTAL, stabilized=algo == "ibp-stabilized")
     assert asdict(cfg).items() <= _run(algo, prob).config.items()
 
 
@@ -79,7 +79,7 @@ class TestRunCertified:
         report = solver.run(-np.inf, 20, log_stride=3)
         assert [r.iteration for r in report.records] == [3, 5]
         assert solver.steps == 5 and report.iterations_run == 5
-        assert report.converged and report.status == "ok"
+        assert report.status == "ok"
 
     def test_stops_at_first_record_within_eps(self):
         prob = random_problem(33, 3, 2)
@@ -87,7 +87,7 @@ class TestRunCertified:
         gap = sb.duality_gap(solver.x, solver.y, prob)
         report = solver.run(gap, 20, log_stride=4)
         assert [r.iteration for r in report.records] == [4]
-        assert report.converged and report.final_gap == gap
+        assert report.status == "ok" and report.final_gap == gap
         # the objective column falls back to the primal value
         assert report.records[0].objective == sb.certificate_values(solver.x, solver.y, prob)[0]
         assert np.array_equal(report.final_bary, solver.x.bary)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
+import saddlebary.data as data
 from saddlebary.cli import GaussianSuiteSpec, gaussian_suite, load_histograms, main
 from saddlebary.report import REPORT_COLUMNS
 from conftest import random_dual, random_primal, random_problem
@@ -77,10 +78,9 @@ class TestLoadCost:
 class TestGaussianSuite:
     def test_defaults(self):
         spec = GaussianSuiteSpec()
-        assert (spec.count, spec.support) == (10, 100)
-        assert spec.support_range == (-10.0, 10.0)
-        assert spec.mean_range == (-5.0, 5.0)
-        assert spec.var_range == (0.8, 1.8)
+        assert (spec.support, spec.seed) == (100, 0)
+        assert (data.SUITE_COUNT, data.SUPPORT_RANGE) == (10, (-10.0, 10.0))
+        assert (data.MEAN_RANGE, data.VAR_RANGE) == ((-5.0, 5.0), (0.8, 1.8))
         measures, grid = gaussian_suite(spec)
         assert measures.shape == (10, 100)
         assert np.allclose(measures.sum(axis=1), 1.0, atol=1e-12)
@@ -93,10 +93,18 @@ class TestGaussianSuite:
         c, _ = gaussian_suite(GaussianSuiteSpec(seed=8))
         assert not np.array_equal(a, c)
 
-    def test_centered_gaussian_is_symmetric(self):
-        spec = GaussianSuiteSpec(count=1, support=50, mean_range=(0.0, 0.0), var_range=(1.0, 1.0))
-        measures, _ = gaussian_suite(spec)
-        assert np.allclose(measures[0], measures[0][::-1], atol=1e-15)
+    @pytest.mark.parametrize("seed", [0, 4099])
+    @pytest.mark.parametrize("support", [100, 20])
+    def test_rows_are_the_documented_gaussians(self, seed, support):
+        # ten means drawn from U(-5, 5), then ten variances from U(0.8, 1.8),
+        # each row exp(-(x - mu)^2 / (2 sigma^2)) on linspace(-10, 10) normalized
+        rng = np.random.default_rng(seed)
+        means, variances = rng.uniform(-5.0, 5.0, 10), rng.uniform(0.8, 1.8, 10)
+        x = np.linspace(-10.0, 10.0, support)
+        rows = np.exp(-((x - means[:, None]) ** 2) / (2.0 * variances[:, None]))
+        measures, grid = gaussian_suite(GaussianSuiteSpec(support=support, seed=seed))
+        assert np.array_equal(grid, x)
+        np.testing.assert_allclose(measures, rows / rows.sum(axis=1, keepdims=True), rtol=1e-12)
 
 
 class TestIteratesRoundTrip:
@@ -295,6 +303,19 @@ class TestCLI:
         code = run_cli(["barycenter", "--algo", "mp", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise sb.NumericalFailure("non-finite multiplicative update", iteration=7)
+
+        monkeypatch.setattr("saddlebary.cli.run_mirror_prox", failing)
+        out = tmp_path / "run"
+        code = run_cli(["barycenter", "--algo", "mp", "--input", self.write_problem(tmp_path),
+                        "--out", str(out), "--timing", "off"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: non-finite multiplicative update (iteration 7)\n"
+        assert not (out / "report.csv").exists()
+
     def test_input_and_gaussian_conflict(self, tmp_path):
         inp = self.write_problem(tmp_path)
         code = run_cli(["barycenter", "--algo", "mp", "--input", inp, "--gaussian",
@@ -305,8 +326,9 @@ class TestCLI:
     def test_cost_scale_outside_the_step_sizes_exits_2(self, tmp_path, capsys, algo):
         # mp's and de's step sizes are multiples of 1 / max(C) and their
         # budgets of max(C) / eps.  A largest cost of 4e-320 (subnormal) or
-        # 1e308 makes one of them non-finite; ibp takes neither.  A largest
-        # cost of 2.25e-308, just above the smallest normal float, runs, and
+        # 1e308 makes one of them non-finite.  ibp takes neither, but its
+        # kernel exponent max(C) / reg overflows at 1e308.  A largest cost of
+        # 2.25e-308, just above the smallest normal float, runs, and
         # --normalize-cost rescales either cost to largest entry 1.
         hists = tmp_path / "h.csv"
         rows = "0.2,0.3,0.5\n0.5,0.25,0.25\n"
@@ -323,11 +345,12 @@ class TestCLI:
         code, err = run("subnormal", "0,1e-160,2e-160")
         if algo.startswith("ibp"):
             assert (code, err) == (0, "")
-            return
-        assert code == 2 and err.startswith("error:") and "subnormal" in err, err
-        assert "--normalize-cost" in err
+        else:
+            assert code == 2 and err.startswith("error:") and "subnormal" in err, err
+            assert "--normalize-cost" in err
         code, err = run("huge", "0,1,2", "--cost", f"csv:{cost}")
-        assert code == 2 and err.startswith("error:") and "cost scale" in err, err
+        named = "largest cost 1e+308" if algo.startswith("ibp") else "cost scale"
+        assert code == 2 and err.startswith("error:") and named in err, err
         assert "--normalize-cost" in err
         for name, grid, extra in (("subnormal-1", "0,1e-160,2e-160", []),
                                   ("huge-1", "0,1,2", ["--cost", f"csv:{cost}"])):
@@ -609,3 +632,39 @@ class TestPublicSurface:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
         assert sorted(public - used) == ["ot_1d_monotone"]
+
+    def test_every_member_has_a_package_reader(self):
+        """Every method, property and class-level assignment of a package class is read there.
+
+        A member is read when an attribute load of its name appears in a
+        package module (less `__init__.py`) or in the benchmark.  The scan
+        matches names, not owners, so a member whose name other objects
+        share (`n`, `m`) escapes it.  Dataclass fields are not covered: a
+        field is set by its constructor and may be read only by a caller.
+        """
+        root = Path(__file__).resolve().parents[1]
+        package = sorted((root / "src" / "saddlebary").glob("*.py"))
+        readers = [p for p in package if p.name != "__init__.py"]
+        read = {
+            node.attr
+            for path in readers + sorted((root / "perfbench").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        unread = []
+        for path in package:
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        names = [node.name]
+                    elif isinstance(node, ast.Assign):
+                        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    else:
+                        continue
+                    unread += [
+                        f"{cls.name}.{name}" for name in names
+                        if not name.startswith("__") and name not in read
+                    ]
+        assert unread == []
