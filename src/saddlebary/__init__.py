@@ -31,7 +31,6 @@ from .core import (
     UnsupportedError,
     certificate_values,
     duality_gap,
-    uniform_primal,
     validate_histogram,
     vectorize_cost,
 )

@@ -29,11 +29,12 @@ per-call buffers held halves-major, (2, m, n) with the row half of every
 measure before the column half, so each of its NumPy calls writes one
 contiguous block; what the dual argmin needs of u and the curvature scale
 is computed once per call.  The first prox output of a step is used only
-through those marginals; the second is formed once, into a buffer the
-state owns, and added to the running average.  Should the kernel and
-factor exponents together span more than `core.FACTOR_SPAN_MAX` (just
-inside the exp underflow floor), `_plan_kernel` gives each measure its own
-kernel block with the combined min-shift and unit factors.
+through those marginals; the second is formed once, into the buffer of
+the running average (`core.RunningAverage`) that adds it.  Should the
+kernel and factor exponents together span more than
+`core.FACTOR_SPAN_MAX` (just inside the exp underflow floor),
+`_plan_kernel` gives each measure its own kernel block with the combined
+min-shift and unit factors.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .core import (
     DualPoint,
     NumericalFailure,
     PrimalPoint,
-    _averaged_pair,
+    RunningAverage,
     _check_eps_and_cost,
     _form_plans,
     _gradient,
@@ -304,21 +305,6 @@ def de_config(prob, eps, theta_variant="exact"):
     return DEConfig(theta_value, _step_count(12.0 * theta_value / eps), inner_iters)
 
 
-@dataclass
-class DEState:
-    """The gradient sum after k steps, which is the next prox linear term, and the output totals.
-
-    `plans` is the buffer each step's second prox output is formed into.
-    """
-
-    sums: FactoredAMProblem
-    plans: np.ndarray
-    sum_plans: np.ndarray
-    sum_bary: np.ndarray
-    sum_duals: np.ndarray
-    k: int = 0
-
-
 def _advance(amp, plans, duals, prob, divisor):
     """`amp` plus the saddle gradient at a prox output over `divisor`.
 
@@ -374,42 +360,36 @@ def run_dual_extrapolation(
     certificate reaches `eps`.  Every prox call starts from the canonical
     point.
 
-    The gradient sum is kept as the prox linear term itself (`DEState`), so
-    a step touches m n^2 entries only to form the second prox output's
-    plans into the state's buffer and add them to the running average; the
-    first output is used through its marginals alone.
+    The run's state is the gradient sum, kept as the prox linear term
+    itself, and the `core.RunningAverage` of the second prox outputs.  A
+    step touches m n^2 entries only where the average forms that output's
+    plans in its buffer and adds them; the first output is used through
+    its marginals alone.
     """
     cfg = de_config(prob, eps, theta_variant)
     total = cfg.outer_iters if max_outer is None else int(max_outer)
     n, m = prob.n, prob.m
     cost = prob.cost
-    report = RunReport(algorithm="de", config={
+    report = RunReport(config={
         "eps": eps, "theta_variant": theta_variant, **asdict(cfg), "kappa": KAPPA,
         "max_outer": total,
         "initial_error_bound": de_initial_error_bound(eps, cfg.theta, cost.d_inf),
     })
-    state = DEState(
-        sums=FactoredAMProblem(0.0, np.zeros((m, 2 * n)), np.zeros(n), np.zeros((m, 2 * n))),
-        plans=np.empty((m, n * n)),
-        sum_plans=np.zeros((m, n * n)),
-        sum_bary=np.zeros(n),
-        sum_duals=np.zeros((m, 2 * n)),
-    )
+    sums = FactoredAMProblem(0.0, np.zeros((m, 2 * n)), np.zeros(n), np.zeros((m, 2 * n)))
+    average = RunningAverage(m, n)
 
     def step(k):
+        nonlocal sums
         # No -<grad r(z_min), z> term: it is a constant on the product of simplices.
-        zx, zy = am_prox(state.sums, cfg.inner_iters, cost)
-        advanced = _advance(state.sums, zx, zy.duals, prob, KAPPA)
+        zx, zy = am_prox(sums, cfg.inner_iters, cost)
+        advanced = _advance(sums, zx, zy.duals, prob, KAPPA)
         wx, wy = am_prox(advanced, cfg.inner_iters, cost)
-        state.sums = _advance(state.sums, wx, wy.duals, prob, 2.0 * KAPPA)
-        state.sum_plans += _form_plans(wx.kernel, wx.row_scale, wx.col_scale, state.plans)
-        state.sum_bary += wx.bary
-        state.sum_duals += wy.duals
-        state.k = k
-        _check_gradient_sums(state.sums, k, cost.d_inf)
+        sums = _advance(sums, wx, wy.duals, prob, 2.0 * KAPPA)
+        average.add(wx.kernel, wx.row_scale, wx.col_scale, wx.bary, wy.duals)
+        _check_gradient_sums(sums, k, cost.d_inf)
 
     run_certified(
-        report, prob, eps, total, step, lambda: (*_averaged_pair(state), None),
+        report, prob, eps, total, step, lambda: (*average.pair(), None),
         log_stride=log_stride, oracle=oracle, timer=timer,
     )
     return report.final_x, report.final_y, report

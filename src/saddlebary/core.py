@@ -12,8 +12,9 @@ Both solvers hold their plans in Gibbs scaling form diag(a_i) K diag(b_i)
 / Z_i; their shared arithmetic on that form (the kernel builder, which
 shares one n x n kernel or past its span gives each measure its own block,
 the scaled marginals, plan formation), the constraint residual, the
-saddle gradient (`_gradient`, also behind the certificate), the averaged
-output, the eps and cost checks, the clamped exp of absorbed kernel blocks
+saddle gradient (`_gradient`, also behind the certificate), the certified
+output (`RunningAverage`: its totals, step count and formation buffer),
+the eps and cost checks, the clamped exp of absorbed kernel blocks
 (`_clamped_exp`, also behind stabilized IBP's blocks) and `_xlogy` live here
 once.
 """
@@ -192,22 +193,6 @@ class DualPoint:
             raise ShapeError("duals must be (m, 2n)")
 
 
-def uniform_primal(n, m):
-    """Uniform plans and uniform barycenter: the canonical starting point."""
-    plans = np.full((m, n * n), 1.0 / (n * n))
-    bary = np.full(n, 1.0 / n)
-    return PrimalPoint(plans=plans, bary=bary)
-
-
-def _averaged_pair(state):
-    """The certified pair of both solver states: their running sums over k steps, averaged."""
-    k = max(state.k, 1)
-    return (
-        PrimalPoint(plans=state.sum_plans / k, bary=state.sum_bary / k),
-        DualPoint(duals=state.sum_duals / k),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Matrix-free applications of the marginal operator and its adjoint
 # ---------------------------------------------------------------------------
@@ -319,6 +304,36 @@ def _floor(P):
     """Set the entries of P below `_PLAN_FLOOR` to exactly 0, in place; returns P."""
     np.copyto(P, 0.0, where=P < _PLAN_FLOOR)
     return P
+
+
+class RunningAverage:
+    """The certified output of both solvers: the average of their per-step outputs.
+
+    Holds the totals `plans` (m, n^2), `bary` (n) and `duals` (m, 2n) over
+    `k` steps, and `step_plans`, the buffer each step's plans are formed in.
+    """
+
+    def __init__(self, m, n):
+        self.plans = np.zeros((m, n * n))
+        self.bary = np.zeros(n)
+        self.duals = np.zeros((m, 2 * n))
+        self.step_plans = np.empty((m, n * n))
+        self.k = 0
+
+    def add(self, K, a, b_over_z, bary, duals):
+        """Add one step: plans diag(a_i) K diag(b_over_z_i), formed in `step_plans`, and p, y."""
+        self.plans += _form_plans(K, a, b_over_z, self.step_plans)
+        self.bary += bary
+        self.duals += duals
+        self.k += 1
+
+    def pair(self):
+        """The totals over max(k, 1) as a new primal/dual pair: no array is the average's own."""
+        k = max(self.k, 1)
+        return (
+            PrimalPoint(plans=self.plans / k, bary=self.bary / k),
+            DualPoint(duals=self.duals / k),
+        )
 
 
 def _log_normalize(logw):

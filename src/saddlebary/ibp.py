@@ -117,7 +117,7 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
             f"largest cost {d_inf!r} over reg {cfg.reg!r} overflows;"
             " rescale the cost (--normalize-cost) or raise reg"
         )
-    report = RunReport(algorithm="ibp", config={**asdict(cfg), "tol": TOL})
+    report = RunReport(config={**asdict(cfg), "tol": TOL})
     # IBP has no gap target (eps = -inf): it stops on its marginal tolerance.
     run = functools.partial(
         run_certified, report, prob, -math.inf, cfg.iters,

@@ -13,11 +13,11 @@ plan of the main iterate is the one kernel exp(-k gamma C) with row and
 column factors.  The state keeps the main iterate as k and those (m, 2n)
 log factors, not as dense plans.  A step builds one n x n kernel (n^2
 exponentials), takes the marginals and normalizers of both of its plans by
-two GEMMs, and forms only the extrapolation plans, which enter the running
-average, through the Gibbs-form helpers in `core`.  Should the kernel and
-factors span more than `core.FACTOR_SPAN_MAX` in the exponent, the kernel
-builder returns one block per measure instead, the step forms the next
-main iterate densely over it, and each later step rescales that by
+two GEMMs, and forms only the extrapolation plans, as `core.RunningAverage`
+adds them to the certified average.  Should the kernel and factors span
+more than `core.FACTOR_SPAN_MAX` in the exponent, the kernel builder
+returns one block per measure instead, the step forms the next main
+iterate densely over it, and each later step rescales that by
 exp(-gamma C).  A step updates the state in place; only that switch
 allocates an m n^2 float array.  The barycenter block (n entries) stays in
 the log domain.
@@ -33,8 +33,7 @@ import numpy as np
 from .core import (
     ConfigError,
     NumericalFailure,
-    PrimalPoint,
-    _averaged_pair,
+    RunningAverage,
     _check_eps_and_cost,
     _form_plans,
     _log_normalize,
@@ -42,7 +41,6 @@ from .core import (
     _residual,
     _scaled_marginals,
     _step_count,
-    uniform_primal,
 )
 from .report import RunReport, run_certified
 
@@ -110,10 +108,11 @@ class MPState:
     `x_marginals` holds x's stacked [row sums, column sums], carried from
     the step that made them, and the barycenter is kept as `bary` and in
     the log domain as `log_bary`.  `duals` stacks the main duals y and the
-    extrapolation duals v as [:, 0] and [:, 1]; `u` holds the extrapolation
-    point and `sum_*` the running totals of u and v (the certified output
-    is the average `sum / k`).  Every array is owned by the state alone: a
-    step overwrites the arrays of the state it is given.
+    extrapolation duals v as [:, 0] and [:, 1].  `average` is the certified
+    output, the running average of the extrapolation point u and of v; its
+    step count is k, and u's plans are formed in its buffer.  Every array
+    is owned by the state alone: a step overwrites the arrays of the state
+    it is given.
     """
 
     log_factors: np.ndarray
@@ -122,11 +121,7 @@ class MPState:
     bary: np.ndarray
     log_bary: np.ndarray
     duals: np.ndarray  # (m, 2, 2n)
-    u: PrimalPoint
-    sum_plans: np.ndarray
-    sum_bary: np.ndarray
-    sum_duals: np.ndarray
-    k: int
+    average: RunningAverage
 
 
 def mp_initial_state(prob):
@@ -140,11 +135,7 @@ def mp_initial_state(prob):
         bary=bary,
         log_bary=np.log(bary),
         duals=np.zeros((m, 2, 2 * n)),
-        u=uniform_primal(n, m),
-        sum_plans=np.zeros((m, n * n)),
-        sum_bary=np.zeros(n),
-        sum_duals=np.zeros((m, 2 * n)),
-        k=0,
+        average=RunningAverage(m, n),
     )
 
 
@@ -168,14 +159,15 @@ def mp_iteration(state, cfg, prob):
     exp(-(k + 1) gamma C) shared by every measure, with x's factors and
     the duals' as row and column factors (`core._plan_kernel`), so the
     marginals and normalizers of both plans are two GEMMs and only u is
-    formed, into its own buffer.  The step on which the kernel and factors
-    span more than `core.FACTOR_SPAN_MAX` takes the builder's kernel block
-    per measure and forms the next x densely over it; from then on each
-    step forms W = x exp(-gamma C) in x's buffer, takes both plans'
-    marginals by batched mat-vecs against W and forms the next x over W.
+    formed, by the running average that adds it, before anything writes
+    K.  The step on which the kernel and factors span more than
+    `core.FACTOR_SPAN_MAX` takes the builder's kernel block per measure
+    and forms the next x densely over it; from then on each step forms
+    W = x exp(-gamma C) in x's buffer, takes both plans' marginals by
+    batched mat-vecs against W and forms the next x over W.
     """
     n = prob.n
-    duals = state.duals
+    duals, average = state.duals, state.average
     y, v = duals[:, 0], duals[:, 1]
 
     # extrapolation dual step at the main iterate
@@ -185,7 +177,7 @@ def mp_iteration(state, cfg, prob):
     # both plans: index 0 at y (u), index 1 at v (next x)
     scaled = (2.0 * prob.cost.d_inf * cfg.gamma_mult) * duals
     if state.plans is None:
-        costs = ((state.k + 1) * cfg.gamma_mult) * prob.cost.C
+        costs = ((average.k + 1) * cfg.gamma_mult) * prob.cost.C
         K, log_factors = _plan_kernel(costs, scaled - state.log_factors[:, None, :])
     else:
         K = state.plans.reshape(-1, n, n)
@@ -195,27 +187,21 @@ def mp_iteration(state, cfg, prob):
     log_bary, bary = _log_normalize(state.log_bary + cfg.beta * duals[..., :n].sum(axis=0))
 
     if not math.isfinite(marginals.sum() + Z.sum() + bary.sum()):
-        raise NumericalFailure("non-finite multiplicative update", iteration=state.k + 1)
+        raise NumericalFailure("non-finite multiplicative update", iteration=average.k + 1)
 
     # main dual step, evaluated at the extrapolation pair
     residual_u = _residual(marginals[:, 0], bary[0], prob.measures)
     np.clip(y + cfg.alpha * residual_u, -1.0, 1.0, out=y)
 
-    u = state.u
     b_over_z = b / Z
-    _form_plans(K, a[:, 0], b_over_z[:, 0], u.plans)
+    average.add(K, a[:, 0], b_over_z[:, 0], bary[0], v)
     if K.ndim == 2:
         state.log_factors = log_factors[:, 1]
     else:  # per-measure blocks or W: x is dense from here on, formed over K
         state.plans = _form_plans(K, a[:, 1], b_over_z[:, 1], K.reshape(prob.m, n * n))
-    u.bary[:] = bary[0]
     state.x_marginals = marginals[:, 1]
     state.bary = bary[1]
     state.log_bary = log_bary[1]
-    state.sum_plans += u.plans
-    state.sum_bary += bary[0]
-    state.sum_duals += v
-    state.k += 1
 
 
 def run_mirror_prox(
@@ -238,11 +224,11 @@ def run_mirror_prox(
     """
     cfg = mp_config(prob, eps, variant)
     total = cfg.theory_iters if max_iters is None else int(max_iters)
-    report = RunReport(algorithm="mp", config={"eps": eps, **asdict(cfg), "max_iters": total})
+    report = RunReport(config={"eps": eps, **asdict(cfg), "max_iters": total})
     state = mp_initial_state(prob)
     run_certified(
         report, prob, eps, total, lambda k: mp_iteration(state, cfg, prob),
-        lambda: (*_averaged_pair(state), None),
+        lambda: (*state.average.pair(), None),
         log_stride=log_stride, oracle=oracle, timer=timer,
     )
     return report.final_x, report.final_y, report

@@ -51,7 +51,6 @@ class RunReport:
     at, so every stored certificate can be replayed from disk.
     """
 
-    algorithm: str  # "mp", "de" or "ibp"
     config: dict
     records: list[RunRecord] = field(default_factory=list)
     final_bary: np.ndarray | None = None

@@ -70,6 +70,11 @@ def random_primal(rng, n, m, alpha=1.0):
     )
 
 
+def uniform_primal(n, m):
+    """Uniform plans and uniform barycenter."""
+    return sb.PrimalPoint(plans=np.full((m, n * n), 1.0 / (n * n)), bary=np.full(n, 1.0 / n))
+
+
 def random_dual(rng, n, m):
     return sb.DualPoint(duals=rng.uniform(-1.0, 1.0, (m, 2 * n)))
 

@@ -16,7 +16,7 @@ import saddlebary as sb
 from saddlebary.area_convex import AMProblem, am_prox
 from saddlebary.cli import GaussianSuiteSpec, gaussian_suite, main
 from saddlebary.core import _marginals_stack, _residual
-from conftest import random_dual, random_primal, random_problem, zero_dual
+from conftest import random_dual, random_primal, random_problem, uniform_primal, zero_dual
 from paper_checks import am_objective, area_convexity_residual, hessian_forms, regularizer
 
 
@@ -131,7 +131,7 @@ def test_criterion_06_regularizer_range():
     rng = np.random.default_rng(2027)
     n, m = 4, 2
     cost = random_problem(600, n, m).cost
-    base = regularizer(sb.uniform_primal(n, m), zero_dual(n, m), cost)
+    base = regularizer(uniform_primal(n, m), zero_dual(n, m), cost)
     top_exact = sb.theta(n, cost.d_inf, "exact")
     paper_slack = sb.theta(n, cost.d_inf, "paper") - 10.0 * math.log(n) * cost.d_inf
     largest = -math.inf

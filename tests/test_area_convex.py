@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
-import saddlebary.area_convex as ac
+import saddlebary.core as core
 from saddlebary.area_convex import (
     AMProblem,
     FactoredAMProblem,
@@ -20,6 +20,7 @@ from conftest import (
     random_dual,
     random_primal,
     random_problem,
+    uniform_primal,
     zero_dual,
 )
 from paper_checks import am_objective, area_convexity_residual, hessian_forms, regularizer
@@ -60,7 +61,7 @@ class TestTheta:
 
 class TestRegularizer:
     def test_value_at_canonical_minimizer(self, t1_problem):
-        x = sb.uniform_primal(2, 1)
+        x = uniform_primal(2, 1)
         y = zero_dual(2, 1)
         assert regularizer(x, y, t1_problem.cost) == pytest.approx(-50 * math.log(2))
 
@@ -93,7 +94,7 @@ class TestAMObjective:
     def test_value_at_canonical_point(self, t1_problem):
         amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
         value = am_objective(
-            amp, sb.uniform_primal(2, 1), zero_dual(2, 1), t1_problem.cost
+            amp, uniform_primal(2, 1), zero_dual(2, 1), t1_problem.cost
         )
         assert value == pytest.approx(-50 * math.log(2))
 
@@ -365,7 +366,7 @@ class TestRegularizerRange:
         rng = np.random.default_rng(55)
         n, m = 4, 2
         cost = random_problem(55, n, m).cost
-        base = regularizer(sb.uniform_primal(n, m), zero_dual(n, m), cost)
+        base = regularizer(uniform_primal(n, m), zero_dual(n, m), cost)
         top = sb.theta(n, cost.d_inf, "exact")
         for trial in range(500):
             if trial % 10 == 0:
@@ -459,15 +460,15 @@ class TestDualExtrapolation:
 
     def test_steps_form_plans_into_the_state_buffer(self, monkeypatch):
         # every step forms its second prox output into the one m n^2 buffer
-        # the state owns, not into a fresh array
+        # the running average owns, not into a fresh array
         outs = []
-        form = ac._form_plans
+        form = core._form_plans
 
         def recording(K, a, b_over_z, out):
             outs.append(out)
             return form(K, a, b_over_z, out)
 
-        monkeypatch.setattr(ac, "_form_plans", recording)
+        monkeypatch.setattr(core, "_form_plans", recording)
         _, _, report = sb.run_dual_extrapolation(
             _gaussian_suite_problem(), 0.25, max_outer=20, timer=lambda: 0.0
         )

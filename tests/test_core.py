@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
-from saddlebary.core import _adjoint_stack, _gradient, _marginals_stack, _residual
+from saddlebary.core import (
+    RunningAverage,
+    _adjoint_stack,
+    _gradient,
+    _marginals_stack,
+    _residual,
+)
 from conftest import (
     dense_big_operator,
     dense_incidence,
@@ -14,6 +20,7 @@ from conftest import (
     random_primal,
     random_problem,
     saddle_objective,
+    uniform_primal,
     zero_dual,
 )
 
@@ -201,11 +208,11 @@ class TestObjective:
         assert saddle_objective(x, y, t1_problem) == pytest.approx(expected, abs=1e-15)
 
     def test_uniform_value(self, t1_problem):
-        x = sb.uniform_primal(2, 1)
+        x = uniform_primal(2, 1)
         assert saddle_objective(x, zero_dual(2, 1), t1_problem) == pytest.approx(0.5)
 
     def test_single_active_dual(self, t1_problem):
-        x = sb.uniform_primal(2, 1)
+        x = uniform_primal(2, 1)
         y = sb.DualPoint(duals=np.array([[0.0, 0.0, 1.0, 0.0]]))
         assert saddle_objective(x, y, t1_problem) == pytest.approx(-0.5)
 
@@ -227,7 +234,7 @@ class TestGradientOperator:
         assert np.allclose(gx[4:], 0.0)
 
     def test_dual_gradient_from_big_operator(self, t1_problem):
-        x = sb.uniform_primal(2, 1)
+        x = uniform_primal(2, 1)
         _, gy = gradient(x, zero_dual(2, 1), t1_problem)
         c = np.array([0.0, 0.0, 1.0, 0.0])
         expected = 2.0 * (c - big_operator(x))
@@ -262,7 +269,7 @@ class TestGradientOperator:
 
 class TestDualityGap:
     def test_uniform_start_value(self, t1_problem):
-        x = sb.uniform_primal(2, 1)
+        x = uniform_primal(2, 1)
         y = zero_dual(2, 1)
         assert sb.duality_gap(x, y, t1_problem) == pytest.approx(2.5, abs=1e-12)
         assert enumerated_gap(x, y, t1_problem) == pytest.approx(2.5, abs=1e-12)
@@ -369,8 +376,60 @@ class TestValidation:
     def test_problem_copies_its_measures(self, t1_problem):
         measures = np.array([[0.25, 0.75]])
         prob = sb.BarycenterProblem(measures=measures, cost=t1_problem.cost)
-        x, y = sb.uniform_primal(2, 1), zero_dual(2, 1)
+        x, y = uniform_primal(2, 1), zero_dual(2, 1)
         gap = sb.duality_gap(x, y, prob)
         measures[0] = [2.0, -1.0]
         assert np.array_equal(prob.measures, [[0.25, 0.75]])
         assert sb.duality_gap(x, y, prob) == gap
+
+
+class TestRunningAverage:
+    @staticmethod
+    def steps(rng, m, n, count):
+        """`count` random (K, a, b_over_z, bary, duals) steps, K shared or one block per measure."""
+        shapes = [(n, n), (m, n, n)]
+        return [
+            (
+                rng.uniform(0.0, 1.0, shapes[t % 2]), rng.uniform(0.5, 2.0, (m, n)),
+                rng.uniform(0.5, 2.0, (m, n)), rng.dirichlet(np.ones(n)),
+                rng.uniform(-1.0, 1.0, (m, 2 * n)),
+            )
+            for t in range(count)
+        ]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_pair_is_totals_over_k(self, count):
+        m, n = 3, 4
+        average = RunningAverage(m, n)
+        plans, bary, duals = np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))
+        for K, a, b_over_z, p, y in self.steps(np.random.default_rng(count), m, n, count):
+            formed = (K * a[:, :, None] * b_over_z[:, None, :]).reshape(m, n * n)
+            formed[formed < np.finfo(float).tiny] = 0.0
+            plans, bary, duals = plans + formed, bary + p, duals + y
+            average.add(K, a, b_over_z, p, y)
+            assert np.array_equal(average.step_plans, formed)
+        assert average.k == count
+        assert np.array_equal(average.plans, plans)
+        assert np.array_equal(average.bary, bary)
+        assert np.array_equal(average.duals, duals)
+        x, y = average.pair()
+        assert np.array_equal(x.plans, plans / count)
+        assert np.array_equal(x.bary, bary / count)
+        assert np.array_equal(y.duals, duals / count)
+
+    def test_pair_owns_its_arrays(self):
+        # report.final_x follows every record, so a pair handed out must not
+        # change under a later step or a later pair
+        m, n = 2, 3
+        average = RunningAverage(m, n)
+        for step in self.steps(np.random.default_rng(0), m, n, 2):
+            average.add(*step)
+        x, y = average.pair()
+        totals = (average.plans, average.bary, average.duals, average.step_plans)
+        for array in (x.plans, x.bary, y.duals):
+            assert not any(np.shares_memory(array, total) for total in totals)
+        before = [array.copy() for array in (x.plans, x.bary, y.duals)]
+        x.plans[:], x.bary[:], y.duals[:] = 7.0, 7.0, 7.0
+        again_x, again_y = average.pair()
+        for array, expected in zip((again_x.plans, again_x.bary, again_y.duals), before):
+            assert np.array_equal(array, expected)

@@ -65,7 +65,7 @@ class _Constant:
         return self.x, self.y, None
 
     def run(self, eps, total, log_stride=None):
-        report = sb.RunReport(algorithm="test", config={})
+        report = sb.RunReport(config={})
         return sb.run_certified(
             report, self.prob, eps, total, self.step, self.certified,
             log_stride=log_stride, timer=lambda: 0.0,

@@ -6,9 +6,15 @@ import pytest
 from scipy.special import xlogy
 
 import saddlebary as sb
-from saddlebary.core import _adjoint_stack, _averaged_pair, _log_normalize, _marginals_stack
+from saddlebary.core import _adjoint_stack, _log_normalize, _marginals_stack
 from saddlebary.mirror_prox import mp_initial_state, mp_iteration
-from conftest import dense_big_operator, dense_incidence, primal_vector, random_problem
+from conftest import (
+    dense_big_operator,
+    dense_incidence,
+    primal_vector,
+    random_problem,
+    uniform_primal,
+)
 
 TINY = np.finfo(float).tiny
 
@@ -25,7 +31,7 @@ def main_iterate(state, cfg, prob):
         return sb.PrimalPoint(plans=state.plans.copy(), bary=state.bary.copy())
     n = prob.n
     f, g = state.log_factors[:, :n], state.log_factors[:, n:]
-    logw = f[:, :, None] + g[:, None, :] - (state.k * cfg.gamma_mult) * prob.cost.C
+    logw = f[:, :, None] + g[:, None, :] - (state.average.k * cfg.gamma_mult) * prob.cost.C
     w = np.exp(logw - logw.max(axis=(1, 2), keepdims=True))
     plans = (w / w.sum(axis=(1, 2), keepdims=True)).reshape(prob.m, n * n)
     plans[plans < TINY] = 0.0
@@ -124,7 +130,7 @@ def _primal_radius(n, m):
             bary = np.zeros(n)
             bary[b] = 1.0
             tops.append(_primal_reference(sb.PrimalPoint(plans=plans, bary=bary), m))
-    return max(tops), _primal_reference(sb.uniform_primal(n, m), m)
+    return max(tops), _primal_reference(uniform_primal(n, m), m)
 
 
 def _dual_radius(n, m):
@@ -220,13 +226,13 @@ class TestIteration:
             eta=0.1, alpha=0.4, beta=0.2, gamma_mult=0.3, theory_iters=5, scaling_variant="derived"
         )
         state = mp_initial_state(prob)
-        start = sb.uniform_primal(2, 2)
+        start = uniform_primal(2, 2)
         mp_iteration(state, cfg, prob)
         x = main_iterate(state, cfg, prob)
         assert np.allclose(x.plans, start.plans, atol=1e-15)
         assert np.allclose(x.bary, start.bary, atol=1e-15)
         assert np.array_equal(state.duals[:, 0], np.zeros((2, 4)))
-        assert np.allclose(state.u.plans, start.plans, atol=1e-15)
+        assert np.allclose(state.average.step_plans, start.plans, atol=1e-15)
 
     def test_first_step_t1(self, t1_problem):
         cfg = sb.mp_config(t1_problem, 0.5)
@@ -244,10 +250,11 @@ class TestIteration:
         state = mp_initial_state(prob)
         for _ in range(4):
             u, s, v, x_new, p_new, y_new = oracle_step(state, cfg, prob)
+            bary_total = state.average.bary.copy()
             mp_iteration(state, cfg, prob)
             x = main_iterate(state, cfg, prob)
-            assert np.allclose(state.u.plans, u, atol=1e-12)
-            assert np.allclose(state.u.bary, s, atol=1e-12)
+            assert np.allclose(state.average.step_plans, u, atol=1e-12)
+            assert np.allclose(state.average.bary - bary_total, s, atol=1e-12)
             assert np.allclose(state.duals[:, 1], v, atol=1e-13)
             assert np.allclose(x.plans, x_new, atol=1e-12)
             assert np.allclose(x.bary, p_new, atol=1e-12)
@@ -258,17 +265,19 @@ class TestIteration:
         cfg = sb.mp_config(prob, 0.1)
         state = mp_initial_state(prob)
         def plan_arrays():
-            return state.u.plans, state.sum_plans
+            return state.average.step_plans, state.average.plans
 
         buffers = plan_arrays()
         for _ in range(50):
+            bary_total = state.average.bary.copy()
             mp_iteration(state, cfg, prob)
             # a step writes the plan arrays of the state it is given, and
             # keeps x in Gibbs form: no dense plans of x
             assert all(a is b for a, b in zip(buffers, plan_arrays()))
             assert state.plans is None
             x = main_iterate(state, cfg, prob)
-            for point in (x, state.u):
+            u = sb.PrimalPoint(plans=state.average.step_plans, bary=state.average.bary - bary_total)
+            for point in (x, u):
                 assert np.all(point.plans >= 0)
                 assert np.allclose(point.plans.sum(axis=1), 1.0, atol=1e-12)
                 assert np.all(point.bary >= 0)
@@ -293,12 +302,13 @@ class TestIteration:
             "log_plans": np.log(x.plans),
             "log_bary": np.log(x.bary),
             "y": state.duals[:, 0].copy(),
-            "sum_plans": state.sum_plans.copy(),
-            "sum_bary": state.sum_bary.copy(),
-            "sum_duals": state.sum_duals.copy(),
+            "sum_plans": state.average.plans.copy(),
+            "sum_bary": state.average.bary.copy(),
+            "sum_duals": state.average.duals.copy(),
         }
         switched_at = None
         for k in range(1, 2001):
+            bary_total = state.average.bary.copy()
             mp_iteration(state, cfg, prob)
             if switched_at is None and state.plans is not None:
                 switched_at = k
@@ -306,18 +316,18 @@ class TestIteration:
             x = main_iterate(state, cfg, prob)
             assert np.allclose(x.plans, ref["x"].plans, rtol=0, atol=1e-12)
             assert np.allclose(x.bary, ref["x"].bary, rtol=0, atol=1e-12)
-            assert np.allclose(state.u.plans, u_ref.plans, rtol=0, atol=1e-12)
-            assert np.allclose(state.u.bary, u_ref.bary, rtol=0, atol=1e-12)
+            assert np.allclose(state.average.step_plans, u_ref.plans, rtol=0, atol=1e-12)
+            assert np.allclose(state.average.bary - bary_total, u_ref.bary, rtol=0, atol=1e-12)
             assert np.allclose(state.duals[:, 0], ref["y"], rtol=0, atol=1e-12)
             assert np.allclose(state.duals[:, 1], v_ref, rtol=0, atol=1e-12)
-            for plans in (x.plans, state.u.plans, state.sum_plans):
+            for plans in (x.plans, state.average.step_plans, state.average.plans):
                 assert not _has_subnormal(plans), k
             if k % 250 == 0:
                 ref_pair = (
                     sb.PrimalPoint(plans=ref["sum_plans"] / k, bary=ref["sum_bary"] / k),
                     sb.DualPoint(duals=ref["sum_duals"] / k),
                 )
-                gap = sb.duality_gap(*_averaged_pair(state), prob)
+                gap = sb.duality_gap(*state.average.pair(), prob)
                 assert gap == pytest.approx(sb.duality_gap(*ref_pair, prob), abs=1e-10)
         # both sides of the switch were checked, each for hundreds of steps
         assert switched_at is not None and 250 <= switched_at <= 1750, switched_at
@@ -350,8 +360,8 @@ class TestRun:
         first = mp_initial_state(t1_problem)
         mp_iteration(first, cfg, t1_problem)
         x, y, report = sb.run_mirror_prox(t1_problem, 1e-9, max_iters=1)
-        assert np.array_equal(x.plans, first.u.plans)
-        assert np.array_equal(x.bary, first.u.bary)
+        assert np.array_equal(x.plans, first.average.step_plans)
+        assert np.array_equal(x.bary, first.average.bary)
         assert np.array_equal(y.duals, first.duals[:, 1])
 
     def test_deterministic_reports(self):
@@ -406,12 +416,13 @@ class TestFailurePaths:
     def test_non_finite_state_raises_with_iteration(self, t1_problem):
         cfg = sb.mp_config(t1_problem, 0.5)
         state = mp_initial_state(t1_problem)
+        state.average.k = 4
         # x in Gibbs form, then as dense plans
         for changes in (
             {"log_factors": np.full_like(state.log_factors, np.nan)},
-            {"plans": np.full_like(state.u.plans, np.nan)},
+            {"plans": np.full_like(state.average.step_plans, np.nan)},
         ):
-            poisoned = dataclasses.replace(state, k=4, **changes)
+            poisoned = dataclasses.replace(state, **changes)
             with pytest.raises(sb.NumericalFailure) as info:
                 mp_iteration(poisoned, cfg, t1_problem)
             assert info.value.iteration == 5
