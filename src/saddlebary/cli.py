@@ -92,9 +92,14 @@ def _timer(args):
     return (lambda: 0.0) if args.timing == "off" else time.perf_counter
 
 
-def _write_outputs(outdir, prefix, report, prob):
-    outdir = Path(outdir)
+def _make_outdir(path):
+    """Create the output directory up front, so a bad --out fails before the solve."""
+    outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _write_outputs(outdir, prefix, report, prob):
     write_report_csv(report, outdir / f"{prefix}report.csv")
     if report.final_bary is not None:
         write_barycenter_csv(report.final_bary, outdir / f"{prefix}barycenter.csv")
@@ -127,8 +132,9 @@ def run_bench(args):
     """The `barycenter` subcommand: build, solve, emit files, print the gap."""
     prob, grid, scale = _build_inputs(args)
     oracle = _make_oracle(args, prob, grid, scale)
+    outdir = _make_outdir(args.out)
     code, report = _run_algorithm(args.algo, args, prob, oracle, _timer(args))
-    _write_outputs(args.out, "", report, prob)
+    _write_outputs(outdir, "", report, prob)
     if report.final_gap is not None:
         print(f"final duality gap: {report.final_gap!r}")
     print(f"status: {report.status}")
@@ -149,8 +155,7 @@ def cmd_gaussian_bench(args):
         raise ConfigError("gaussian-bench needs support points for the exact-barycenter column")
     oracle = _make_oracle(args, prob, grid, scale)
     timer = _timer(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     write_barycenter_csv(barycenter_1d_quantile(prob.measures, grid), outdir / "true_barycenter.csv")
     worst = EXIT_OK
     for algo in ("mp", "de", "ibp"):

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import saddlebary as sb
 import saddlebary.data as data
@@ -93,18 +96,72 @@ class TestGaussianSuite:
         c, _ = gaussian_suite(GaussianSuiteSpec(seed=8))
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("seed", [0, 4099])
+    @pytest.mark.parametrize("seed", [0, 4099, 1, 2**64 + 3, 10**40])
     @pytest.mark.parametrize("support", [100, 20])
     def test_rows_are_the_documented_gaussians(self, seed, support):
         # ten means drawn from U(-5, 5), then ten variances from U(0.8, 1.8),
-        # each row exp(-(x - mu)^2 / (2 sigma^2)) on linspace(-10, 10) normalized
+        # each row exp(-(x - mu)^2 / (2 sigma^2)) on linspace(-10, 10) normalized:
+        # bit for bit NumPy's default_rng(seed).uniform construction
         rng = np.random.default_rng(seed)
         means, variances = rng.uniform(-5.0, 5.0, 10), rng.uniform(0.8, 1.8, 10)
         x = np.linspace(-10.0, 10.0, support)
         rows = np.exp(-((x - means[:, None]) ** 2) / (2.0 * variances[:, None]))
         measures, grid = gaussian_suite(GaussianSuiteSpec(support=support, seed=seed))
         assert np.array_equal(grid, x)
-        np.testing.assert_allclose(measures, rows / rows.sum(axis=1, keepdims=True), rtol=1e-12)
+        assert np.array_equal(measures, rows / rows.sum(axis=1, keepdims=True))
+
+    def test_draws_are_numpys_default_stream(self):
+        # NumPy is the reference; seeds of several 32-bit words take
+        # SeedSequence's extra-entropy path
+        for seed in [*range(301), 4099, 2**32, 2**64 + 3, 2**127 + 11, 2**130 + 5, 10**40]:
+            assert data._uniform_draws(seed, 20) == np.random.default_rng(seed).random(20).tolist()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**200 - 1))
+    def test_draws_match_numpy_for_any_seed(self, seed):
+        assert data._uniform_draws(seed, 20) == np.random.default_rng(seed).random(20).tolist()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "ed27922552dc6a2cbb0d2f75e5ed9f087f71ffe8590af890859b2e9a3b142601"),
+        (1, "13623eec7be8be4a0afc86ae43636ee9a645ff906b92533639ab9f43f3280813"),
+        (4099, "04333c430169811c60d88fe38ddd507c6365675f8ef5ab0e55bc3f3c8663e39f"),
+    ])
+    def test_suite_bytes_are_pinned(self, seed, digest):
+        # little-endian measures then grid, as the suite was first published;
+        # holds whatever a later NumPy does to its Generator methods
+        measures, grid = gaussian_suite(GaussianSuiteSpec(seed=seed))
+        payload = measures.astype("<f8").tobytes() + grid.astype("<f8").tobytes()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    @pytest.mark.parametrize("fields", [
+        {"support": 0}, {"support": 1}, {"support": -1}, {"support": 2.5},
+        {"support": "100"}, {"seed": -1}, {"seed": 1.5}, {"seed": None},
+    ])
+    def test_spec_rejects_fields(self, fields):
+        with pytest.raises(sb.ConfigError):
+            GaussianSuiteSpec(**fields)
+
+    def test_spec_takes_numpy_integers(self):
+        spec = GaussianSuiteSpec(support=np.int64(20), seed=np.uint32(4099))
+        assert (spec.support, spec.seed) == (20, 4099)
+        assert (type(spec.support), type(spec.seed)) == (int, int)
+
+    def test_suite_run_loads_no_numpy_random(self, tmp_path):
+        # conftest imports numpy.random here, so the check runs in a fresh interpreter
+        code = (
+            "import sys\n"
+            "from saddlebary.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['barycenter', '--algo', 'mp', '--gaussian', '--normalize-cost',\n"
+            "             '--max-iters', '3', '--timing', 'off', '--out', out + '/mp']) == 0\n"
+            "assert main(['gaussian-bench', '--normalize-cost', '--max-iters', '2',\n"
+            "             '--timing', 'off', '--out', out + '/bench']) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = _cli_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "bench" / "ibp_report.csv").exists()
 
 
 class TestIteratesRoundTrip:
@@ -315,6 +372,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == "numerical failure: non-finite multiplicative update (iteration 7)\n"
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("below", ["run", ""], ids=["below-a-file", "a-file"])
+    def test_unwritable_out_exits_2_before_the_solve(self, tmp_path, capsys, monkeypatch, below):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solver ran before --out was created")
+
+        monkeypatch.setattr("saddlebary.cli.run_mirror_prox", solve)
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        out = blocker / below
+        code = run_cli(["barycenter", "--algo", "mp", "--gaussian", "--normalize-cost",
+                        "--out", str(out), "--timing", "off"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_input_and_gaussian_conflict(self, tmp_path):
         inp = self.write_problem(tmp_path)
