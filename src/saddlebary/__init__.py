@@ -3,9 +3,9 @@
 Two saddle-point algorithms (extragradient mirror prox on an
 entropy/Euclidean geometry, and dual extrapolation with an area-convex
 regularizer solved by alternating minimization), an iterative Bregman
-projections baseline, exact 1-D transport oracles, and CSV reports.  The
-command-line front end lives in :mod:`saddlebary.cli` and is not imported
-here.
+projections baseline, exact 1-D squared-distance oracles, and CSV reports.
+The command-line front end lives in :mod:`saddlebary.cli` and is not
+imported here.
 """
 
 from .area_convex import (
@@ -28,7 +28,6 @@ from .core import (
     PrimalPoint,
     SaddlebaryError,
     ShapeError,
-    UnsupportedError,
     certificate_values,
     duality_gap,
     validate_histogram,
@@ -42,7 +41,6 @@ from .oracles_1d import (
     barycenter_1d_quantile,
     grid_cost,
     optimality_gap,
-    ot_1d_monotone,
 )
 from .report import (
     RunRecord,

@@ -9,9 +9,11 @@ gap             replay the exact duality-gap certificate of saved iterates.
 gaussian-bench  run all three algorithms sequentially on the Gaussian suite
                 with the exact-barycenter optimality-gap column filled in.
 
-Exit codes: 0 success, 2 parse/configuration error (a cost whose largest
-entry is subnormal among them, for mp and de), 3 numerical failure,
-4 underflow-degenerate (naive IBP).
+Exit codes: 0 success, 2 parse/configuration error (among them a cost
+whose largest entry is subnormal, for mp and de, and, for every solver and
+for `gap`, one too large for the certificate: 10 m times its largest entry
+past the largest double), 3 numerical failure, 4 underflow-degenerate
+(naive IBP).
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .area_convex import THETA_VARIANTS, run_dual_extrapolation
 from .core import (
     BarycenterProblem,
     ConfigError,
+    CostData,
     NumericalFailure,
     SaddlebaryError,
     duality_gap,
-    vectorize_cost,
 )
 from .data import GaussianSuiteSpec, gaussian_suite, load_cost_csv, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
@@ -56,14 +58,14 @@ def _build_inputs(args):
         measures, points = gaussian_suite(spec)
     else:
         raise ConfigError("supply --input <csv> or --gaussian")
-    grid = None if points is None else Grid1D(points=points, power=2.0)
+    grid = None if points is None else Grid1D(points=points)
 
     if args.cost == "sqdist":
         if grid is None:
             raise ConfigError("squared-distance cost needs support points; supply a grid header")
         cost = grid_cost(grid)
     elif args.cost.startswith("csv:"):
-        cost = vectorize_cost(load_cost_csv(args.cost[4:]))
+        cost = CostData(C=load_cost_csv(args.cost[4:]))
     else:
         raise ConfigError(f"unknown cost specification {args.cost!r}")
     scale = 1.0
@@ -71,8 +73,8 @@ def _build_inputs(args):
         scale = cost.d_inf
         if scale <= 0:
             raise ConfigError("cannot normalize an all-zero cost matrix")
-        cost = vectorize_cost(cost.C / scale)
-    prob = BarycenterProblem.create(measures, cost)
+        cost = CostData(C=cost.C / scale)
+    prob = BarycenterProblem(measures=measures, cost=cost)
     return prob, grid, scale
 
 
@@ -176,7 +178,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--eps", type=float, default=0.05, help="target duality gap")
+        p.add_argument(
+            "--eps", type=float, default=0.05,
+            help="target duality gap (mp, de); ibp ignores it and stops on its marginal tolerance",
+        )
         p.add_argument("--max-iters", type=int, default=None, help="iteration cap/override")
         p.add_argument("--input", type=str, default=None, help="CSV of histogram rows")
         p.add_argument("--normalize", action="store_true", help="rescale input rows onto the simplex")

@@ -173,7 +173,7 @@ def load_histograms(path, normalize=False):
         total = values.sum()
         if abs(total - 1.0) > 1e-6 and not normalize:
             raise ParseError(
-                f"{path}: line {lineno}: row mass {total!r} is not 1 (use --normalize)"
+                f"{path}: line {lineno}: row mass {float(total)!r} is not 1 (use --normalize)"
             )
         if total <= 0:
             raise ParseError(f"{path}: line {lineno}: row has no mass")

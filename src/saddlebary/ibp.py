@@ -14,7 +14,8 @@ absorbed kernels (Schmitzer): each measure keeps log potentials f_i and g_i
 and one kernel block exp(-C/reg + f_i (+) g_i), a sweep is two batched
 mat-vecs of scalings near 1 with the blocks, and a scaling that leaves
 e^(+-SCALING_LOG_BOUND) is folded into its potential and the blocks are
-rebuilt.  Either mode rejects a reg at which -C / reg overflows.
+rebuilt.  Either mode rejects a reg at which -C / reg overflows, and the
+stabilized mode one at which max(C) / reg passes STABILIZED_SPAN_MAX.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from .report import RunReport, run_certified
 # smaller entry is taken exactly by log-sum-exp (see `_log_reduction`).
 SCALING_LOG_BOUND = FACTOR_SPAN_MAX / 4
 REDUCTION_FLOOR = math.exp(-2 * SCALING_LOG_BOUND)
+
+# The stabilized blocks' exponents -C / reg + f (+) g add terms as large as
+# max(C) / reg.  Up to 2^52 each sum is rounded by at most 1; at 1e20 the
+# rounding (2^14) overflowed an exp whose exact value is at most e^(2B).
+STABILIZED_SPAN_MAX = 2.0**52
 
 # A run stops once the worst per-measure l1 violation of the fixed marginals
 # drops below this (masses are 1, so absolute equals relative).
@@ -106,7 +112,8 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
     ``report.final_x.bary``.  On an underflow-degenerate naive run the
     barycenter is None and ``report.status`` says so; hitting the sweep cap
     returns the last iterate with ``report.status == "iteration-cap"``.
-    A reg at which -C / reg overflows is a ConfigError in either mode.
+    A reg at which -C / reg overflows, or in the stabilized mode passes
+    STABILIZED_SPAN_MAX, is a ConfigError.
     The report logs, per recorded sweep, the exact saddle certificate of the
     current (normalized) plans paired with zero duals, and the scaling merit
     function (see :func:`_scaling_merit`) as the objective column.
@@ -116,6 +123,11 @@ def ibp_barycenter(prob, cfg, log_stride=None, oracle=None, timer=None):
         raise ConfigError(
             f"largest cost {d_inf!r} over reg {cfg.reg!r} overflows;"
             " rescale the cost (--normalize-cost) or raise reg"
+        )
+    if cfg.stabilized and d_inf / cfg.reg > STABILIZED_SPAN_MAX:
+        raise ConfigError(
+            f"largest cost {d_inf!r} over reg {cfg.reg!r} is past 2^52, where the"
+            " stabilized kernel's exponents lose all precision; raise reg"
         )
     report = RunReport(config={**asdict(cfg), "tol": TOL})
     # IBP has no gap target (eps = -inf): it stops on its marginal tolerance.
@@ -146,10 +158,10 @@ def _ibp_naive(prob, cfg, run):
 
     def step(k):
         nonlocal u, uK, v, p
-        v = Q / uK
-        UKv = u * (v @ K.T)
         # non-finite scalings are the underflow the check below reports
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = Q / uK
+            UKv = u * (v @ K.T)
             p = np.exp(np.log(UKv).mean(axis=0))
             u = u * p[None, :] / UKv
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(np.isfinite(p))):

@@ -1,11 +1,11 @@
-"""Exact one-dimensional transport oracles on a shared grid.
+"""Exact one-dimensional transport oracles on a shared grid, for squared distance.
 
-For measures on the line with a convex ground cost the monotone (north-west
-corner) coupling is optimal, so exact transport costs come from a single
-merge of the two cumulative distributions.  For squared distance the
-barycenter is likewise exact: it is the pushforward of the uniform measure
-under the average of the quantile functions.  These oracles certify the
-saddle-point solvers on grid-supported inputs without any LP machinery.
+On the line the monotone (north-west corner) coupling is optimal for the
+squared-distance cost, so exact transport costs come from a single merge
+of the cumulative distributions.  The barycenter is likewise exact: it is
+the pushforward of the uniform measure under the average of the quantile
+functions.  These oracles certify the saddle-point solvers on
+grid-supported inputs without any LP machinery.
 """
 
 from __future__ import annotations
@@ -14,18 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeError, UnsupportedError, vectorize_cost
-
-# Convex powers for which the monotone coupling is provably optimal here.
-SUPPORTED_POWERS = (1.0, 2.0)
+from .core import ConfigError, CostData, ShapeError
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing support points and the cost exponent."""
+    """Strictly increasing support points; the ground cost is squared distance."""
 
     points: np.ndarray
-    power: float = 2.0
+    power: float = 2.0  # only perfbench/worker.py passes it; ROADMAP item 5 deletes it
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -33,8 +30,8 @@ class Grid1D:
             raise ShapeError("grid points must be a nonempty vector")
         if np.any(np.diff(pts) <= 0):
             raise ShapeError("grid points must be strictly increasing")
-        if self.power < 1:
-            raise UnsupportedError("cost exponent must be at least 1")
+        if self.power != 2.0:
+            raise ConfigError(f"the grid cost is squared distance: power {self.power!r} is not 2.0")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -43,15 +40,14 @@ class Grid1D:
 
 
 def grid_cost(grid):
-    """Ground cost |t_j - t_k|^power on the grid as :class:`CostData`.
+    """Ground cost |t_j - t_k|^2 on the grid as :class:`CostData`.
 
-    A cost that overflows is left non-finite for :func:`vectorize_cost` to
+    A cost that overflows is left non-finite for :class:`CostData` to
     reject as an :class:`InvalidCostError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(grid.points[:, None] - grid.points[None, :])
-        C = diff**grid.power
-    return vectorize_cost(C)
+        C = np.square(grid.points[:, None] - grid.points[None, :])
+    return CostData(C=C)
 
 
 def _quantile_segments(measures):
@@ -73,26 +69,6 @@ def _quantile_segments(measures):
     return np.diff(levels), indices
 
 
-def ot_1d_monotone(p, q, grid):
-    """Exact transport cost between two histograms on the grid.
-
-    The monotone coupling, optimal for the supported convex powers, pairs
-    the two quantile functions: one merge of the two cumulative
-    distributions prices every segment of [0, 1] at the distance between
-    the points the two quantiles pick there.
-    """
-    if grid.power not in SUPPORTED_POWERS:
-        raise UnsupportedError(f"monotone coupling oracle supports powers {SUPPORTED_POWERS}")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = grid.n
-    if p.shape != (n,) or q.shape != (n,):
-        raise ShapeError("histograms must match the grid length")
-    widths, (ip, iq) = _quantile_segments(np.stack([p, q]))
-    pts = grid.points
-    return float(np.dot(widths, np.abs(pts[ip] - pts[iq]) ** grid.power))
-
-
 def barycenter_1d_quantile(measures, grid):
     """Exact squared-distance barycenter via averaged quantile functions.
 
@@ -105,8 +81,6 @@ def barycenter_1d_quantile(measures, grid):
     q_i, on each segment sum_i |t - x_i|^2 = m |t - mean(x)|^2 + const, and
     nearest-point rounding minimizes every segment while staying monotone.
     """
-    if grid.power != 2.0:
-        raise UnsupportedError("quantile averaging is exact only for squared distance")
     measures = np.atleast_2d(np.asarray(measures, dtype=float))
     n = grid.n
     if measures.shape[1] != n:
@@ -130,14 +104,12 @@ def optimality_gap(p, p_star, prob, grid):
     common refinement of the segments, where each pair's quantiles are
     constant, so the 2m monotone couplings cost one pass.
     """
-    if grid.power not in SUPPORTED_POWERS:
-        raise UnsupportedError(f"monotone coupling oracle supports powers {SUPPORTED_POWERS}")
     p = np.asarray(p, dtype=float)
     p_star = np.asarray(p_star, dtype=float)
     if p.shape != (grid.n,) or p_star.shape != (grid.n,) or prob.n != grid.n:
         raise ShapeError("histograms must match the grid length")
     widths, indices = _quantile_segments(np.vstack([p, p_star, prob.measures]))
     pts = grid.points[indices]
-    costs = np.abs(pts[:2, None, :] - pts[None, 2:, :]) ** grid.power
+    costs = np.square(pts[:2, None, :] - pts[None, 2:, :])
     value, best = (costs @ widths).sum(axis=1)
     return (value - best) / prob.m

@@ -22,12 +22,12 @@ from .core import (
     SIMPLEX_ATOL,
     BarycenterProblem,
     ConfigError,
+    CostData,
     DomainError,
     DualPoint,
     ParseError,
     PrimalPoint,
     certificate_values,
-    vectorize_cost,
 )
 from .data import _open_text, _parse_floats
 
@@ -210,7 +210,7 @@ def read_iterates_csv(path):
         arrays[kind] = np.array([values for _, _, values in rows])
         lines[kind] = [lineno for _, lineno, _ in rows]
 
-    prob = BarycenterProblem.create(arrays["measure"], vectorize_cost(arrays["cost_row"]))
+    prob = BarycenterProblem(measures=arrays["measure"], cost=CostData(C=arrays["cost_row"]))
     checks = [
         ("plan", (arrays["plan"] >= 0).all(axis=1), "has a negative entry"),
         ("bary", (arrays["bary"] >= 0).all(axis=1), "has a negative entry"),

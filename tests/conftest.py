@@ -60,7 +60,7 @@ def random_problem(seed, n, m, zero_diagonal=False, normalized=True):
     if normalized:
         C /= C.max()
     measures = rng.dirichlet(np.ones(n), m)
-    return sb.BarycenterProblem.create(measures, sb.vectorize_cost(C))
+    return sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=C))
 
 
 def random_primal(rng, n, m, alpha=1.0):
@@ -121,5 +121,5 @@ def enumerated_gap(x, y, prob):
 @pytest.fixture
 def t1_problem():
     """n=2, m=1, cost [[0,1],[1,0]], single measure (1,0)."""
-    cost = sb.vectorize_cost([[0.0, 1.0], [1.0, 0.0]])
-    return sb.BarycenterProblem.create([[1.0, 0.0]], cost)
+    cost = sb.CostData(C=[[0.0, 1.0], [1.0, 0.0]])
+    return sb.BarycenterProblem(measures=[[1.0, 0.0]], cost=cost)

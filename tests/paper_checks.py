@@ -8,7 +8,10 @@ package's own `am_prox`), the area-convexity residual of a triple of points
 (criterion 3), and the closed-form Hessian quadratic form against its
 diagonal surrogate (criterion 4).  The regularizer range bounds they check
 are the package's `theta`: the shipped default keeps the barycenter entropy
-term that the tighter advertised constant drops.
+term that the tighter advertised constant drops.  `ot_1d_monotone`, the
+exact 1-D transport cost, is the reference the package's squared-distance
+`optimality_gap` is checked against (criterion 10 and `test_oracles_1d.py`);
+it also takes power 1.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 import saddlebary as sb
 from saddlebary.area_convex import KAPPA
 from saddlebary.core import _adjoint_stack, _gradient, _marginals_stack, _residual, _xlogy
+from saddlebary.oracles_1d import _quantile_segments
 
 
 def regularizer(x, y, cost):
@@ -112,3 +116,20 @@ def hessian_forms(x, y, w, cost, m):
     q_hess = scale * (10.0 * ent_plans + 5.0 * m * ent_bary + cross + 2.0 * dual_quad)
     q_diag = scale * (2.0 * ent_plans + m * ent_bary + dual_quad)
     return q_hess, q_diag
+
+
+def ot_1d_monotone(p, q, grid, power=2.0):
+    """Exact transport cost between two histograms on the grid, cost |t_j - t_k|^power.
+
+    The monotone coupling, optimal for a convex power (1 or more), pairs the
+    two quantile functions: one merge of the two cumulative distributions
+    prices every segment of [0, 1] at the distance between the points the
+    two quantiles pick there.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != (grid.n,) or q.shape != (grid.n,):
+        raise sb.ShapeError("histograms must match the grid length")
+    widths, (ip, iq) = _quantile_segments(np.stack([p, q]))
+    pts = grid.points
+    return float(np.dot(widths, np.abs(pts[ip] - pts[iq]) ** power))

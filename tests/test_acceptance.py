@@ -13,11 +13,18 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
+from saddlebary import GaussianSuiteSpec, gaussian_suite
 from saddlebary.area_convex import AMProblem, am_prox
-from saddlebary.cli import GaussianSuiteSpec, gaussian_suite, main
+from saddlebary.cli import main
 from saddlebary.core import _marginals_stack, _residual
 from conftest import random_dual, random_primal, random_problem, uniform_primal, zero_dual
-from paper_checks import am_objective, area_convexity_residual, hessian_forms, regularizer
+from paper_checks import (
+    am_objective,
+    area_convexity_residual,
+    hessian_forms,
+    ot_1d_monotone,
+    regularizer,
+)
 
 
 def announce(number, text, started):
@@ -32,11 +39,11 @@ def acceptance_instances():
 @pytest.fixture(scope="module")
 def gaussian_bench_problem():
     measures, grid = gaussian_suite(GaussianSuiteSpec(seed=0))
-    g = sb.Grid1D(points=grid, power=2.0)
+    g = sb.Grid1D(points=grid)
     raw = sb.grid_cost(g)
     cost = sb.CostData(C=raw.C / raw.d_inf)
     scale = float(((grid[:, None] - grid[None, :]) ** 2).max())
-    prob = sb.BarycenterProblem.create(measures, cost)
+    prob = sb.BarycenterProblem(measures=measures, cost=cost)
     p_star = sb.barycenter_1d_quantile(measures, g)
     oracle = lambda b: sb.optimality_gap(b, p_star, prob, g) / scale
     return prob, g, oracle
@@ -214,14 +221,14 @@ def test_criterion_10_oracle_cross_validation():
     eps = 0.02
     for n, m in ((6, 2), (8, 3), (5, 2)):
         pts = np.linspace(0.0, 1.0, n)
-        grid = sb.Grid1D(points=pts, power=2.0)
+        grid = sb.Grid1D(points=pts)
         measures = rng.dirichlet(np.ones(n), m)
-        prob = sb.BarycenterProblem.create(measures, sb.grid_cost(grid))
+        prob = sb.BarycenterProblem(measures=measures, cost=sb.grid_cost(grid))
         p_star = sb.barycenter_1d_quantile(measures, grid)
         wx, _, report = sb.run_dual_extrapolation(prob, eps, log_stride=200)
         assert report.final_gap <= eps
-        achieved = np.mean([sb.ot_1d_monotone(wx.bary, q, grid) for q in measures])
-        exact = np.mean([sb.ot_1d_monotone(p_star, q, grid) for q in measures])
+        achieved = np.mean([ot_1d_monotone(wx.bary, q, grid) for q in measures])
+        exact = np.mean([ot_1d_monotone(p_star, q, grid) for q in measures])
         assert abs(achieved - exact) <= eps, (n, m, achieved, exact)
     announce(10, "dual extrapolation matches the exact 1-D oracle within its certificate", started)
 

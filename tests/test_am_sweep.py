@@ -398,8 +398,8 @@ def _dense_de(prob, eps, steps):
 
 def _gaussian_suite_problem():
     measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(seed=0))
-    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
-    return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
+    cost = sb.grid_cost(sb.Grid1D(points=grid))
+    return sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=cost.C / cost.d_inf))
 
 
 @pytest.mark.parametrize(

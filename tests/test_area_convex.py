@@ -346,7 +346,7 @@ class TestAreaConvexity:
     def test_zero_cost_reduces_to_jensen(self):
         rng = np.random.default_rng(53)
         n, m = 2, 1
-        cost = sb.vectorize_cost(np.zeros((n, n)))
+        cost = sb.CostData(C=np.zeros((n, n)))
         triple = [(random_primal(rng, n, m), random_dual(rng, n, m)) for _ in range(3)]
         # the regularizer and the operator both scale with the sup-norm of
         # the cost, so everything vanishes
@@ -386,8 +386,8 @@ class TestRegularizerRange:
 
 def _gaussian_suite_problem(support=100):
     measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(support=support, seed=0))
-    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
-    return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
+    cost = sb.grid_cost(sb.Grid1D(points=grid))
+    return sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=cost.C / cost.d_inf))
 
 
 class TestDualExtrapolation:

@@ -6,7 +6,7 @@ from scipy.special import logsumexp, xlogy
 
 import saddlebary as sb
 import saddlebary.ibp as ibp
-from saddlebary.cli import GaussianSuiteSpec, gaussian_suite
+from saddlebary import GaussianSuiteSpec, gaussian_suite
 from saddlebary.cli import main
 from saddlebary.core import _clamped_exp, _form_plans
 from conftest import random_problem
@@ -15,8 +15,8 @@ from conftest import random_problem
 @pytest.fixture(scope="module")
 def gaussian_problem():
     measures, grid = gaussian_suite(GaussianSuiteSpec(seed=0))
-    cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
-    return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
+    cost = sb.grid_cost(sb.Grid1D(points=grid))
+    return sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=cost.C / cost.d_inf))
 
 
 class TestConfig:
@@ -54,8 +54,8 @@ class TestInstability:
         # strictly positive off-diagonal costs with a huge scale: every
         # kernel entry underflows, including full rows
         C = np.full((3, 3), 1.0)
-        prob = sb.BarycenterProblem.create(
-            np.full((2, 3), 1.0 / 3.0), sb.vectorize_cost(C)
+        prob = sb.BarycenterProblem(
+            measures=np.full((2, 3), 1.0 / 3.0), cost=sb.CostData(C=C)
         )
         bary, report = sb.ibp_barycenter(prob, sb.IBPConfig(reg=1e-6, iters=5))
         assert bary is None
@@ -76,6 +76,9 @@ NAIVE_UNDERFLOW_INPUTS = {
         "0.034352730264955444,0.366962409400291,0.5,0.6852574307898845\n",
         ["--normalize", "--normalize-cost", "--reg", "1e-4"],
     ),
+    # the kernel is diagonal and the plans cannot meet both marginals: the
+    # scalings drift until v = Q / uK overflows, past sweep 1000
+    "diagonal-kernel": ("# grid: 0,1,2\n0.2,0.3,0.5\n0.5,0.25,0.25\n", ["--reg", "1e-3"]),
 }
 
 
@@ -91,6 +94,30 @@ def test_naive_underflow_exits_4_without_warning(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert "status: underflow-degenerate" in out and err == ""
     assert not (tmp_path / "out" / "barycenter.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reg",
+    [
+        # costs up to 1e20 on a grid point at 1e10
+        ("# grid: 0,1,2,10000000002\n0,0,0,1\n0,0,5e-324,5e-324\n0,5e-324,0,0\n", "1"),
+        ("# grid: 0,1\n1,0\n1,5e-324\n5e-324,1\n", "1e-20"),
+    ],
+)
+def test_stabilized_rejects_a_cost_over_reg_past_2_to_52(tmp_path, capsys, text, reg):
+    # max(C) / reg of 1e20 rounds the blocks' exponents by 2^14: an exp
+    # overflowed within 100 sweeps.  At 2^51 the same input runs.
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    argv = ["barycenter", "--input", str(path), "--algo", "ibp", "--stabilized", "--normalize",
+            "--max-iters", "300", "--timing", "off", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--reg", reg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^52" in err and "raise reg" in err
+    points = [float(t) for t in text.split("\n")[0].removeprefix("# grid: ").split(",")]
+    inside = (points[-1] - points[0]) ** 2 / 2.0**51
+    assert main(argv + ["--reg", repr(inside)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestAgreement:
@@ -124,9 +151,9 @@ class TestMonotoneObjective:
     @pytest.mark.filterwarnings("error")
     def test_stabilized_merit_quiet_on_zero_mass(self):
         # log(0) = -inf in psi must be masked before it meets a zero mass
-        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
-        prob = sb.BarycenterProblem.create(
-            np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), sb.grid_cost(grid)
+        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]))
+        prob = sb.BarycenterProblem(
+            measures=np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), cost=sb.grid_cost(grid)
         )
         _, report = sb.ibp_barycenter(
             prob, sb.IBPConfig(reg=0.01, iters=20, stabilized=True), log_stride=1
@@ -143,9 +170,9 @@ class TestSingleMeasure:
         rng = np.random.default_rng(71)
         n = 20
         pts = np.linspace(0.0, 1.0, n)
-        grid = sb.Grid1D(points=pts, power=2.0)
+        grid = sb.Grid1D(points=pts)
         q = rng.dirichlet(np.ones(n))
-        prob = sb.BarycenterProblem.create(q[None, :], sb.grid_cost(grid))
+        prob = sb.BarycenterProblem(measures=q[None, :], cost=sb.grid_cost(grid))
         gaps = []
         for reg in (0.1, 0.01, 0.001):
             bary, report = sb.ibp_barycenter(prob, sb.IBPConfig(reg=reg, iters=3000))
@@ -306,9 +333,9 @@ class TestCarriedColumnReduction:
 
 
 def _zero_mass_problem():
-    grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
-    return sb.BarycenterProblem.create(
-        np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), sb.grid_cost(grid)
+    grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]))
+    return sb.BarycenterProblem(
+        measures=np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), cost=sb.grid_cost(grid)
     )
 
 
@@ -318,7 +345,7 @@ class TestUnderflowingMass:
     # certified pair is formed from its logs less the log mass.
     def test_every_record_is_finite(self):
         prob = _zero_mass_problem()
-        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]))
         p_star = sb.barycenter_1d_quantile(prob.measures, grid)
         calls = []
 

@@ -60,7 +60,7 @@ def test_quantile_barycenter_attains_lp_optimum(seed, n, m):
     measures = random_measures(rng, n, m)
     C = (points[:, None] - points[None, :]) ** 2
     lp_star = barycenter_lp(C, measures)
-    p_star = sb.barycenter_1d_quantile(measures, sb.Grid1D(points=points, power=2.0))
+    p_star = sb.barycenter_1d_quantile(measures, sb.Grid1D(points=points))
     assert barycenter_lp(C, measures, fixed_bary=p_star) == pytest.approx(lp_star, abs=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_certificates_bracket_lp_optimum(seed, n, m):
     points = rng.uniform(0.0, 1.0, (n, 2))
     C = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
     measures = random_measures(rng, n, m)
-    prob = sb.BarycenterProblem.create(measures, sb.vectorize_cost(C))
+    prob = sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=C))
     lp_star = barycenter_lp(C, measures)
     for algo, report in _capped_runs(prob).items():
         assert report.status == "iteration-cap", algo  # the caps, not eps, end these runs

@@ -207,8 +207,8 @@ class TestConfig:
     def test_config_errors(self, t1_problem):
         with pytest.raises(sb.ConfigError):
             sb.mp_config(t1_problem, 0.0)
-        zero_cost = sb.BarycenterProblem.create(
-            t1_problem.measures, sb.vectorize_cost(np.zeros((2, 2)))
+        zero_cost = sb.BarycenterProblem(
+            measures=t1_problem.measures, cost=sb.CostData(C=np.zeros((2, 2)))
         )
         with pytest.raises(sb.ConfigError):
             sb.mp_config(zero_cost, 0.1)
@@ -219,8 +219,8 @@ class TestConfig:
 class TestIteration:
     def test_fixed_point_zero_cost(self):
         # uniform everything with a zero cost: every step is a no-op
-        prob = sb.BarycenterProblem.create(
-            np.full((2, 2), 0.5), sb.vectorize_cost(np.zeros((2, 2)))
+        prob = sb.BarycenterProblem(
+            measures=np.full((2, 2), 0.5), cost=sb.CostData(C=np.zeros((2, 2)))
         )
         cfg = sb.MPConfig(
             eta=0.1, alpha=0.4, beta=0.2, gamma_mult=0.3, theory_iters=5, scaling_variant="derived"
@@ -344,10 +344,10 @@ class TestRun:
     def test_single_measure_recovers_input(self):
         rng = np.random.default_rng(20)
         pts = np.linspace(0, 1, 6)
-        grid = sb.Grid1D(points=pts, power=2.0)
+        grid = sb.Grid1D(points=pts)
         q = rng.dirichlet(np.ones(6))
         cost = sb.grid_cost(grid)
-        prob = sb.BarycenterProblem.create(q[None, :], sb.CostData(C=cost.C / cost.d_inf))
+        prob = sb.BarycenterProblem(measures=q[None, :], cost=sb.CostData(C=cost.C / cost.d_inf))
         eps = 0.02
         x, _, report = sb.run_mirror_prox(prob, eps)
         assert report.final_gap <= eps
@@ -399,8 +399,8 @@ class TestRun:
         steps = []
         for n in sizes:
             measures, grid = sb.gaussian_suite(sb.GaussianSuiteSpec(support=n, seed=0))
-            cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
-            prob = sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
+            cost = sb.grid_cost(sb.Grid1D(points=grid))
+            prob = sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=cost.C / cost.d_inf))
             _, _, report = sb.run_mirror_prox(prob, 0.25, log_stride=10, timer=lambda: 0.0)
             assert report.status == "ok", n
             steps.append(report.iterations_run)

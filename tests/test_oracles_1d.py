@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 import saddlebary as sb
 from saddlebary.cli import main
 from saddlebary.oracles_1d import _quantile_segments
+from paper_checks import ot_1d_monotone
 
 
 def brute_force_ot(p, q, grid, unit):
@@ -22,7 +23,7 @@ def brute_force_ot(p, q, grid, unit):
     rows = np.rint(p / unit).astype(int)
     cols = np.rint(q / unit).astype(int)
     assert rows.sum() == cols.sum()
-    cost_matrix = np.abs(grid.points[:, None] - grid.points[None, :]) ** grid.power
+    cost_matrix = (grid.points[:, None] - grid.points[None, :]) ** 2
 
     best = math.inf
 
@@ -51,10 +52,10 @@ def brute_force_ot(p, q, grid, unit):
     return best
 
 
-def lp_ot(p, q, grid):
-    """Exact OT via a linear program over the transport polytope."""
+def lp_ot(p, q, grid, power):
+    """Exact OT under the cost |t_j - t_k|^power by a linear program over the couplings."""
     n = grid.n
-    cost = (np.abs(grid.points[:, None] - grid.points[None, :]) ** grid.power).ravel()
+    cost = (np.abs(grid.points[:, None] - grid.points[None, :]) ** power).ravel()
     A_eq = []
     for j in range(n):
         row = np.zeros(n * n)
@@ -69,9 +70,9 @@ def lp_ot(p, q, grid):
     return result.fun
 
 
-def _merge_loop_ot(p, q, grid):
-    """Monotone transport cost by walking the two histograms entry by entry,
-    moving the smaller remaining mass at each step."""
+def _merge_loop_ot(p, q, grid, power):
+    """Monotone transport cost under |t_j - t_k|^power by walking the two
+    histograms entry by entry, moving the smaller remaining mass at each step."""
     pts = grid.points
     n = grid.n
     i = j = 0
@@ -81,7 +82,7 @@ def _merge_loop_ot(p, q, grid):
     while True:
         move = remaining_p if remaining_p < remaining_q else remaining_q
         if move > 0.0:
-            cost += move * abs(pts[i] - pts[j]) ** grid.power
+            cost += move * abs(pts[i] - pts[j]) ** power
         remaining_p -= move
         remaining_q -= move
         if remaining_p == 0.0:
@@ -103,11 +104,14 @@ class TestGrid:
             sb.Grid1D(points=np.array([0.0, 2.0, 1.0]))
 
     def test_rejects_sub_linear_power(self):
-        with pytest.raises(sb.UnsupportedError):
-            sb.Grid1D(points=np.array([0.0, 1.0]), power=0.5)
+        # the grid cost is squared distance; any other power is a ConfigError
+        for power in (0.5, 1.0, 1.5, 3.0):
+            with pytest.raises(sb.ConfigError):
+                sb.Grid1D(points=np.array([0.0, 1.0]), power=power)
+        assert sb.Grid1D(points=np.array([0.0, 1.0]), power=2.0).n == 2
 
     def test_cost_matrix(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0, 3.0]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 1.0, 3.0]))
         cd = sb.grid_cost(grid)
         assert cd.C[0, 2] == 9.0
         assert cd.d_inf == 9.0
@@ -115,10 +119,10 @@ class TestGrid:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_overflowing_cost_is_an_invalid_cost(self, normalize, tmp_path, capsys):
         # (1e200)^2 overflows to inf: the cost check reports it, not a
-        # RuntimeWarning from the power, also where the command line would
+        # RuntimeWarning from the square, also where the command line would
         # rescale the cost (--normalize-cost)
         if not normalize:
-            grid = sb.Grid1D(points=np.array([0.0, 1e200, 2e200]), power=2.0)
+            grid = sb.Grid1D(points=np.array([0.0, 1e200, 2e200]))
             with pytest.raises(sb.InvalidCostError):
                 sb.grid_cost(grid)
             return
@@ -132,77 +136,72 @@ class TestGrid:
 
 class TestMonotoneTransport:
     def test_identity(self):
-        grid = sb.Grid1D(points=np.linspace(0, 1, 5), power=2.0)
+        grid = sb.Grid1D(points=np.linspace(0, 1, 5))
         rng = np.random.default_rng(80)
         p = rng.dirichlet(np.ones(5))
-        assert sb.ot_1d_monotone(p, p, grid) == 0.0
+        assert ot_1d_monotone(p, p, grid) == 0.0
 
     def test_single_atom_move(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0]), power=2.0)
-        assert sb.ot_1d_monotone([1.0, 0.0], [0.0, 1.0], grid) == pytest.approx(1.0)
+        grid = sb.Grid1D(points=np.array([0.0, 1.0]))
+        assert ot_1d_monotone([1.0, 0.0], [0.0, 1.0], grid) == pytest.approx(1.0)
 
     def test_half_mass_shift_against_enumeration(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0, 2.0]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 1.0, 2.0]))
         p = np.array([0.5, 0.5, 0.0])
         q = np.array([0.0, 0.5, 0.5])
         expected = brute_force_ot(p, q, grid, unit=0.5)
         assert expected == pytest.approx(1.0)
-        assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(expected, abs=1e-12)
+        assert ot_1d_monotone(p, q, grid) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_enumeration_on_quarter_grids(self):
         rng = np.random.default_rng(81)
-        grid = sb.Grid1D(points=np.array([0.0, 0.7, 1.1]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 0.7, 1.1]))
         for _ in range(10):
             p = rng.multinomial(4, np.full(3, 1 / 3)) / 4.0
             q = rng.multinomial(4, np.full(3, 1 / 3)) / 4.0
             expected = brute_force_ot(p, q, grid, unit=0.25)
-            assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(expected, abs=1e-12)
+            assert ot_1d_monotone(p, q, grid) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("power", [1.0, 2.0])
     def test_matches_linear_program(self, power):
         rng = np.random.default_rng(82)
-        grid = sb.Grid1D(points=np.sort(rng.uniform(0, 1, 7)), power=power)
+        grid = sb.Grid1D(points=np.sort(rng.uniform(0, 1, 7)))
         for _ in range(8):
             p = rng.dirichlet(np.ones(7))
             q = rng.dirichlet(np.ones(7))
-            assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(
-                lp_ot(p, q, grid), abs=1e-9
+            assert ot_1d_monotone(p, q, grid, power) == pytest.approx(
+                lp_ot(p, q, grid, power), abs=1e-9
             )
 
     @pytest.mark.parametrize("power", [1.0, 2.0])
     def test_matches_merge_loop_with_zero_mass(self, power):
         rng = np.random.default_rng(89)
         for n in (2, 3, 7, 30):
-            grid = sb.Grid1D(points=np.sort(rng.uniform(-2, 2, n)), power=power)
+            grid = sb.Grid1D(points=np.sort(rng.uniform(-2, 2, n)))
             for _ in range(25):
                 p, q = rng.dirichlet(np.ones(n), 2)
                 p[rng.random(n) < 0.4] = 0.0
                 q[rng.random(n) < 0.4] = 0.0
                 p[rng.integers(n)] += 1.0 - p.sum()
                 q[rng.integers(n)] += 1.0 - q.sum()
-                assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(
-                    _merge_loop_ot(p, q, grid), abs=1e-12
+                assert ot_1d_monotone(p, q, grid, power) == pytest.approx(
+                    _merge_loop_ot(p, q, grid, power), abs=1e-12
                 )
 
     def test_symmetry(self):
         rng = np.random.default_rng(83)
-        grid = sb.Grid1D(points=np.linspace(-1, 1, 9), power=2.0)
+        grid = sb.Grid1D(points=np.linspace(-1, 1, 9))
         for _ in range(20):
             p = rng.dirichlet(np.ones(9))
             q = rng.dirichlet(np.ones(9))
-            assert sb.ot_1d_monotone(p, q, grid) == pytest.approx(
-                sb.ot_1d_monotone(q, p, grid), abs=1e-12
+            assert ot_1d_monotone(p, q, grid) == pytest.approx(
+                ot_1d_monotone(q, p, grid), abs=1e-12
             )
 
-    def test_rejects_unsupported_power(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0]), power=1.5)
-        with pytest.raises(sb.UnsupportedError):
-            sb.ot_1d_monotone([1.0, 0.0], [0.0, 1.0], grid)
-
     def test_rejects_length_mismatch(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 1.0]))
         with pytest.raises(sb.ShapeError):
-            sb.ot_1d_monotone([1.0, 0.0, 0.0], [0.0, 1.0], grid)
+            ot_1d_monotone([1.0, 0.0, 0.0], [0.0, 1.0], grid)
 
 
 class TestQuantileBarycenter:
@@ -212,7 +211,7 @@ class TestQuantileBarycenter:
         # an atom exactly midway and its mirror both land leftward)
         rng = np.random.default_rng(84)
         n = 9
-        grid = sb.Grid1D(points=np.linspace(-1, 1, n), power=2.0)
+        grid = sb.Grid1D(points=np.linspace(-1, 1, n))
         q = np.zeros(n)
         q[::2] = rng.dirichlet(np.ones(5))
         pair = np.stack([q, q[::-1]])
@@ -220,20 +219,20 @@ class TestQuantileBarycenter:
         assert np.allclose(bary, bary[::-1], atol=1e-12)
 
     def test_rebin_ties_go_left(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 1.0]))
         measures = np.array([[1.0, 0.0], [0.0, 1.0]])
         # the single atom sits exactly midway; the tie lands on the left cell
         assert np.array_equal(sb.barycenter_1d_quantile(measures, grid), [1.0, 0.0])
 
     def test_two_deltas_meet_in_the_middle(self):
-        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]), power=2.0)
+        grid = sb.Grid1D(points=np.array([0.0, 0.5, 1.0]))
         measures = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         bary = sb.barycenter_1d_quantile(measures, grid)
         assert np.array_equal(bary, [0.0, 1.0, 0.0])
 
     def test_gaussian_pair_matches_analytic_barycenter(self):
         pts = np.linspace(-10, 10, 100)
-        grid = sb.Grid1D(points=pts, power=2.0)
+        grid = sb.Grid1D(points=pts)
 
         def discretized(mean, std):
             w = np.exp(-((pts - mean) ** 2) / (2 * std**2))
@@ -243,14 +242,9 @@ class TestQuantileBarycenter:
         bary = sb.barycenter_1d_quantile(measures, grid)
         assert 0.5 * np.abs(bary - discretized(0.0, 1.0)).sum() <= 0.02
 
-    def test_rejects_non_quadratic_power(self):
-        grid = sb.Grid1D(points=np.array([0.0, 1.0]), power=1.0)
-        with pytest.raises(sb.UnsupportedError):
-            sb.barycenter_1d_quantile(np.array([[1.0, 0.0]]), grid)
-
     def test_mass_preserved(self):
         rng = np.random.default_rng(85)
-        grid = sb.Grid1D(points=np.sort(rng.uniform(0, 1, 12)), power=2.0)
+        grid = sb.Grid1D(points=np.sort(rng.uniform(0, 1, 12)))
         measures = rng.dirichlet(np.ones(12), 4)
         bary = sb.barycenter_1d_quantile(measures, grid)
         assert bary.sum() == pytest.approx(1.0, abs=1e-12)
@@ -259,9 +253,9 @@ class TestQuantileBarycenter:
 
 class TestOptimalityGap:
     def make_problem(self, rng, n, m):
-        grid = sb.Grid1D(points=np.linspace(0, 1, n), power=2.0)
+        grid = sb.Grid1D(points=np.linspace(0, 1, n))
         measures = rng.dirichlet(np.ones(n), m)
-        prob = sb.BarycenterProblem.create(measures, sb.grid_cost(grid))
+        prob = sb.BarycenterProblem(measures=measures, cost=sb.grid_cost(grid))
         return grid, prob
 
     def test_identity(self):
@@ -276,23 +270,22 @@ class TestOptimalityGap:
         p = rng.dirichlet(np.ones(6))
         q = prob.measures[0]
         gap = sb.optimality_gap(p, q, prob, grid)
-        assert gap == pytest.approx(sb.ot_1d_monotone(p, q, grid), abs=1e-14)
+        assert gap == pytest.approx(ot_1d_monotone(p, q, grid), abs=1e-14)
         assert gap >= 0.0
 
-    @pytest.mark.parametrize("power", [1.0, 2.0])
-    def test_matches_per_pair_sum_with_zero_mass(self, power):
+    def test_matches_per_pair_sum_with_zero_mass(self):
         # one merge of all rows against the 2m separate monotone couplings
         rng = np.random.default_rng(90)
         for n, m in ((2, 1), (5, 3), (30, 10)):
-            grid = sb.Grid1D(points=np.sort(rng.uniform(-2, 2, n)), power=power)
+            grid = sb.Grid1D(points=np.sort(rng.uniform(-2, 2, n)))
             for _ in range(10):
                 rows = rng.dirichlet(np.ones(n), m + 2)
                 rows[rng.random((m + 2, n)) < 0.4] = 0.0
                 rows[np.arange(m + 2), rng.integers(n, size=m + 2)] += 1.0 - rows.sum(axis=1)
                 p, p_star, measures = rows[0], rows[1], rows[2:]
-                prob = sb.BarycenterProblem.create(measures, sb.grid_cost(grid))
+                prob = sb.BarycenterProblem(measures=measures, cost=sb.grid_cost(grid))
                 per_pair = sum(
-                    sb.ot_1d_monotone(p, q, grid) - sb.ot_1d_monotone(p_star, q, grid)
+                    ot_1d_monotone(p, q, grid) - ot_1d_monotone(p_star, q, grid)
                     for q in measures
                 ) / m
                 assert sb.optimality_gap(p, p_star, prob, grid) == pytest.approx(
@@ -373,7 +366,7 @@ def test_duality_gap_bounds_the_exact_optimality_gap(algo):
     # every record's certificate is at least the exact 1-D optimality gap
     # of its barycenter, on the normalized cost, as the command line reports it
     for name, measures, points in _sandwich_inputs():
-        grid = sb.Grid1D(points=points, power=2.0)
+        grid = sb.Grid1D(points=points)
         cost = sb.grid_cost(grid)
         scale = cost.d_inf
         prob = sb.BarycenterProblem(measures, sb.CostData(C=cost.C / scale))

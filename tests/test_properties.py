@@ -286,7 +286,7 @@ def test_gap_scales_with_cost(size, lam):
     rng = np.random.default_rng(seed)
     prob = random_problem(seed, n, m)
     x, y = random_primal(rng, n, m), random_dual(rng, n, m)
-    scaled = sb.BarycenterProblem.create(prob.measures, sb.CostData(C=lam * prob.cost.C))
+    scaled = sb.BarycenterProblem(measures=prob.measures, cost=sb.CostData(C=lam * prob.cost.C))
     gap = sb.duality_gap(x, y, prob)
     assert sb.duality_gap(x, y, scaled) == pytest.approx(lam * gap, rel=1e-12, abs=1e-13 * lam)
 
@@ -299,7 +299,7 @@ def test_gap_is_invariant_to_measure_order(size):
     prob = random_problem(seed, n, m)
     x, y = random_primal(rng, n, m), random_dual(rng, n, m)
     order = rng.permutation(m)
-    permuted = sb.BarycenterProblem.create(prob.measures[order], prob.cost)
+    permuted = sb.BarycenterProblem(measures=prob.measures[order], cost=prob.cost)
     x_permuted = sb.PrimalPoint(plans=x.plans[order], bary=x.bary)
     gap = sb.duality_gap(x_permuted, sb.DualPoint(duals=y.duals[order]), permuted)
     assert gap == pytest.approx(sb.duality_gap(x, y, prob), rel=1e-12, abs=1e-14)

@@ -1,10 +1,12 @@
 import ast
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import saddlebary as sb
 import saddlebary.data as data
-from saddlebary.cli import GaussianSuiteSpec, gaussian_suite, load_histograms, main
+from saddlebary import GaussianSuiteSpec, gaussian_suite, load_histograms
+from saddlebary.cli import main
 from saddlebary.report import REPORT_COLUMNS
 from conftest import random_dual, random_primal, random_problem
 
@@ -187,7 +190,9 @@ class TestIteratesRoundTrip:
         n, m = 4, 2
         cost = np.abs(np.resize(awkward, (n, n)))
         measures = np.array([[5e-324, 1e-05, 0.1 + 0.2, 1.0 - 1e-05 - (0.1 + 0.2)], [0.25] * 4])
-        prob = sb.BarycenterProblem.create(measures, sb.vectorize_cost(cost))
+        # a cost of 1.8e308 is too large for a BarycenterProblem (its
+        # certificate overflows), so the writer gets the two arrays it reads
+        prob = types.SimpleNamespace(measures=measures, cost=types.SimpleNamespace(C=cost))
         x = sb.PrimalPoint(plans=np.resize(awkward, (m, n * n)), bary=np.resize(awkward[::-1], n))
         y = sb.DualPoint(duals=np.resize(awkward[3:], (m, 2 * n)))
         path, reference = tmp_path / "iterates.csv", tmp_path / "reference.csv"
@@ -247,15 +252,15 @@ class TestIteratesRoundTrip:
         x, y = random_primal(rng, 3, 2), random_dual(rng, 3, 2)
         gap = sb.duality_gap(x, y, prob)
         for lam in (0.25, 3.0):
-            cost = sb.vectorize_cost(lam * prob.cost.C)
-            scaled = sb.BarycenterProblem.create(prob.measures, cost)
+            cost = sb.CostData(C=lam * prob.cost.C)
+            scaled = sb.BarycenterProblem(measures=prob.measures, cost=cost)
             assert sb.duality_gap(x, y, scaled) == pytest.approx(lam * gap, rel=1e-12)
 
     @pytest.fixture(scope="class")
     def suite(self):
         measures, grid = gaussian_suite(GaussianSuiteSpec(seed=0))
-        cost = sb.grid_cost(sb.Grid1D(points=grid, power=2.0))
-        return sb.BarycenterProblem.create(measures, sb.CostData(C=cost.C / cost.d_inf))
+        cost = sb.grid_cost(sb.Grid1D(points=grid))
+        return sb.BarycenterProblem(measures=measures, cost=sb.CostData(C=cost.C / cost.d_inf))
 
     @pytest.mark.parametrize("algo", ["mp", "de", "ibp-stabilized", "ibp-naive"])
     def test_solver_output_round_trips(self, suite, tmp_path, algo):
@@ -429,6 +434,57 @@ class TestCLI:
             assert sb.read_iterates_csv(tmp_path / name / "iterates.csv")[0].cost.d_inf == 1.0
         assert run("smallest-normal", "0,7.5e-155,1.5e-154") == (0, "")
 
+    @pytest.mark.parametrize("stabilized", [False, True])
+    def test_cost_too_large_for_the_certificate_exits_2(self, tmp_path, capsys, stabilized):
+        # the certificate's 2 d_inf |residual|_1 overflowed on a 1e308 cost:
+        # ibp, whose own checks pass at reg 1e10, certified nan and exited 0
+        # (naive: 4).  Every solver and `gap` now reject a cost with
+        # 10 m d_inf past the largest double; 8e306 at m = 2 still runs.
+        hists = tmp_path / "h.csv"
+        hists.write_text("# grid: 0,1,2\n0.2,0.3,0.5\n0.5,0.25,0.25\n")
+        mode = ["--stabilized"] if stabilized else []
+
+        def cost_file(name, off):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(
+                ",".join("0" if j == k else off for k in range(3)) + "\n" for j in range(3)
+            ))
+            return path
+
+        def run(*argv):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(list(argv))
+            return code, capsys.readouterr()
+
+        def barycenter(name, off, reg):
+            return run("barycenter", "--algo", "ibp", *mode, "--reg", reg, "--input", str(hists),
+                       "--cost", f"csv:{cost_file(name, off)}", "--timing", "off",
+                       "--out", str(tmp_path / name))
+
+        def rejected(code, captured):
+            return (code == 2 and captured.out == "" and captured.err.startswith("error:")
+                    and "--normalize-cost" in captured.err)
+
+        assert rejected(*barycenter("huge", "1e308", "1e10"))
+        code, captured = barycenter("inside", "8e306", "1e306")
+        assert code == 0 and captured.err == "", captured.err
+        assert math.isfinite(float(captured.out.split("\n")[0].removeprefix("final duality gap: ")))
+        iterates = tmp_path / "inside" / "iterates.csv"
+        code, captured = run("gap", "--iterates", str(iterates))
+        assert code == 0 and math.isfinite(float(captured.out.removeprefix("duality gap: ")))
+        # a feasible pair on the 1e308 cost, written by hand
+        huge = cost_file("huge-cost", "1e308").read_text().splitlines()
+        by_hand = tmp_path / "huge-iterates.csv"
+        by_hand.write_text(
+            "kind,index,values...\n"
+            + "".join(f"cost_row,{j},{row}\n" for j, row in enumerate(huge))
+            + "measure,0,0.2,0.3,0.5\nmeasure,1,0.5,0.25,0.25\n"
+            + "plan,0,1,0,0,0,0,0,0,0,0\nplan,1,1,0,0,0,0,0,0,0,0\nbary,0,1,0,0\n"
+            + "dual,0,0,0,0,0,0,0\ndual,1,0,0,0,0,0,0\n"
+        )
+        assert rejected(*run("gap", "--iterates", str(by_hand)))
+
 
 class TestGaussianBenchCLI:
     def test_bench_emits_per_algorithm_reports(self, tmp_path, capsys):
@@ -505,7 +561,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_cost_with_non_finite_entry(self, bad):
         with pytest.raises(sb.InvalidCostError):
-            sb.vectorize_cost([[0.0, bad], [1.0, 0.0]])
+            sb.CostData(C=[[0.0, bad], [1.0, 0.0]])
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, 5e-324, 1e-300, 1e-160])
     def test_config_builders_reject_eps(self, t1_problem, eps):
@@ -671,11 +727,11 @@ class TestPublicSurface:
             "BarycenterProblem", "ConfigError", "CostData", "DEConfig", "DomainError",
             "DualPoint", "GaussianSuiteSpec", "Grid1D", "IBPConfig", "InvalidCostError",
             "MPConfig", "NumericalFailure", "ParseError", "PrimalPoint", "RunRecord",
-            "RunReport", "SaddlebaryError", "ShapeError", "UnsupportedError",
+            "RunReport", "SaddlebaryError", "ShapeError",
             "am_inner_iterations", "barycenter_1d_quantile", "certificate_values", "de_config",
             "de_initial_error_bound", "duality_gap", "gaussian_suite", "grid_cost",
             "ibp_barycenter", "load_cost_csv", "load_histograms", "mp_config", "optimality_gap",
-            "ot_1d_monotone", "read_iterates_csv", "run_certified", "run_dual_extrapolation",
+            "read_iterates_csv", "run_certified", "run_dual_extrapolation",
             "run_mirror_prox", "theta", "validate_histogram", "vectorize_cost",
             "write_barycenter_csv", "write_iterates_csv", "write_report_csv",
         ]
@@ -685,24 +741,38 @@ class TestPublicSurface:
 
         A name only tests use belongs in the tests.  The scan counts any use
         outside `__init__.py`, so test-only functions that call only each
-        other escape it.  The one exception is `ot_1d_monotone`: it is the
-        exact 1-D transport cost that `optimality_gap` is tested against, a
-        reference oracle with no caller in the package.
+        other escape it.  The names, public or members of public classes,
+        whose only reader outside the tests is the benchmark are pinned:
+        `BarycenterProblem.create` and `vectorize_cost`, the benchmark's
+        spellings of the constructors, which go when it respells its call.
         """
         root = Path(__file__).resolve().parents[1]
-        files = [p for p in (root / "src" / "saddlebary").glob("*.py") if p.name != "__init__.py"]
-        used = set()
-        for path in files + sorted((root / "perfbench").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+
+        def uses(paths):
+            used = set()
+            for path in paths:
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+            return used
+
+        package = uses(p for p in (root / "src" / "saddlebary").glob("*.py")
+                       if p.name != "__init__.py")
+        bench = uses(sorted((root / "perfbench").glob("*.py")))
         public = {
-            name for name, value in vars(sb).items()
+            name: value for name, value in vars(sb).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
-        assert sorted(public - used) == ["ot_1d_monotone"]
+        assert sorted(set(public) - package - bench) == []
+        members = {
+            name for value in public.values() if isinstance(value, type)
+            for name in [*vars(value), *getattr(value, "__dataclass_fields__", ())]
+            if not name.startswith("_")
+        }
+        bench_only = ((set(public) | members) & bench) - package
+        assert sorted(bench_only) == ["create", "vectorize_cost"]
 
     @staticmethod
     def _package_and_reads():
