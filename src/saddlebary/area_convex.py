@@ -21,7 +21,9 @@ on the duals, so it only shifts the objective by a constant.
 
 Dual extrapolation's gradient sum is its next prox linear term, kept as a
 `FactoredAMProblem`: alpha * C plus a row and a column potential per
-measure, a scalar and an (m, 2n) array.  Each prox call builds one n x n
+measure, a scalar and an (m, 2n) array: the prox's one input type.  A
+prox returns its plans as `ScaledPlans`, the kernel, the row and column
+scales, the marginals and the barycenter.  Each prox call builds one n x n
 kernel exp(-c alpha C) shared by all m measures, with the potentials as row
 and column factors, by `core._plan_kernel`, which mirror prox uses too, and
 a sweep takes the plan marginals as two GEMMs against it.  A sweep runs on
@@ -49,10 +51,8 @@ from .core import (
     ConfigError,
     DualPoint,
     NumericalFailure,
-    PrimalPoint,
     RunningAverage,
     _check_eps_and_cost,
-    _form_plans,
     _gradient,
     _plan_kernel,
     _residual,
@@ -78,19 +78,6 @@ def theta(n, d_inf, variant="exact"):
         raise ConfigError(f"unknown theta variant {variant!r}")
     factor = 40.0 if variant == "paper" else 50.0
     return (factor * math.log(n) + 6.0) * d_inf
-
-
-@dataclass(frozen=True)
-class AMProblem:
-    """Linear terms of one proximal subproblem, stored block-wise.
-
-    The objective is <v, x> + <u, y> + r(x, y) with v split into m plan
-    blocks plus the barycenter block.
-    """
-
-    v_plans: np.ndarray  # (m, n*n)
-    v_bary: np.ndarray  # (n,)
-    u: np.ndarray  # (m, 2n)
 
 
 @dataclass(frozen=True)
@@ -169,17 +156,17 @@ def am_prox(amp, num_iters, cost):
 
     Starting from uniform simplices and zero duals, each sweep updates the
     plan blocks and the barycenter by their softmax closed forms, then solves
-    every dual coordinate's clipped 1-D quadratic.  An `AMProblem` returns
-    the final primal/dual pair; a `FactoredAMProblem` returns its plans as
-    `ScaledPlans`, which the caller forms densely where it needs them.
+    every dual coordinate's clipped 1-D quadratic.  `amp` is the
+    `FactoredAMProblem` that dual extrapolation poses; the final plans
+    return as `ScaledPlans`, which the caller forms densely where it needs
+    them, and the duals as a `DualPoint`.
 
     Only the separable term 0.1 * (y_j^2 + y_{n+k}^2) of a plan block's
     exponent depends on the duals, so plan i is diag(a_i) K diag(b_i) / Z_i
-    with a kernel built once per call by `core._plan_kernel` from c v_plans,
-    c = m / (20 d_inf): c alpha C and c times the potentials for a factored
-    problem, the (m, n, n) exponents and zero potentials for a general one.
-    A shared (n, n) kernel makes a sweep's plan marginals two GEMMs; an
-    (m, n, n) stack takes batched mat-vecs.
+    with a kernel built once per call by `core._plan_kernel` from c alpha C
+    and c times the potentials, c = m / (20 d_inf).  A shared (n, n) kernel
+    makes a sweep's plan marginals two GEMMs; the (m, n, n) stack the
+    builder gives past its span limit takes batched mat-vecs.
 
     A sweep is about twenty NumPy calls on buffers allocated once per call
     and held halves-major, (2, m, n) with [0] the rows and [1] the columns
@@ -223,11 +210,7 @@ def am_prox(amp, num_iters, cost):
     # to the box.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = m / (20.0 * d_inf)
-        if isinstance(amp, FactoredAMProblem):
-            costs, potentials = (c * amp.alpha) * cost.C, c * amp.potentials
-        else:
-            costs, potentials = (c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n))
-        K, log_factors = _plan_kernel(costs, potentials)
+        K, log_factors = _plan_kernel((c * amp.alpha) * cost.C, c * amp.potentials)
         log_factors = _halves(log_factors)
         KT = np.swapaxes(K, -1, -2)
         # rows a * (b K^T), columns b * (a K); a stack of kernel blocks takes
@@ -266,11 +249,8 @@ def am_prox(amp, num_iters, cost):
             if stop:
                 break
             window.appendleft(key)
-    duals = DualPoint(duals=_pairs(y))
-    if isinstance(amp, FactoredAMProblem):
-        marginals /= Z
-        return ScaledPlans(K, a, b / Z, _pairs(marginals), bary), duals
-    return PrimalPoint(plans=_form_plans(K, a, b / Z, np.empty((m, n * n))), bary=bary), duals
+    marginals /= Z
+    return ScaledPlans(K, a, b / Z, _pairs(marginals), bary), DualPoint(duals=_pairs(y))
 
 
 def de_initial_error_bound(eps, theta_value, d_inf):

@@ -11,9 +11,9 @@ gaussian-bench  run all three algorithms sequentially on the Gaussian suite
 
 Exit codes: 0 success, 2 parse/configuration error (among them a cost
 whose largest entry is subnormal, for mp and de, and, for every solver and
-for `gap`, one too large for the certificate: 10 m times its largest entry
-past the largest double), 3 numerical failure, 4 underflow-degenerate
-(naive IBP).
+for `gap`, one too large for the certificate: 10 max(m, 2) times its
+largest entry past the largest double), 3 numerical failure,
+4 underflow-degenerate (naive IBP).
 """
 
 from __future__ import annotations

@@ -140,8 +140,10 @@ class BarycenterProblem:
     """m measures (copied, each checked onto the simplex) on the cost's n points; n, m derived.
 
     The certificate's terms reach 9 m d_inf (m d_inf of transport cost and
-    2 d_inf |residual|_1, |residual|_1 <= 4m); a cost with 10 m d_inf
-    past the largest double, a margin for rounding, is a ConfigError.
+    2 d_inf |residual|_1, |residual|_1 <= 4m), and the gap 17 d_inf (a
+    primal value up to 9 d_inf less a dual value down to -8 d_inf); a cost
+    with 10 max(m, 2) d_inf past the largest double, a margin for rounding,
+    is a ConfigError.
     """
 
     measures: np.ndarray
@@ -160,10 +162,10 @@ class BarycenterProblem:
             raise ConfigError("need at least one measure")
         if self.cost.n != n:
             raise ShapeError("cost matrix size does not match support size")
-        if not math.isfinite(10.0 * m * self.cost.d_inf):
+        if not math.isfinite(10.0 * max(m, 2) * self.cost.d_inf):
             raise ConfigError(
                 f"largest cost {self.cost.d_inf!r} is past the certificate's cost scale limit,"
-                f" the largest double / (10 m) with m = {m}; rescale it (--normalize-cost)"
+                f" the largest double / (10 max(m, 2)) with m = {m}; rescale it (--normalize-cost)"
             )
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "n", n)

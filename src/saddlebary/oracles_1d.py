@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, CostData, ShapeError
+from .core import ConfigError, CostData, DomainError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class Grid1D:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.shape[0] < 1:
             raise ShapeError("grid points must be a nonempty vector")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("grid points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ShapeError("grid points must be strictly increasing")
         if self.power != 2.0:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import saddlebary as sb
+from saddlebary.area_convex import FactoredAMProblem, am_prox
 
 
 def dense_incidence(n):
@@ -50,6 +51,27 @@ def dense_plans(scaled):
     plans = scaled.kernel * a[:, :, None] * b[:, None, :]
     plans[plans < np.finfo(float).tiny] = 0.0
     return plans.reshape(m, n * n)
+
+
+def prox_point(amp, num_iters, cost):
+    """`am_prox` with its plans formed by `dense_plans`: (PrimalPoint, DualPoint)."""
+    x, y = am_prox(amp, num_iters, cost)
+    return sb.PrimalPoint(plans=dense_plans(x), bary=x.bary), y
+
+
+def factored_draw(rng, n, m, spread, dual_spread):
+    """A random prox problem in the form dual extrapolation poses.
+
+    alpha is uniform on [0, spread]; the potentials and the barycenter term
+    are normal with standard deviation `spread`, the dual term with
+    `dual_spread`.
+    """
+    return FactoredAMProblem(
+        alpha=rng.uniform(0.0, spread),
+        potentials=rng.normal(0.0, spread, (m, 2 * n)),
+        v_bary=rng.normal(0.0, spread, n),
+        u=rng.normal(0.0, dual_spread, (m, 2 * n)),
+    )
 
 
 def random_problem(seed, n, m, zero_diagonal=False, normalized=True):

@@ -39,9 +39,18 @@ def regularizer(x, y, cost):
     return (2.0 * cost.d_inf / m) * (ent + quad)
 
 
+def plan_linear_terms(amp, cost):
+    """The (m, n^2) plan blocks alpha * C + adj(potentials) of a `FactoredAMProblem`."""
+    return amp.alpha * cost.d + _adjoint_stack(amp.potentials, amp.v_bary.shape[0])
+
+
 def am_objective(amp, x, y, cost):
-    """Proximal subproblem objective <v, x> + <u, y> + r(x, y)."""
-    lin = float((amp.v_plans * x.plans).sum()) + float(np.dot(amp.v_bary, x.bary))
+    """Proximal subproblem objective <v, x> + <u, y> + r(x, y) of a `FactoredAMProblem`.
+
+    v's plan blocks are `plan_linear_terms`, formed densely here.
+    """
+    lin = float((plan_linear_terms(amp, cost) * x.plans).sum())
+    lin += float(np.dot(amp.v_bary, x.bary))
     lin += float((amp.u * y.duals).sum())
     return lin + regularizer(x, y, cost)
 

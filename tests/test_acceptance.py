@@ -14,10 +14,17 @@ import pytest
 
 import saddlebary as sb
 from saddlebary import GaussianSuiteSpec, gaussian_suite
-from saddlebary.area_convex import AMProblem, am_prox
 from saddlebary.cli import main
 from saddlebary.core import _marginals_stack, _residual
-from conftest import random_dual, random_primal, random_problem, uniform_primal, zero_dual
+from conftest import (
+    factored_draw,
+    prox_point,
+    random_dual,
+    random_primal,
+    random_problem,
+    uniform_primal,
+    zero_dual,
+)
 from paper_checks import (
     am_objective,
     area_convexity_residual,
@@ -168,16 +175,12 @@ def test_criterion_07_am_linear_convergence():
     cost = random_problem(700, n, m).cost
     ratios = []
     for _ in range(12):
-        amp = AMProblem(
-            v_plans=rng.normal(0.0, 5.0, (m, n * n)),
-            v_bary=rng.normal(0.0, 5.0, n),
-            u=rng.normal(0.0, 3.0, (m, 2 * n)),
-        )
+        amp = factored_draw(rng, n, m, 5.0, 3.0)
         values = np.array(
-            [am_objective(amp, *am_prox(amp, t, cost), cost) for t in range(1, 26)]
+            [am_objective(amp, *prox_point(amp, t, cost), cost) for t in range(1, 26)]
         )
         assert np.all(np.diff(values) <= 1e-9 * np.maximum(1.0, np.abs(values[:-1])))
-        star = am_objective(amp, *am_prox(amp, 400, cost), cost)
+        star = am_objective(amp, *prox_point(amp, 400, cost), cost)
         sub = values - star
         valid = sub[:-1] > 1e-11
         ratios.extend((sub[1:][valid] / sub[:-1][valid]).tolist())

@@ -1,19 +1,22 @@
 """The kernel-form AM sweep and factored dual extrapolation against references.
 
-`_dense_am_prox` recomputes every plan entry's exponent on every sweep, as
-the sweep did before it was factored through a per-call kernel.  It shares
-no code with `am_prox`: softmax, marginals and the clipped 1-D quadratic
-are written out here.  `_kernel_sweeps` is `am_prox`'s own arithmetic with
-no stop rule, the reference for the early stop on a repeat of the duals
-with period 1 to 4.  `_dense_de` is dual extrapolation on dense m n^2
-gradient sums, written out by reshape-sums, as it ran before its state
-was factored.  `_pair_layout_am_prox` is the sweep as it ran on (m, 2n)
-arrays with the dual argmin written out, before its buffers were held
-halves-major; `am_prox` must return its bits exactly.  Prox plans returned
-as `ScaledPlans` are formed densely by `conftest.dense_plans`.
+`_dense_am_prox` recomputes every plan entry's exponent on every sweep from
+dense (m, n^2) plan terms, as the sweep did before it was factored through
+a per-call kernel.  It shares no code with `am_prox`: softmax, marginals
+and the clipped 1-D quadratic are written out here.  `_dense` spells a
+`FactoredAMProblem` as such a `DenseAMProblem`.  `_kernel_sweeps` is
+`am_prox`'s own arithmetic with no stop rule, the reference for the early
+stop on a repeat of the duals with period 1 to 4.  `_pair_layout_am_prox`
+is the sweep as it ran on (m, 2n) arrays with the dual argmin written out,
+before its buffers were held halves-major; `am_prox` must return its bits
+exactly.  It also takes a `DenseAMProblem`, whose exponents form a stack of
+kernel blocks: `_dense_de` is dual extrapolation on dense m n^2 gradient
+sums, written out by reshape-sums, as it ran before its state was
+factored, with that sweep as its prox.  Prox plans returned as
+`ScaledPlans` are formed densely by `conftest.dense_plans`.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +25,6 @@ import pytest
 import saddlebary as sb
 import saddlebary.area_convex as ac
 from saddlebary.area_convex import (
-    AMProblem,
     FactoredAMProblem,
     ScaledPlans,
     _box_quadratic_argmin,
@@ -30,17 +32,20 @@ from saddlebary.area_convex import (
     am_prox,
 )
 from saddlebary.cli import main
-from saddlebary.core import (
-    FACTOR_SPAN_MAX,
-    _adjoint_stack,
-    _form_plans,
-    _plan_kernel,
-    _scaled_marginals,
-)
-from conftest import dense_plans, random_problem
+from saddlebary.core import FACTOR_SPAN_MAX, _form_plans, _plan_kernel, _scaled_marginals
+from conftest import dense_plans, factored_draw, random_problem
+from paper_checks import plan_linear_terms
 
 TOL = 1e-12
 LONG = 400
+
+# The linear terms of a prox subproblem with dense (m, n^2) plan blocks
+DenseAMProblem = namedtuple("DenseAMProblem", "v_plans v_bary u")
+
+
+def _dense(amp, cost):
+    """A `FactoredAMProblem` with its plan blocks formed densely."""
+    return DenseAMProblem(plan_linear_terms(amp, cost), amp.v_bary, amp.u)
 
 
 def _one_plan_marginals(K, a, b):
@@ -89,10 +94,7 @@ def _kernel_sweeps(amp, cost, m, n):
     """`am_prox`'s sweep with no stop: yields (plans, bary, duals) after each sweep."""
     d_inf = cost.d_inf
     c = m / (20.0 * d_inf)
-    if isinstance(amp, FactoredAMProblem):
-        K, log_factors = _plan_kernel((c * amp.alpha) * cost.C, c * amp.potentials)
-    else:
-        K, log_factors = _plan_kernel((c * amp.v_plans).reshape(m, n, n), np.zeros((m, 2 * n)))
+    K, log_factors = _plan_kernel((c * amp.alpha) * cost.C, c * amp.potentials)
     y = np.zeros((m, 2 * n))
     signs = _sweep_signs(amp.u)
     while True:
@@ -131,7 +133,11 @@ def _first_repeat(amp, cap, cost, m, n):
 
 
 def _pair_layout_am_prox(amp, num_iters, cost, m, n):
-    """`am_prox` as it ran on (m, 2n) arrays: (ScaledPlans, duals, sweeps run)."""
+    """`am_prox` as it ran on (m, 2n) arrays: (ScaledPlans, duals, sweeps run).
+
+    A `DenseAMProblem` takes its exponents as an (m, n, n) stack with zero
+    potentials, as `am_prox` took its dense problems.
+    """
     d_inf = cost.d_inf
     bary_lin = amp.v_bary / (10.0 * d_inf)
     scale = 2.0 * d_inf / m
@@ -189,12 +195,8 @@ def _assert_pair_layout_bits(out, amp, num_iters, cost, m, n):
     plans, duals, ref_sweeps = _pair_layout_am_prox(amp, num_iters, cost, m, n)
     assert sweeps == ref_sweeps
     assert _same_bits(y.duals, duals)
-    if isinstance(x, ScaledPlans):
-        for field in fields(ScaledPlans):
-            assert _same_bits(getattr(x, field.name), getattr(plans, field.name)), field.name
-    else:
-        assert _same_bits(x.plans, dense_plans(plans))
-        assert _same_bits(x.bary, plans.bary)
+    for field in fields(ScaledPlans):
+        assert _same_bits(getattr(x, field.name), getattr(plans, field.name)), field.name
 
 
 @pytest.fixture
@@ -217,40 +219,33 @@ def sweep_counter(monkeypatch):
     return run
 
 
-def _problems(seed, n, m, d_inf):
+def _problems(seed, cost, n, m):
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        yield AMProblem(
-            v_plans=rng.normal(0.0, 5.0, (m, n * n)),
-            v_bary=rng.normal(0.0, 5.0, n),
-            u=rng.normal(0.0, 3.0, (m, 2 * n)),
-        )
+        yield factored_draw(rng, n, m, 5.0, 3.0)
     # plan exponents spanning ~600 after the m / (20 d_inf) scaling
-    yield AMProblem(
-        v_plans=rng.uniform(0.0, 600.0 * 20.0 * d_inf / m, (m, n * n)),
-        v_bary=rng.normal(0.0, 5.0, n),
-        u=rng.normal(0.0, 0.5, (m, 2 * n)),
-    )
+    yield _factored_problem(rng, cost, m, n, 600.0)
 
 
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_kernel_sweep_matches_dense_reference(sweep_counter, n, m):
     cost = random_problem(900 + n, n, m).cost
-    for amp in _problems(10 * n + m, n, m, cost.d_inf):
+    for amp in _problems(10 * n + m, cost, n, m):
         for budget in (3, LONG):
             x, y, sweeps = sweep_counter(amp, budget, cost)
-            plans, bary, duals, ref_sweeps = _dense_am_prox(amp, budget, cost.d_inf, m, n)
+            dense = _dense(amp, cost)
+            plans, bary, duals, ref_sweeps = _dense_am_prox(dense, budget, cost.d_inf, m, n)
             # equal sweep counts, or both stopped at the same fixed point
             assert sweeps == ref_sweeps or max(sweeps, ref_sweeps) < budget
-            np.testing.assert_allclose(x.plans, plans, rtol=0, atol=TOL)
+            np.testing.assert_allclose(dense_plans(x), plans, rtol=0, atol=TOL)
             np.testing.assert_allclose(x.bary, bary, rtol=0, atol=TOL)
             np.testing.assert_allclose(y.duals, duals, rtol=0, atol=TOL)
 
 
 def _assert_same(out, ref):
     x, y = out[:2]
-    assert np.array_equal(dense_plans(x) if isinstance(x, ScaledPlans) else x.plans, ref[0])
+    assert np.array_equal(dense_plans(x), ref[0])
     assert np.array_equal(x.bary, ref[1])
     assert np.array_equal(y.duals, ref[2])
 
@@ -269,7 +264,7 @@ def _assert_stops_bitwise(sweep_counter, amp, t, period, budgets, cost, m, n):
 @pytest.mark.parametrize("n, m", [(3, 2), (8, 3)])
 def test_stationary_sweep_stops_bitwise(sweep_counter, n, m):
     cost = random_problem(910 + n, n, m).cost
-    for amp in list(_problems(20 * n + m, n, m, cost.d_inf))[:3]:
+    for amp in list(_problems(20 * n + m, cost, n, m))[:3]:
         t, period = _first_repeat(amp, LONG, cost, m, n)
         assert 0 < t < LONG - 2
         budgets = (t + 1, t + 2, t + 3, t + 8, LONG - 1, LONG)
@@ -350,7 +345,7 @@ def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
     rng = np.random.default_rng(int(span) + n)
     for _ in range(2):
         amp = _factored_problem(rng, cost, m, n, span)
-        dense = AMProblem(amp.alpha * cost.d + _adjoint_stack(amp.potentials, n), amp.v_bary, amp.u)
+        dense = _dense(amp, cost)
         for budget in (3, LONG):
             x, y, sweeps = sweep_counter(amp, budget, cost)
             assert isinstance(x, ScaledPlans)
@@ -366,32 +361,41 @@ def test_factored_prox_matches_dense_reference(sweep_counter, n, m, span):
 
 
 def _dense_de(prob, eps, steps):
-    """Dual extrapolation on dense gradient sums: the averaged pair after `steps`."""
+    """Dual extrapolation on dense gradient sums: the averaged pair after `steps`.
+
+    Its prox is the pair-layout sweep on a `DenseAMProblem`, whose plans
+    `dense_plans` forms as `am_prox` formed a dense problem's.
+    """
     cfg = sb.de_config(prob, eps)
     m, n, cost = prob.m, prob.n, prob.cost
     scale = 2.0 * cost.d_inf / m
 
-    def gradient(x, y):
+    def prox(amp):
+        x, y = _pair_layout_prox(amp, cfg.inner_iters, cost)
+        return dense_plans(x), x.bary, y
+
+    def gradient(plans, bary, y):
         # plans: C / m + adj(scale y); barycenter: -scale times the row duals'
         # sum; duals: -scale times the residual [row sums - p, column sums - q_i]
         potentials = scale * y.duals
         g_plans = cost.d / m + (potentials[:, :n, None] + potentials[:, None, n:]).reshape(m, n * n)
-        P = x.plans.reshape(m, n, n)
-        residual = np.concatenate([P.sum(axis=2) - x.bary, P.sum(axis=1) - prob.measures], axis=1)
+        P = plans.reshape(m, n, n)
+        residual = np.concatenate([P.sum(axis=2) - bary, P.sum(axis=1) - prob.measures], axis=1)
         return g_plans, -scale * y.duals[:, :n].sum(axis=0), -scale * residual
 
     s_plans, s_bary, s_duals = np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))
     sums = [np.zeros((m, n * n)), np.zeros(n), np.zeros((m, 2 * n))]
     for _ in range(steps):
-        zx, zy = am_prox(AMProblem(s_plans, s_bary, s_duals), cfg.inner_iters, cost)
-        g_plans, g_bary, g_dual = gradient(zx, zy)
-        advanced = AMProblem(s_plans + g_plans / 3.0, s_bary + g_bary / 3.0, s_duals + g_dual / 3.0)
-        wx, wy = am_prox(advanced, cfg.inner_iters, cost)
-        g_plans, g_bary, g_dual = gradient(wx, wy)
+        g_plans, g_bary, g_dual = gradient(*prox(DenseAMProblem(s_plans, s_bary, s_duals)))
+        advanced = DenseAMProblem(
+            s_plans + g_plans / 3.0, s_bary + g_bary / 3.0, s_duals + g_dual / 3.0
+        )
+        w_plans, w_bary, wy = prox(advanced)
+        g_plans, g_bary, g_dual = gradient(w_plans, w_bary, wy)
         s_plans = s_plans + g_plans / 6.0
         s_bary = s_bary + g_bary / 6.0
         s_duals = s_duals + g_dual / 6.0
-        for total, value in zip(sums, (wx.plans, wx.bary, wy.duals)):
+        for total, value in zip(sums, (w_plans, w_bary, wy.duals)):
             total += value
     return [total / steps for total in sums]
 
@@ -431,7 +435,7 @@ def test_factored_de_matches_dense_de(make, steps):
 @pytest.mark.parametrize("n, m", [(2, 1), (5, 3), (16, 2)])
 def test_sweep_is_bitwise_the_pair_layout_sweep(sweep_counter, n, m, budget):
     # shared kernels (spans up to 650), stacked kernel blocks past
-    # FACTOR_SPAN_MAX, and general problems, whose kernels are stacks too
+    # FACTOR_SPAN_MAX, and the random draws of `_problems`
     cost = random_problem(930 + n, n, m).cost
     rng = np.random.default_rng(n + 10 * m + budget)
     for span in (50.0, 650.0, 750.0, 20000.0):
@@ -439,7 +443,7 @@ def test_sweep_is_bitwise_the_pair_layout_sweep(sweep_counter, n, m, budget):
         out = sweep_counter(amp, budget, cost)
         assert out[0].kernel.shape == ((n, n) if span <= FACTOR_SPAN_MAX else (m, n, n))
         _assert_pair_layout_bits(out, amp, budget, cost, m, n)
-    for amp in _problems(40 * n + m, n, m, cost.d_inf):
+    for amp in _problems(40 * n + m, cost, n, m):
         _assert_pair_layout_bits(sweep_counter(amp, budget, cost), amp, budget, cost, m, n)
 
 

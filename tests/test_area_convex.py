@@ -6,7 +6,6 @@ import pytest
 import saddlebary as sb
 import saddlebary.core as core
 from saddlebary.area_convex import (
-    AMProblem,
     FactoredAMProblem,
     _box_quadratic_argmin,
     _sweep_signs,
@@ -16,7 +15,9 @@ from saddlebary.core import _adjoint_stack
 from conftest import (
     dense_big_operator,
     dense_plans,
+    factored_draw,
     primal_vector,
+    prox_point,
     random_dual,
     random_primal,
     random_problem,
@@ -82,29 +83,41 @@ class TestRegularizer:
             assert with_duals >= without - 1e-12
 
 
+def _zero_problem(n, m):
+    return FactoredAMProblem(
+        alpha=0.0, potentials=np.zeros((m, 2 * n)), v_bary=np.zeros(n), u=np.zeros((m, 2 * n))
+    )
+
+
+def _shift_rows(amp, shift):
+    """`amp` with `shift[i]` added to every row potential of measure i."""
+    n = amp.v_bary.shape[0]
+    potentials = amp.potentials.copy()
+    potentials[:, :n] += shift
+    return FactoredAMProblem(amp.alpha, potentials, amp.v_bary, amp.u)
+
+
 class TestAMObjective:
     def test_zero_linear_terms(self, t1_problem):
         rng = np.random.default_rng(42)
         x, y = random_primal(rng, 2, 1), random_dual(rng, 2, 1)
-        amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
+        amp = _zero_problem(2, 1)
         assert am_objective(amp, x, y, t1_problem.cost) == pytest.approx(
             regularizer(x, y, t1_problem.cost)
         )
 
     def test_value_at_canonical_point(self, t1_problem):
-        amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
         value = am_objective(
-            amp, uniform_primal(2, 1), zero_dual(2, 1), t1_problem.cost
+            _zero_problem(2, 1), uniform_primal(2, 1), zero_dual(2, 1), t1_problem.cost
         )
         assert value == pytest.approx(-50 * math.log(2))
 
     def test_per_block_constant_shift(self, t1_problem):
+        # a shift of every row potential is a shift of the whole plan block
         rng = np.random.default_rng(43)
         x, y = random_primal(rng, 2, 1), random_dual(rng, 2, 1)
-        amp = AMProblem(
-            v_plans=rng.normal(size=(1, 4)), v_bary=rng.normal(size=2), u=rng.normal(size=(1, 4))
-        )
-        shifted = AMProblem(v_plans=amp.v_plans + 7.0, v_bary=amp.v_bary, u=amp.u)
+        amp = factored_draw(rng, 2, 1, 1.0, 1.0)
+        shifted = _shift_rows(amp, 7.0)
         before = am_objective(amp, x, y, t1_problem.cost)
         after = am_objective(shifted, x, y, t1_problem.cost)
         assert after - before == pytest.approx(7.0, abs=1e-10)
@@ -136,15 +149,15 @@ class TestBoxQuadraticArgmin:
 class TestAMProx:
     def test_zero_dual_linear_term_gives_zero_duals(self, t1_problem):
         rng = np.random.default_rng(44)
-        amp = AMProblem(
-            v_plans=rng.normal(size=(1, 4)), v_bary=rng.normal(size=2), u=np.zeros((1, 4))
+        amp = FactoredAMProblem(
+            alpha=rng.uniform(), potentials=rng.normal(size=(1, 4)), v_bary=rng.normal(size=2),
+            u=np.zeros((1, 4)),
         )
         _, y = am_prox(amp, 3, t1_problem.cost)
         assert np.array_equal(y.duals, np.zeros((1, 4)))
 
     def test_fixed_point_at_zero_problem(self, t1_problem):
-        amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
-        x, y = am_prox(amp, 1, t1_problem.cost)
+        x, y = prox_point(_zero_problem(2, 1), 1, t1_problem.cost)
         assert np.allclose(x.plans, 0.25)
         assert np.allclose(x.bary, 0.5)
         assert np.array_equal(y.duals, np.zeros((1, 4)))
@@ -154,47 +167,39 @@ class TestAMProx:
         n, m = 4, 3
         cost = random_problem(45, n, m).cost
         for _ in range(20):
-            amp = AMProblem(
-                v_plans=rng.normal(0, 10, (m, n * n)),
-                v_bary=rng.normal(0, 10, n),
-                u=rng.normal(0, 10, (m, 2 * n)),
-            )
-            x, y = am_prox(amp, 7, cost)
+            x, y = prox_point(factored_draw(rng, n, m, 10.0, 10.0), 7, cost)
             assert np.allclose(x.plans.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(x.plans >= 0)
             assert x.bary.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.abs(y.duals) <= 1.0)
 
     def test_invariant_to_constant_shift_per_block(self):
-        # a constant on one measure's plan block or on the barycenter block
-        # shifts the objective by a constant on the simplices, so the prox
-        # point does not move
+        # a constant on one measure's plan block (on its row potentials) or
+        # on the barycenter block shifts the objective by a constant on the
+        # simplices, so the prox point does not move
         rng = np.random.default_rng(47)
         n, m = 4, 3
         cost = random_problem(47, n, m).cost
         for _ in range(5):
-            amp = AMProblem(
-                v_plans=rng.normal(0, 5, (m, n * n)),
-                v_bary=rng.normal(0, 5, n),
-                u=rng.normal(0, 3, (m, 2 * n)),
-            )
-            x, y = am_prox(amp, 300, cost)
+            amp = factored_draw(rng, n, m, 5.0, 3.0)
+            x, y = prox_point(amp, 300, cost)
             plan_shift = np.zeros((m, 1))
             plan_shift[rng.integers(m)] = rng.uniform(-20, 20)
             shifted = [
-                AMProblem(v_plans=amp.v_plans + plan_shift, v_bary=amp.v_bary, u=amp.u),
-                AMProblem(v_plans=amp.v_plans, v_bary=amp.v_bary + rng.uniform(-20, 20), u=amp.u),
+                _shift_rows(amp, plan_shift),
+                FactoredAMProblem(
+                    amp.alpha, amp.potentials, amp.v_bary + rng.uniform(-20, 20), amp.u
+                ),
             ]
             for other in shifted:
-                xs, ys = am_prox(other, 300, cost)
+                xs, ys = prox_point(other, 300, cost)
                 np.testing.assert_allclose(xs.plans, x.plans, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(xs.bary, x.bary, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(ys.duals, y.duals, rtol=0, atol=1e-12)
 
     def test_sweep_budget_validation(self, t1_problem):
-        amp = AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4)))
         with pytest.raises(sb.ConfigError):
-            am_prox(amp, 0, t1_problem.cost)
+            am_prox(_zero_problem(2, 1), 0, t1_problem.cost)
 
     def test_monotone_and_contracting(self):
         # objective decreases every sweep and the suboptimality contraction
@@ -204,18 +209,14 @@ class TestAMProx:
         cost = random_problem(46, n, m).cost
         ratios = []
         for _ in range(10):
-            amp = AMProblem(
-                v_plans=rng.normal(0, 5, (m, n * n)),
-                v_bary=rng.normal(0, 5, n),
-                u=rng.normal(0, 3, (m, 2 * n)),
-            )
+            amp = factored_draw(rng, n, m, 5.0, 3.0)
             values = [
-                am_objective(amp, *am_prox(amp, t, cost), cost)
+                am_objective(amp, *prox_point(amp, t, cost), cost)
                 for t in range(1, 26)
             ]
             values = np.array(values)
             assert np.all(np.diff(values) <= 1e-9 * np.maximum(1.0, np.abs(values[:-1])))
-            star = am_objective(amp, *am_prox(amp, 400, cost), cost)
+            star = am_objective(amp, *prox_point(amp, 400, cost), cost)
             sub = values - star
             good = sub[:-1] > 1e-11
             ratios.extend((sub[1:][good] / sub[:-1][good]).tolist())
@@ -521,8 +522,8 @@ class TestFailurePaths:
                 _check_gradient_sums(bad, 1, 1.0)
 
     def test_am_prox_non_finite_linear_term(self, t1_problem):
-        amp = AMProblem(
-            v_plans=np.full((1, 4), np.nan), v_bary=np.zeros(2), u=np.zeros((1, 4))
+        amp = FactoredAMProblem(
+            alpha=np.nan, potentials=np.zeros((1, 4)), v_bary=np.zeros(2), u=np.zeros((1, 4))
         )
         with pytest.raises(sb.NumericalFailure):
             am_prox(amp, 3, t1_problem.cost)
@@ -530,13 +531,13 @@ class TestFailurePaths:
     @pytest.mark.parametrize("budget", [1, 3])
     def test_am_prox_non_finite_dual_term(self, t1_problem, budget):
         # a NaN dual term gives NaN duals without touching the curvature, so
-        # the prox rejects it on entry, for dense and factored problems alike
+        # the prox rejects it on entry, whatever the plan terms
         u = np.zeros((1, 4))
         u[0, 1] = np.nan
-        for amp in (
-            AMProblem(v_plans=np.zeros((1, 4)), v_bary=np.zeros(2), u=u),
-            FactoredAMProblem(alpha=0.5, potentials=np.zeros((1, 4)), v_bary=np.zeros(2), u=u),
-        ):
+        for alpha in (0.0, 0.5):
+            amp = FactoredAMProblem(
+                alpha=alpha, potentials=np.zeros((1, 4)), v_bary=np.zeros(2), u=u
+            )
             with pytest.raises(sb.NumericalFailure):
                 am_prox(amp, budget, t1_problem.cost)
 

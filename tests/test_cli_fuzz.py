@@ -142,3 +142,104 @@ def test_every_input_ends_in_a_documented_exit_code(case):
         code, out, err = _run(["gap", "--iterates", str(root / "out" / "iterates.csv")])
         assert code == 0, err
         assert math.isfinite(float(out.removeprefix("duality gap: ")))
+
+
+# `gap` on iterates.csv files: a feasible file, then a few mutations of its
+# rows.  Every replay exits 0 with a finite gap or 2 with an error.
+KINDS = ("cost_row", "measure", "plan", "bary", "dual")
+EDGES = (-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 8.98e306, 1.5e307, 1e308,
+         1.7976931348623157e308, -1e308)
+MASS_DELTAS = (-2e-12, -1.1e-12, -1e-12, -9e-13, 9e-13, 1e-12, 1.1e-12, 2e-12)
+
+
+def _simplex(draw, width):
+    """A row on the simplex: one entry takes up what the others leave of the unit mass."""
+    row = draw(st.lists(st.one_of(st.sampled_from(MASSES), st.floats(0.0, 1.0 / width)),
+                        min_size=width, max_size=width))
+    j = draw(st.integers(0, width - 1))
+    row[j] = max(0.0, 1.0 - (sum(row) - row[j]))
+    return row
+
+
+@st.composite
+def iterates_files(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3))
+    # at m = 1 and 2 the scale 8.98e306 is inside the certificate's limit, and
+    # 1.5e307 is past it for every m
+    scale = draw(st.sampled_from((1.0, 1e-300, 8.98e306, 1.5e307)))
+    cost_entry = st.one_of(st.sampled_from((0.0, 5e-324, 1.0)), st.floats(0.0, 1.0))
+    dual_entry = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 1.0)), st.floats(-1.0, 1.0))
+    rows = {
+        "cost_row": [[scale * c for c in draw(st.lists(cost_entry, min_size=n, max_size=n))]
+                     for _ in range(n)],
+        "measure": [_simplex(draw, n) for _ in range(m)],
+        "plan": [_simplex(draw, n * n) for _ in range(m)],
+        "bary": [_simplex(draw, n)],
+        "dual": [draw(st.lists(dual_entry, min_size=2 * n, max_size=2 * n)) for _ in range(m)],
+    }
+    # (operation, kind, row, entry): row and entry are taken modulo the sizes
+    operation = st.one_of(
+        st.just(("truncate",)), st.just(("drop",)),
+        st.tuples(st.just("set"), st.sampled_from(EDGES)),
+        st.tuples(st.just("shift"), st.sampled_from(MASS_DELTAS)),
+    )
+    mutations = draw(st.lists(
+        st.tuples(operation, st.sampled_from(KINDS), st.integers(0, 8), st.integers(0, 31)),
+        max_size=3,
+    ))
+    return {"rows": rows, "mutations": mutations}
+
+
+def _iterates_text(case):
+    lines = [[kind, i, list(values)] for kind in KINDS
+             for i, values in enumerate(case["rows"][kind])]
+    for operation, kind, row, entry in case["mutations"]:
+        targets = [line for line in lines if line[0] == kind]
+        if not targets:
+            continue
+        line = targets[row % len(targets)]
+        values = line[2]
+        if operation[0] == "drop":
+            lines.remove(line)
+        elif not values:
+            continue
+        elif operation[0] == "truncate":
+            del values[entry % len(values):]
+        elif operation[0] == "set":
+            values[entry % len(values)] = operation[1]
+        else:
+            values[entry % len(values)] += operation[1]
+    return "kind,index,values...\r\n" + "".join(
+        f"{kind},{i}," + ",".join(repr(v) for v in values) + "\r\n" for kind, i, values in lines
+    )
+
+
+# m = 1, a 1.5e307 cost: the certificate values (1.35e308, -6e307) made the
+# gap overflow, and `gap` printed inf with exit 0
+SINGLE_MEASURE_OVERFLOW = {
+    "rows": {
+        "cost_row": [[0.0, 1.5e307, 1.5e307], [1.5e307, 0.0, 1.5e307], [1.5e307, 1.5e307, 0.0]],
+        "measure": [[0.5, 0.5, 0.0]],
+        "plan": [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+        "bary": [[0.0, 0.0, 1.0]],
+        "dual": [[-1.0, -1.0, -1.0, 1.0, 1.0, -1.0]],
+    },
+    "mutations": [],
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=iterates_files())
+@example(case=SINGLE_MEASURE_OVERFLOW)
+def test_gap_on_mutated_iterates_ends_in_exit_0_or_2(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "iterates.csv"
+        path.write_text(_iterates_text(case), newline="")
+        code, out, err = _run(["gap", "--iterates", str(path)])
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error:"), err
+        return
+    assert err == ""
+    assert math.isfinite(float(out.removeprefix("duality gap: ")))

@@ -103,6 +103,12 @@ class TestGrid:
         with pytest.raises(sb.ShapeError):
             sb.Grid1D(points=np.array([0.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("points", [[0.0, np.nan, 2.0], [np.nan], [0.0, np.inf]])
+    def test_rejects_non_finite_points(self, points):
+        # a NaN difference fails no `<= 0` test, so the order check alone passes these
+        with pytest.raises(sb.DomainError, match="finite"):
+            sb.Grid1D(points=np.array(points))
+
     def test_rejects_sub_linear_power(self):
         # the grid cost is squared distance; any other power is a ConfigError
         for power in (0.5, 1.0, 1.5, 3.0):

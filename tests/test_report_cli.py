@@ -439,7 +439,7 @@ class TestCLI:
         # the certificate's 2 d_inf |residual|_1 overflowed on a 1e308 cost:
         # ibp, whose own checks pass at reg 1e10, certified nan and exited 0
         # (naive: 4).  Every solver and `gap` now reject a cost with
-        # 10 m d_inf past the largest double; 8e306 at m = 2 still runs.
+        # 10 max(m, 2) d_inf past the largest double; 8e306 at m = 2 still runs.
         hists = tmp_path / "h.csv"
         hists.write_text("# grid: 0,1,2\n0.2,0.3,0.5\n0.5,0.25,0.25\n")
         mode = ["--stabilized"] if stabilized else []
@@ -514,6 +514,34 @@ class TestGapCLIErrors:
         bad = tmp_path / "bad.csv"
         bad.write_text("kind,index,values...\ncost_row,0,0.0,1.0\n")
         assert run_cli(["gap", "--iterates", str(bad)]) == 2
+
+    def test_single_measure_gap_past_the_largest_double_exits_2(self, tmp_path, capsys):
+        # at m = 1 the primal value reaches 9 d_inf and the dual value -8
+        # d_inf: on a 1.5e307 cost this pair's (1.35e308, -6e307), a gap of
+        # 13 d_inf, overflowed, and `gap` printed "duality gap: inf" with
+        # exit 0.  8e306 keeps 17 d_inf finite and still replays.
+        def iterates(off):
+            path = tmp_path / f"{off}.csv"
+            path.write_text(
+                "kind,index,values...\n"
+                + "".join(
+                    f"cost_row,{j}," + ",".join("0" if j == k else off for k in range(3)) + "\n"
+                    for j in range(3)
+                )
+                + "measure,0,0.5,0.5,0\nplan,0,0,0,1,0,0,0,0,0,0\nbary,0,0,0,1\n"
+                + "dual,0,-1,-1,-1,1,1,-1\n"
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(["gap", "--iterates", str(path)])
+            return code, capsys.readouterr()
+
+        code, captured = iterates("1.5e307")
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "--normalize-cost" in captured.err
+        code, captured = iterates("8e306")
+        assert code == 0 and captured.err == ""
+        assert float(captured.out.removeprefix("duality gap: ")) == pytest.approx(13 * 8e306)
 
 
 def _cli_subprocess(*args):
@@ -845,3 +873,45 @@ class TestPublicSurface:
             if isinstance(node, ast.AnnAssign) and node.target.id not in read
         ]
         assert unread == []
+
+    def test_every_module_level_name_is_loaded(self):
+        """Every module-level function, class and constant of the package is loaded elsewhere.
+
+        A name counts as loaded when a package module (`__init__.py`'s
+        re-exports are imports, not loads) reads it outside the statement
+        that defines it, or the benchmark reads it.  Private names count
+        too.  The names whose only reader is the benchmark are pinned:
+        `vectorize_cost`, its spelling of `CostData(C=...)`, and
+        `__version__`, which it records.
+        """
+        root = Path(__file__).resolve().parents[1]
+
+        def loads(tree):
+            return {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+
+        def defined(stmt):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                return [stmt.name]
+            if isinstance(stmt, ast.Assign):
+                return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                return [stmt.target.id]
+            return []
+
+        statements = [
+            stmt for path in sorted((root / "src" / "saddlebary").glob("*.py"))
+            for stmt in ast.parse(path.read_text()).body
+        ]
+        read = [loads(stmt) for stmt in statements]
+        bench = set().union(*(loads(ast.parse(p.read_text()))
+                              for p in sorted((root / "perfbench").glob("*.py"))))
+        unloaded = sorted(
+            name for i, stmt in enumerate(statements) for name in defined(stmt)
+            if not any(name in names for j, names in enumerate(read) if j != i)
+        )
+        assert [name for name in unloaded if name not in bench] == []
+        assert unloaded == ["__version__", "vectorize_cost"]
