@@ -120,9 +120,10 @@ def _parse_floats(path, lineno, fields):
 
 @contextmanager
 def _open_text(path):
-    """`path` opened as UTF-8 text; bytes that do not decode raise a ParseError naming it."""
+    """`path` opened as UTF-8 text, a leading byte-order mark skipped; bytes that
+    do not decode raise a ParseError naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None

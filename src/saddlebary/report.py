@@ -5,9 +5,12 @@ budget, the recording cadence, the clock, the exact certificate and the
 early stop, so the three solvers share one definition of a record.
 
 All files are plain CSV with '.' decimals, CRLF line endings and no quoted
-fields.  Floats are written with `repr`, which round-trips exactly in IEEE
-double precision, so a stored certificate can be re-derived from the stored
-iterates without loss.
+fields.  Floats are written as `repr` writes them, the shortest text that
+round-trips exactly in IEEE double precision, so a stored certificate can be
+re-derived from the stored iterates without loss.  The text of a row comes
+from the vectorized formatter in `_floattext`, byte for byte `repr`'s; the
+writers import it on first use, so a run that writes nothing does not load
+it.
 """
 
 from __future__ import annotations
@@ -119,8 +122,10 @@ def _fmt(value):
 
 
 def _row(values):
-    """Floats as one CSV row, each value's repr: the repr of their list, formatted in C."""
-    return repr(np.asarray(values, dtype=float).tolist())[1:-1].replace(", ", ",")
+    """Floats as one CSV row: each value's `repr`, comma-separated."""
+    from ._floattext import rows_text  # on first write: solving alone does not compile it
+
+    return next(rows_text(np.reshape(values, (1, -1))))
 
 
 def write_report_csv(report, path):
@@ -146,6 +151,8 @@ def write_iterates_csv(prob, x, y, path):
     certificate evaluated on them to full double precision.  Rows are
     written one at a time, so no more than a row's text is held.
     """
+    from ._floattext import rows_text
+
     with open(path, "w", newline="") as fh:
         fh.write("kind,index,values...\r\n")
         for kind, rows in (
@@ -155,8 +162,8 @@ def write_iterates_csv(prob, x, y, path):
             ("bary", x.bary[None]),
             ("dual", y.duals),
         ):
-            for i, row in enumerate(rows):
-                fh.write(f"{kind},{i},{_row(row)}\r\n")
+            for i, text in enumerate(rows_text(rows)):
+                fh.writelines((f"{kind},{i},", text, "\r\n"))
 
 
 def read_iterates_csv(path):

@@ -568,6 +568,13 @@ class TestLibraryWithoutCLI:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_the_formatter_to_the_writers(self):
+        # a run that writes no CSV does not compile the float formatter
+        code = "import sys, saddlebary; print('saddlebary._floattext' in sys.modules)"
+        proc = _cli_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("module", ["saddlebary", "saddlebary.cli"])
     def test_import_loads_no_scipy(self, module):
         code = f"import sys, {module}; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
@@ -670,6 +677,69 @@ class TestNonFiniteInputs:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """Input files saved with a UTF-8 byte-order mark read as their bytes without it."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @staticmethod
+    def _files(tmp_path):
+        hists = tmp_path / "h.csv"
+        hists.write_text("# grid: 0,1,2\n0.5,0.25,0.25\n0.2,0.3,0.5\n")
+        cost = tmp_path / "c.csv"
+        cost.write_text("0,1,4\n1,0,1\n4,1,0\n")
+        return hists, cost
+
+    @staticmethod
+    def _marked(path):
+        marked = path.with_name("bom-" + path.name)
+        marked.write_bytes(BOM + path.read_bytes())
+        return marked
+
+    @pytest.mark.parametrize("kind", ["input", "cost"])
+    def test_barycenter_outputs_match(self, tmp_path, capsys, kind):
+        hists, cost = self._files(tmp_path)
+        results = []
+        for mark in (False, True):
+            out = tmp_path / f"run-{mark}"
+            h = self._marked(hists) if mark and kind == "input" else hists
+            c = self._marked(cost) if mark and kind == "cost" else cost
+            argv = ["barycenter", "--algo", "mp", "--input", str(h), "--cost", f"csv:{c}",
+                    "--max-iters", "5", "--timing", "off", "--out", str(out)]
+            code, stdout, stderr = self._run(argv, capsys)
+            assert code == 0, stderr
+            files = [(out / name).read_bytes()
+                     for name in ("report.csv", "barycenter.csv", "iterates.csv")]
+            results.append((stdout, files))
+        assert results[0] == results[1]
+
+    def test_gap_matches(self, tmp_path, capsys):
+        hists, _ = self._files(tmp_path)
+        argv = ["barycenter", "--algo", "mp", "--input", str(hists), "--max-iters", "5",
+                "--timing", "off", "--out", str(tmp_path / "run")]
+        assert self._run(argv, capsys)[0] == 0
+        iterates = tmp_path / "run" / "iterates.csv"
+        plain = self._run(["gap", "--iterates", str(iterates)], capsys)
+        marked = self._run(["gap", "--iterates", str(self._marked(iterates))], capsys)
+        assert plain[0] == 0 and plain[1].startswith("duality gap: ")
+        assert marked == plain
+
+    def test_invalid_utf8_after_the_mark_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(BOM + b"# grid: 0,1\n0.5,\xff0.5\n")
+        code, _, stderr = self._run(["barycenter", "--algo", "mp", "--input", str(bad),
+                                     "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert stderr == f"error: {bad}: not UTF-8 text\n"
 
 
 def _edit_rows(path, edit):
