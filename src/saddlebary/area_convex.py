@@ -62,22 +62,15 @@ from .report import RunReport, run_certified
 
 KAPPA = 3.0
 
-THETA_VARIANTS = ("paper", "exact")
 
+def theta(n, d_inf):
+    """Upper bound (50 ln n + 6) d_inf on the regularizer's range over the feasible set.
 
-def theta(n, d_inf, variant="exact"):
-    """Upper bound on the regularizer's range over the feasible set.
-
-    `exact` accounts for every entropy term and equals (50 ln n + 6) d_inf;
-    `paper` is the advertised (40 ln n + 6) d_inf, which omits the
-    barycenter-entropy contribution of 10 ln n and can undershoot the true
-    range.  The outer iteration count scales linearly with this value, so an
-    upper bound is always safe.
+    It accounts for every entropy term, the barycenter entropy's 10 ln n
+    included.  The outer iteration count scales linearly with this value,
+    so an upper bound is always safe.
     """
-    if variant not in THETA_VARIANTS:
-        raise ConfigError(f"unknown theta variant {variant!r}")
-    factor = 40.0 if variant == "paper" else 50.0
-    return (factor * math.log(n) + 6.0) * d_inf
+    return (50.0 * math.log(n) + 6.0) * d_inf
 
 
 @dataclass(frozen=True)
@@ -278,9 +271,9 @@ class DEConfig:
     inner_iters: int
 
 
-def de_config(prob, eps, theta_variant="exact"):
+def de_config(prob, eps):
     d_inf = prob.cost.d_inf
-    theta_value = theta(prob.n, d_inf, theta_variant)
+    theta_value = theta(prob.n, d_inf)
     inner_iters = am_inner_iterations(eps, theta_value, d_inf)  # checks eps and the cost first
     return DEConfig(theta_value, _step_count(12.0 * theta_value / eps), inner_iters)
 
@@ -325,7 +318,6 @@ def _check_gradient_sums(sums, k, d_inf):
 def run_dual_extrapolation(
     prob,
     eps,
-    theta_variant="exact",
     max_outer=None,
     log_stride=None,
     oracle=None,
@@ -346,12 +338,12 @@ def run_dual_extrapolation(
     plans in its buffer and adds them; the first output is used through
     its marginals alone.
     """
-    cfg = de_config(prob, eps, theta_variant)
+    cfg = de_config(prob, eps)
     total = cfg.outer_iters if max_outer is None else int(max_outer)
     n, m = prob.n, prob.m
     cost = prob.cost
     report = RunReport(config={
-        "eps": eps, "theta_variant": theta_variant, **asdict(cfg), "kappa": KAPPA,
+        "eps": eps, **asdict(cfg), "kappa": KAPPA,
         "max_outer": total,
         "initial_error_bound": de_initial_error_bound(eps, cfg.theta, cost.d_inf),
     })

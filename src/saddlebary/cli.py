@@ -19,11 +19,12 @@ largest entry past the largest double), 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
-from .area_convex import THETA_VARIANTS, run_dual_extrapolation
+from .area_convex import run_dual_extrapolation
 from .core import (
     BarycenterProblem,
     ConfigError,
@@ -34,7 +35,7 @@ from .core import (
 )
 from .data import GaussianSuiteSpec, gaussian_suite, load_cost_csv, load_histograms
 from .ibp import IBPConfig, ibp_barycenter
-from .mirror_prox import SCALING_VARIANTS, run_mirror_prox
+from .mirror_prox import run_mirror_prox
 from .oracles_1d import Grid1D, barycenter_1d_quantile, grid_cost, optimality_gap
 from .report import (
     read_iterates_csv,
@@ -50,7 +51,14 @@ EXIT_UNDERFLOW = 4
 
 
 def _build_inputs(args):
-    """Problem, grid (a :class:`Grid1D` or None), and the cost-normalization factor."""
+    """Problem, grid (a :class:`Grid1D` or None), and the cost-normalization factor.
+
+    `--eps` and `--reg` are checked whichever solver runs, so a value the
+    chosen solver ignores is still rejected.
+    """
+    for flag, value in (("--eps", args.eps), ("--reg", args.reg)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
     if args.input is not None:
         measures, points = load_histograms(args.input, normalize=args.normalize)
     elif args.gaussian:
@@ -113,14 +121,10 @@ def _run_algorithm(algo, args, prob, oracle, timer):
     """Dispatch one solver run; returns (exit_code, report)."""
     driver = {"log_stride": args.log_stride, "oracle": oracle, "timer": timer}
     if algo == "mp":
-        _, _, report = run_mirror_prox(
-            prob, args.eps, variant=args.scaling, max_iters=args.max_iters, **driver
-        )
+        _, _, report = run_mirror_prox(prob, args.eps, max_iters=args.max_iters, **driver)
         return EXIT_OK, report
     if algo == "de":
-        _, _, report = run_dual_extrapolation(
-            prob, args.eps, theta_variant=args.theta, max_outer=args.max_iters, **driver
-        )
+        _, _, report = run_dual_extrapolation(prob, args.eps, max_outer=args.max_iters, **driver)
         return EXIT_OK, report
     # IBPConfig owns the default sweep cap and rejects a cap below 1.
     iters = {} if args.max_iters is None else {"iters": args.max_iters}
@@ -150,8 +154,9 @@ def cmd_gap(args):
 
 
 def cmd_gaussian_bench(args):
-    if args.input is None:
-        args.gaussian = True
+    if args.cost != "sqdist":
+        raise ConfigError("gaussian-bench's exact-barycenter column needs --cost sqdist")
+    args.gaussian = args.input is None
     prob, grid, scale = _build_inputs(args)
     if grid is None:
         raise ConfigError("gaussian-bench needs support points for the exact-barycenter column")
@@ -185,21 +190,12 @@ def build_parser():
         p.add_argument("--max-iters", type=int, default=None, help="iteration cap/override")
         p.add_argument("--input", type=str, default=None, help="CSV of histogram rows")
         p.add_argument("--normalize", action="store_true", help="rescale input rows onto the simplex")
-        p.add_argument("--gaussian", action="store_true", help="use the Gaussian benchmark suite")
         p.add_argument("--seed", type=int, default=0, help="suite seed")
         p.add_argument("--cost", type=str, default="sqdist", help="'sqdist' or 'csv:<path>'")
         p.add_argument("--normalize-cost", action="store_true", help="rescale cost to max entry 1")
         p.add_argument("--reg", type=float, default=0.01, help="entropic regularization (ibp)")
         p.add_argument(
             "--stabilized", action="store_true", help="ibp by absorbed-kernel scaling (small reg)"
-        )
-        p.add_argument(
-            "--scaling", choices=SCALING_VARIANTS, default="derived",
-            help="mirror-prox step scaling variant",
-        )
-        p.add_argument(
-            "--theta", choices=THETA_VARIANTS, default="exact",
-            help="regularizer range constant (dual extrapolation)",
         )
         p.add_argument("--out", type=str, default=".", help="output directory")
         p.add_argument("--log-stride", type=int, default=None, help="record every k-th iteration")
@@ -210,6 +206,7 @@ def build_parser():
 
     p_bary = sub.add_parser("barycenter", help="run one solver")
     p_bary.add_argument("--algo", choices=("mp", "de", "ibp"), required=True)
+    p_bary.add_argument("--gaussian", action="store_true", help="use the Gaussian benchmark suite")
     add_common(p_bary)
 
     p_gap = sub.add_parser("gap", help="replay a stored certificate")

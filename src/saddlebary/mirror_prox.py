@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     NumericalFailure,
     RunningAverage,
     _check_eps_and_cost,
@@ -43,8 +42,6 @@ from .core import (
     _step_count,
 )
 from .report import RunReport, run_certified
-
-SCALING_VARIANTS = ("derived", "printed")
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,9 @@ class MPConfig:
     beta: float
     gamma_mult: float
     theory_iters: int
-    scaling_variant: str
 
 
-def mp_config(prob, eps, variant="derived"):
+def mp_config(prob, eps):
     """Theory step sizes and iteration count for a target accuracy.
 
     The one home of the prox geometry.  With the radii Rx^2 = 3 m ln n (plan
@@ -73,26 +69,20 @@ def mp_config(prob, eps, variant="derived"):
     eta = m / (4 d_inf R), alpha = 2 d_inf eta Ry^2 / m, gamma_mult =
     eta Rx^2 / m, beta = 2 d_inf eta Rx^2 / m^2 and theory_iters =
     ceil(8 d_inf R / (m eps)), computed below with the radii substituted.
-    The `printed` variant multiplies `gamma_mult` and `beta` by m; the
-    duality-gap guarantee at the returned iteration count holds for
-    `derived`.
+    The duality-gap guarantee holds at the returned iteration count.
     """
-    if variant not in SCALING_VARIANTS:
-        raise ConfigError(f"unknown scaling variant {variant!r}")
     d_inf = prob.cost.d_inf
     _check_eps_and_cost(eps, d_inf)
     n, m = prob.n, prob.m
     root = math.sqrt(6.0 * n * math.log(n))
     eta = 1.0 / (4.0 * d_inf * root)
-    alpha = 2.0 * d_inf * eta * n
-    beta = 6.0 * d_inf * eta * math.log(n)
-    gamma_mult = 3.0 * m * eta * math.log(n)
-    if variant == "derived":
-        beta /= m
-        gamma_mult /= m
     return MPConfig(
-        eta=eta, alpha=alpha, beta=beta, gamma_mult=gamma_mult,
-        theory_iters=_step_count(8.0 * d_inf * root / eps), scaling_variant=variant,
+        eta=eta,
+        alpha=2.0 * d_inf * eta * n,
+        beta=6.0 * d_inf * eta * math.log(n) / m,
+        # the m factors do not cancel in floating point: dropping them changes the bits
+        gamma_mult=3.0 * m * eta * math.log(n) / m,
+        theory_iters=_step_count(8.0 * d_inf * root / eps),
     )
 
 
@@ -207,7 +197,6 @@ def mp_iteration(state, cfg, prob):
 def run_mirror_prox(
     prob,
     eps,
-    variant="derived",
     max_iters=None,
     log_stride=None,
     oracle=None,
@@ -222,7 +211,7 @@ def run_mirror_prox(
     fills the corresponding report column.  Returns the averaged primal and
     dual points plus the run report.
     """
-    cfg = mp_config(prob, eps, variant)
+    cfg = mp_config(prob, eps)
     total = cfg.theory_iters if max_iters is None else int(max_iters)
     report = RunReport(config={"eps": eps, **asdict(cfg), "max_iters": total})
     state = mp_initial_state(prob)

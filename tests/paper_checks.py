@@ -1,18 +1,25 @@
-"""The paper's numerical checks of the area-convex construction.
+"""The paper's numerical checks and printed constants, which no solver runs.
 
-No solver evaluates these: `am_prox` minimizes the regularizer without
-computing its value.  They are what the acceptance criteria and
-`test_area_convex.py` measure the construction by: the regularizer and the
-proximal subproblem objective (criteria 6 and 7, the latter on the
-package's own `am_prox`), the area-convexity residual of a triple of points
-(criterion 3), and the closed-form Hessian quadratic form against its
-diagonal surrogate (criterion 4).  The regularizer range bounds they check
-are the package's `theta`: the shipped default keeps the barycenter entropy
-term that the tighter advertised constant drops.  `ot_1d_monotone`, the
-exact 1-D transport cost, is the reference the package's squared-distance
-`optimality_gap` is checked against (criterion 10 and `test_oracles_1d.py`);
-it also takes power 1.
+No solver evaluates the regularizer: `am_prox` minimizes it without
+computing its value.  These are what the acceptance criteria and
+`test_area_convex.py` measure the area-convex construction by: the
+regularizer and the proximal subproblem objective (criteria 6 and 7, the
+latter on the package's own `am_prox`), the area-convexity residual of a
+triple of points (criterion 3), and the closed-form Hessian quadratic form
+against its diagonal surrogate (criterion 4).  The range bound the package
+runs on is its `theta`, (50 ln n + 6) d_inf; `paper_theta` is the
+advertised (40 ln n + 6) d_inf, which drops the barycenter entropy's
+10 ln n and which criterion 6's samples exceed.  `printed_mp_config` is
+mirror prox at the paper's printed step constants, m times the derived
+multiplicative steps, for which the theory budget is not certified; the
+tests drive it through `mp_iteration`.  `ot_1d_monotone`, the exact 1-D
+transport cost, is the reference the package's squared-distance
+`optimality_gap` is checked against (criterion 10 and
+`test_oracles_1d.py`); it also takes power 1.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 
@@ -20,6 +27,26 @@ import saddlebary as sb
 from saddlebary.area_convex import KAPPA
 from saddlebary.core import _adjoint_stack, _gradient, _marginals_stack, _residual, _xlogy
 from saddlebary.oracles_1d import _quantile_segments
+
+
+def printed_mp_config(prob, eps):
+    """`mp_config` with the printed steps beta = 6 d_inf eta ln n and gamma_mult = 3 m eta ln n.
+
+    Both are m times the derived values; eta, alpha and the budget are
+    `mp_config`'s.
+    """
+    cfg = sb.mp_config(prob, eps)
+    log_n = math.log(prob.n)
+    return dataclasses.replace(
+        cfg,
+        beta=6.0 * prob.cost.d_inf * cfg.eta * log_n,
+        gamma_mult=3.0 * prob.m * cfg.eta * log_n,
+    )
+
+
+def paper_theta(n, d_inf):
+    """The advertised regularizer range (40 ln n + 6) d_inf, short of `theta` by 10 ln n d_inf."""
+    return (40.0 * math.log(n) + 6.0) * d_inf
 
 
 def regularizer(x, y, cost):

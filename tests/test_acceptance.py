@@ -30,6 +30,7 @@ from paper_checks import (
     area_convexity_residual,
     hessian_forms,
     ot_1d_monotone,
+    paper_theta,
     regularizer,
 )
 
@@ -74,8 +75,8 @@ def test_criterion_02_dual_extrapolation_bound():
     for seed, n, m in acceptance_instances():
         prob = random_problem(seed, n, m)
         eps = 0.25
-        _, _, report = sb.run_dual_extrapolation(prob, eps, theta_variant="exact", log_stride=25)
-        theta_exact = sb.theta(n, prob.cost.d_inf, "exact")
+        _, _, report = sb.run_dual_extrapolation(prob, eps, log_stride=25)
+        theta_exact = sb.theta(n, prob.cost.d_inf)
         budget = math.ceil(12.0 * theta_exact / eps)
         assert report.final_gap <= eps, (seed, n, m, report.final_gap)
         assert report.iterations_run <= budget, (seed, n, m)
@@ -146,8 +147,8 @@ def test_criterion_06_regularizer_range():
     n, m = 4, 2
     cost = random_problem(600, n, m).cost
     base = regularizer(uniform_primal(n, m), zero_dual(n, m), cost)
-    top_exact = sb.theta(n, cost.d_inf, "exact")
-    paper_slack = sb.theta(n, cost.d_inf, "paper") - 10.0 * math.log(n) * cost.d_inf
+    top_exact = sb.theta(n, cost.d_inf)
+    paper_slack = paper_theta(n, cost.d_inf) - 10.0 * math.log(n) * cost.d_inf
     largest = -math.inf
     for trial in range(10_000):
         if trial % 10 == 0:

@@ -24,7 +24,13 @@ from conftest import (
     uniform_primal,
     zero_dual,
 )
-from paper_checks import am_objective, area_convexity_residual, hessian_forms, regularizer
+from paper_checks import (
+    am_objective,
+    area_convexity_residual,
+    hessian_forms,
+    paper_theta,
+    regularizer,
+)
 
 
 def full_direction(rng, n, m):
@@ -46,18 +52,14 @@ def second_difference(x, y, w, cost, h):
 
 class TestTheta:
     def test_paper_variant(self):
-        assert sb.theta(2, 1.0, "paper") == pytest.approx(40 * math.log(2) + 6)
+        assert paper_theta(2, 1.0) == pytest.approx(40 * math.log(2) + 6)
 
     def test_exact_variant(self):
-        assert sb.theta(2, 1.0, "exact") == pytest.approx(50 * math.log(2) + 6)
+        assert sb.theta(2, 1.0) == pytest.approx(50 * math.log(2) + 6)
 
     def test_zero_cost_scale(self):
-        assert sb.theta(7, 0.0, "paper") == 0.0
-        assert sb.theta(7, 0.0, "exact") == 0.0
-
-    def test_unknown_variant(self):
-        with pytest.raises(sb.ConfigError):
-            sb.theta(2, 1.0, "tight")
+        assert paper_theta(7, 0.0) == 0.0
+        assert sb.theta(7, 0.0) == 0.0
 
 
 class TestRegularizer:
@@ -262,10 +264,6 @@ class TestDEConfig:
         assert cfg.outer_iters == math.ceil(12 * cfg.theta / 0.25)
         assert cfg.inner_iters == sb.am_inner_iterations(0.25, cfg.theta, 1.0)
 
-    def test_theta_variant_flows_through(self, t1_problem):
-        cfg = sb.de_config(t1_problem, 0.25, "paper")
-        assert cfg.theta == pytest.approx(sb.theta(2, 1.0, "paper"))
-
     def test_initial_error_bound(self):
         theta_val = sb.theta(4, 1.0)
         bound = sb.de_initial_error_bound(0.5, theta_val, 1.0)
@@ -368,7 +366,7 @@ class TestRegularizerRange:
         n, m = 4, 2
         cost = random_problem(55, n, m).cost
         base = regularizer(uniform_primal(n, m), zero_dual(n, m), cost)
-        top = sb.theta(n, cost.d_inf, "exact")
+        top = sb.theta(n, cost.d_inf)
         for trial in range(500):
             if trial % 10 == 0:
                 plans = np.zeros((m, n * n))

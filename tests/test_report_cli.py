@@ -1,8 +1,10 @@
+import argparse
 import ast
 import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import saddlebary as sb
 import saddlebary.data as data
 from saddlebary import GaussianSuiteSpec, gaussian_suite, load_histograms
-from saddlebary.cli import main
+from saddlebary.cli import build_parser, main
 from saddlebary.report import REPORT_COLUMNS
 from conftest import random_dual, random_primal, random_problem
 
@@ -392,6 +394,19 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["barycenter", "--algo", "mp", "--gaussian", "--scaling", "derived"],
+         ["barycenter", "--algo", "de", "--gaussian", "--theta", "exact"],
+         ["gaussian-bench", "--gaussian"]],
+        ids=["scaling", "theta", "bench-gaussian"],
+    )
+    def test_unknown_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_input_and_gaussian_conflict(self, tmp_path):
         inp = self.write_problem(tmp_path)
         code = run_cli(["barycenter", "--algo", "mp", "--input", inp, "--gaussian",
@@ -505,6 +520,23 @@ class TestGaussianBenchCLI:
         printed = capsys.readouterr().out
         assert printed.count("status=") == 3
 
+    def test_csv_cost_exits_2_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the exact-barycenter column is the squared-distance quantile barycenter
+        def solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a csv cost")
+
+        monkeypatch.setattr("saddlebary.cli.run_mirror_prox", solve)
+        hists = tmp_path / "h.csv"
+        hists.write_text("# grid: 0,1,2\n0.5,0.25,0.25\n0.2,0.3,0.5\n")
+        cost = tmp_path / "c.csv"
+        cost.write_text("0,1,4\n1,0,1\n4,1,0\n")
+        out = tmp_path / "bench"
+        code = run_cli(["gaussian-bench", "--input", str(hists), "--cost", f"csv:{cost}",
+                        "--out", str(out)])
+        assert code == 2
+        assert "--cost sqdist" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGapCLIErrors:
     def test_missing_iterates_file(self, tmp_path):
@@ -615,7 +647,8 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize(
         "case",
-        ["eps-nan-mp", "eps-nan-de", "reg-nan", "stride-negative", "stride-zero", "nan-histogram",
+        ["eps-nan-mp", "eps-nan-de", "reg-nan", "eps-nan-ibp", "eps-negative-ibp", "reg-nan-mp",
+         "reg-nan-de", "stride-negative", "stride-zero", "nan-histogram",
          "inf-cost", "ragged-cost", "max-iters-zero-mp", "max-iters-zero-de",
          "max-iters-zero-ibp", "eps-min-mp", "eps-min-de", "eps-1e-300-de", "eps-1e-160-de",
          "non-utf8-input", "non-utf8-cost", "non-utf8-iterates", "negative-seed",
@@ -642,6 +675,11 @@ class TestNonFiniteInputs:
             "eps-nan-mp": base + ["--algo", "mp", "--eps", "nan"],
             "eps-nan-de": base + ["--algo", "de", "--eps", "nan"],
             "reg-nan": base + ["--algo", "ibp", "--reg", "nan"],
+            # checked although the solver ignores them
+            "eps-nan-ibp": base + ["--algo", "ibp", "--eps", "nan"],
+            "eps-negative-ibp": base + ["--algo", "ibp", "--eps", "-1"],
+            "reg-nan-mp": base + ["--algo", "mp", "--reg", "nan"],
+            "reg-nan-de": base + ["--algo", "de", "--reg", "nan"],
             "stride-negative": base + ["--algo", "mp", "--log-stride", "-3"],
             "stride-zero": base + ["--algo", "mp", "--log-stride", "0"],
             "nan-histogram": ["barycenter", "--input", str(bad_hists), "--algo", "mp",
@@ -813,6 +851,51 @@ class TestGapEditedIterates:
         assert proc.returncode == 2, (proc.stdout, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+class TestReadmeFlags:
+    """README.md names every option of the command line, and no option it lacks."""
+
+    @staticmethod
+    def _options():
+        """Each subcommand's `--` option strings, argparse's `--help` included."""
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return {
+            name: {flag for action in p._actions for flag in action.option_strings
+                   if flag.startswith("--")}
+            for name, p in sub.choices.items()
+        }
+
+    @staticmethod
+    def _readme():
+        return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    @staticmethod
+    def _flags(text):
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+
+    def test_every_backticked_flag_is_an_option(self):
+        options = self._options()
+        fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+        readme = self._readme()
+        # inline code spans, which may wrap a line, against every subcommand
+        spans = re.findall(r"`([^`]+)`", fence.sub("", readme))
+        unknown = self._flags(" ".join(spans)) - set().union(*options.values())
+        # example command lines against their own subcommand
+        for block in fence.findall(readme):
+            for line in block.splitlines():
+                words = line.split()
+                if words[:1] == ["saddlebary"]:
+                    unknown |= self._flags(line.split("#")[0]) - options[words[1]]
+        assert sorted(unknown) == []
+
+    def test_every_option_is_in_the_readme(self):
+        named = self._flags(self._readme())
+        missing = {
+            f"{name} {flag}" for name, flags in self._options().items() for flag in flags
+            if flag not in named
+        }
+        assert sorted(missing) == []
 
 
 class TestPublicSurface:
